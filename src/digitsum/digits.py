@@ -1,10 +1,20 @@
-"""Base-b digit sums and the root-of-unity weights built on them."""
+"""Base-b digit sums, the root-of-unity weights built on them, and the
+integer residue-bucket kernel behind every brute-force digit-weighted sum.
+
+The kernel (:func:`digit_weighted_sum`, :func:`combine_buckets`) reads only
+the digit-sum iterators below and ``xi_power_table``; it never touches weight
+tables, moments or Bernoulli code, so the brute-force side of each identity
+stays independent of its closed form.  It is package-internal, not exported.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator
+import math
+from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .arith import CycloNum, xi_power_table
+from .poly import RationalPoly
 
 __all__ = [
     "digit_sum",
@@ -46,8 +56,8 @@ def iter_digit_sums(b: int, limit: int) -> Iterator[int]:
     """Yield digit_sum(n, b) for n = 0 .. limit-1.
 
     Maintains the digit string across increments so the whole range costs
-    O(limit) amortized instead of O(limit * log limit); this is the loop
-    the brute-force verifiers spend their time in.
+    O(limit) amortized instead of O(limit * log limit); it feeds the
+    streaming axis of :func:`digit_weighted_sum`.
     """
     _check_base(b)
     digits: list[int] = []
@@ -69,3 +79,70 @@ def iter_digit_sums(b: int, limit: int) -> Iterator[int]:
 def digit_sums(b: int, limit: int) -> list[int]:
     """Digit sums of 0 .. limit-1 as a list (precomputed table form)."""
     return list(iter_digit_sums(b, limit))
+
+
+def combine_buckets(b: int, buckets: Sequence[int], den: int = 1) -> CycloNum:
+    """sum_r buckets[r] * xi^r / den for integer residue buckets r = 0 .. b-1."""
+    powers = xi_power_table(b)
+    coords = [0] * len(powers[0].coeffs)
+    for bucket, power in zip(buckets, powers):
+        if bucket:
+            # xi^r reduced modulo the monic integer cyclotomic polynomial has
+            # integer coordinates, so numerators are the whole value.
+            for j, c in enumerate(power.coeffs):
+                coords[j] += bucket * c.numerator
+    return CycloNum(b, (Fraction(v, den) for v in coords))
+
+
+def digit_weighted_sum(
+    f: RationalPoly, b: int, axes: Sequence[tuple[int, object, object]], c=0
+) -> CycloNum:
+    """Sum of xi^(s(n_1)+...+s(n_r)) f(c + sum_j (s(n_j) x_j + n_j y_j)) over
+    n_j < b^N_j, one (N_j, x_j, y_j) per axis; s is the base-b digit sum.
+
+    Denominators are cleared once, so each term is one Horner evaluation of
+    an integer polynomial added into the bucket of its digit sum mod b; the
+    b buckets become one CycloNum at the end.  Exactly equal to summing
+    ``xi^s * f(arg)`` term by term in Q(xi).
+    """
+    c = Fraction(c)
+    axes = [(N, Fraction(x), Fraction(y)) for N, x, y in axes]
+    den = math.lcm(c.denominator, *(v.denominator for _, x, y in axes for v in (x, y)))
+
+    def scaled(v: Fraction) -> int:
+        return v.numerator * (den // v.denominator)
+
+    # f(A / den) = g(A) / (lcm * den^d) with g's coefficients integers.
+    coeffs = f.coeffs or (Fraction(0),)
+    d = len(coeffs) - 1
+    lcm = math.lcm(*(a.denominator for a in coeffs))
+    g = [a.numerator * (lcm // a.denominator) * den ** (d - k) for k, a in enumerate(coeffs)]
+    top, rest = g[-1], g[-2::-1]
+    monomial = not any(rest)
+
+    *outer_axes, (N, x, y) = axes
+    # Fold every axis but the last into (argument, residue) pairs; the last
+    # axis streams its digit sums when it is the only one.
+    outer = [(scaled(c), 0)]
+    for Nj, xj, yj in outer_axes:
+        X, Y = scaled(xj), scaled(yj)
+        sums = digit_sums(b, b**Nj)
+        outer = [(a + s * X + n * Y, (r + s) % b) for a, r in outer for n, s in enumerate(sums)]
+    X, Y = scaled(x), scaled(y)
+    count = b**N
+    last = iter_digit_sums(b, count) if len(outer) == 1 else digit_sums(b, count)
+
+    buckets = [0] * b
+    for a0, r0 in outer:
+        for n, s in enumerate(last):
+            A = a0 + s * X + n * Y
+            if monomial:
+                v = A**d
+            else:
+                v = top
+                for p in rest:
+                    v = v * A + p
+            buckets[(r0 + s) % b] += v
+    if monomial:
+        buckets = [top * v for v in buckets]
+    return combine_buckets(b, buckets, lcm * den**d)

@@ -7,9 +7,10 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .arith import CycloNum, xi_power_table
+from .arith import CycloNum
 from .cost import charge
-from .digits import iter_digit_sums
+from .digits import digit_weighted_sum
+from .poly import RationalPoly
 from .weights import beta_table
 
 __all__ = ["forward_diff_n", "lhs_sum", "weighted_rhs"]
@@ -31,21 +32,20 @@ def forward_diff_n(f: Callable, x, y, k: int, N: int):
     return total
 
 
-def lhs_sum(f: Callable, x, y, b: int, N: int, max_cost: int | None = None) -> CycloNum:
-    """Digit-weighted sample sum of f over the full block 0 .. b^N - 1."""
+def lhs_sum(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = None) -> CycloNum:
+    """Digit-weighted sample sum of f over the full block 0 .. b^N - 1:
+    sum over n of xi^s(n) f(x + n y).
+
+    ``f`` must be a :class:`RationalPoly`: the sum is taken by the integer
+    kernel :func:`digitsum.digits.digit_weighted_sum`, which reads its
+    coefficients rather than calling it.
+    """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
     if N < 0:
         raise ValueError(f"order must be >= 0, got {N}")
-    count = b**N
-    charge(count, max_cost)
-    powers = xi_power_table(b)
-    x = Fraction(x)
-    y = Fraction(y)
-    total = CycloNum.zero(b)
-    for n, s in enumerate(iter_digit_sums(b, count)):
-        total = total + powers[s % b] * f(x + n * y)
-    return total
+    charge(b**N, max_cost)
+    return digit_weighted_sum(f, b, [(N, 0, y)], x)
 
 
 def weighted_rhs(f: Callable, x, y, b: int, N: int, max_cost: int | None = None) -> CycloNum:

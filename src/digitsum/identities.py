@@ -19,7 +19,7 @@ from typing import Sequence
 from .arith import CycloNum, a_constant, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from .cost import charge
-from .digits import digit_sums, iter_digit_sums
+from .digits import combine_buckets, digit_sums, digit_weighted_sum
 from .findiff import forward_diff_n, lhs_sum, weighted_rhs
 from .poly import RationalPoly
 from .weights import (
@@ -253,17 +253,15 @@ def verify_multisum(
     inner = math.prod(N + 1 for N in config.N_list)
     charge(2 * grid + math.prod(kranges) * inner, max_cost)
 
-    sums = [digit_sums(b, size) for size in sizes]
-    powers = xi_power_table(b)
-    values: dict[tuple[int, ...], Fraction] = {}
-    lhs = CycloNum.zero(b)
-    for tup in itertools.product(*(range(size) for size in sizes)):
-        arg = config.x + sum(n * yj for n, yj in zip(tup, config.y_list))
-        v = f(arg)
-        values[tup] = v
-        s = sum(ds[n] for ds, n in zip(sums, tup))
-        lhs = lhs + powers[s % b] * v
+    lhs = digit_weighted_sum(
+        f, b, [(N, 0, yj) for N, yj in zip(config.N_list, config.y_list)], config.x
+    )
 
+    # The closed side samples f itself rather than reusing the brute sum.
+    values = {
+        tup: f(config.x + sum(n * yj for n, yj in zip(tup, config.y_list)))
+        for tup in itertools.product(*(range(size) for size in sizes))
+    }
     tables = [beta_table(b, N - 1).values for N in config.N_list]
     diff_coeffs = [
         [math.comb(N, t) * (-1) ** (N - t) for t in range(N + 1)] for N in config.N_list
@@ -304,13 +302,12 @@ def verify_multi_power_sum(config: MultiIndexConfig, max_cost: int | None = None
     charge(math.prod(sizes), max_cost)
     total_N = config.total_order
 
-    sums = [digit_sums(b, size) for size in sizes]
-    powers = xi_power_table(b)
-    lhs = CycloNum.zero(b)
-    for tup in itertools.product(*(range(size) for size in sizes)):
-        arg = config.x + sum(n * yj for n, yj in zip(tup, config.y_list))
-        s = sum(ds[n] for ds, n in zip(sums, tup))
-        lhs = lhs + powers[s % b] * arg**total_N
+    lhs = digit_weighted_sum(
+        RationalPoly.monomial(total_N),
+        b,
+        [(N, 0, yj) for N, yj in zip(config.N_list, config.y_list)],
+        config.x,
+    )
 
     root = xi(b)
     scale = Fraction(b) ** sum(N * (N + 1) // 2 for N in config.N_list)
@@ -351,13 +348,7 @@ def mixed_power_sum(b: int, N: int, l: int, x, y, max_cost: int | None = None) -
     if N < 0 or l < 0:
         raise ValueError(f"need N >= 0 and l >= 0, got N={N}, l={l}")
     charge(b**N, max_cost)
-    x = Fraction(x)
-    y = Fraction(y)
-    powers = xi_power_table(b)
-    total = CycloNum.zero(b)
-    for n, s in enumerate(iter_digit_sums(b, b**N)):
-        total = total + powers[s % b] * (s * x + n * y) ** l
-    return total
+    return digit_weighted_sum(RationalPoly.monomial(l), b, [(N, x, y)])
 
 
 def verify_mixed_vanishing(b: int, N: int, l: int, x, y, max_cost: int | None = None) -> IdentityReport:
@@ -414,16 +405,11 @@ def verify_multi_mixed_sum(config: MultiIndexConfig, max_cost: int | None = None
     charge(math.prod(sizes), max_cost)
     total_N = config.total_order
 
-    sums = [digit_sums(b, size) for size in sizes]
-    powers = xi_power_table(b)
-    lhs = CycloNum.zero(b)
-    for tup in itertools.product(*(range(size) for size in sizes)):
-        arg = Fraction(0)
-        s = 0
-        for n, ds, xj, yj in zip(tup, sums, config.x_list, config.y_list):
-            arg += ds[n] * xj + n * yj
-            s += ds[n]
-        lhs = lhs + powers[s % b] * arg**total_N
+    lhs = digit_weighted_sum(
+        RationalPoly.monomial(total_N),
+        b,
+        list(zip(config.N_list, config.x_list, config.y_list)),
+    )
 
     root = xi(b)
     prod = Fraction(1)
@@ -463,17 +449,28 @@ def joint_weight_polynomial(
     size = b**N
     charge(size**m * (p + 1), max_cost)
     sums = digit_sums(b, m * (size - 1) + 1)
-    powers = xi_power_table(b)
-    binom = [math.comb(p, q) for q in range(p + 1)]
-    coeffs = [CycloNum.zero(b) for _ in range(p + 1)]
-    for tup in itertools.product(range(size), repeat=m):
-        base = sum(i * xv for i, xv in zip(tup, xs))
-        w = powers[sums[sum(tup)] % b]
-        base_powers = [Fraction(1)]
-        for _ in range(p):
-            base_powers.append(base_powers[-1] * base)
-        for q in range(p + 1):
-            coeffs[q] = coeffs[q] + w * (binom[q] * base_powers[p - q])
+    # With base = sum i_j x_j = B / den for an integer B, the coefficient of
+    # t^q is C(p, q) sum xi^s(i_1+...+i_m) B^(p-q) / den^(p-q): bucket B^k
+    # by residue for every k, then combine once per power of t.
+    den = math.lcm(*(v.denominator for v in xs))
+    scales = [v.numerator * (den // v.denominator) for v in xs]
+    outer = [(0, 0)]
+    for scale in scales[:-1]:
+        outer = [(B + i * scale, total + i) for B, total in outer for i in range(size)]
+    last = scales[-1]
+    buckets = [[0] * b for _ in range(p + 1)]
+    for B0, total0 in outer:
+        for i in range(size):
+            B = B0 + i * last
+            r = sums[total0 + i] % b
+            v = 1
+            for row in buckets:
+                row[r] += v
+                v *= B
+    coeffs = [
+        combine_buckets(b, [math.comb(p, q) * v for v in buckets[p - q]], den ** (p - q))
+        for q in range(p + 1)
+    ]
     return PolyOverCyclo(b, coeffs)
 
 
@@ -640,10 +637,7 @@ def verify_generalized_pte(
     x = Fraction(x)
     y = Fraction(y)
     charge(b**N, max_cost)
-    powers = xi_power_table(b)
-    lhs = CycloNum.zero(b)
-    for n, s in enumerate(iter_digit_sums(b, b**N)):
-        lhs = lhs + powers[s % b] * f(s * x + n * y)
+    lhs = digit_weighted_sum(f, b, [(N, x, y)])
     rhs = CycloNum.zero(b)
     params = {"b": b, "N": N, "x": x, "y": y, "f": list(f.coeffs)}
     return _report("generalized-pte", params, lhs, rhs, start)

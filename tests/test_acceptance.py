@@ -4,6 +4,7 @@ Every check is exact (zero tolerance); the stated wall-clock budgets are
 asserted where the criterion pins one.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -37,6 +38,8 @@ from digitsum.weights import (
     alpha_table,
     beta_table,
 )
+
+SUITE_SEED42_SHA256 = "341fc79919acf820079a1fc26100100eb83c65516c9d37a99d089aab6024d5a6"
 
 
 @contextmanager
@@ -241,7 +244,7 @@ def test_criterion_10_partition_property():
 
 
 def test_criterion_11_byte_identical_reruns():
-    with criterion(11, "verify --all --seed 42 is byte-identical across runs"):
+    with criterion(11, "verify --all --seed 42 is byte-identical and matches its pinned digest"):
         first = run_cli("verify", "--all", "--seed", "42")
         second = run_cli("verify", "--all", "--seed", "42")
         assert first.returncode == 0 and second.returncode == 0
@@ -249,3 +252,5 @@ def test_criterion_11_byte_identical_reruns():
         assert len(first.stdout) > 1000
         reports = json.loads(first.stdout)
         assert all(report["equal"] for report in reports)
+        # The output digest pinned in ROADMAP.md (Python 3.11.7).
+        assert hashlib.sha256(first.stdout.encode()).hexdigest() == SUITE_SEED42_SHA256
