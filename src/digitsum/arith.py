@@ -339,23 +339,15 @@ def xi_power_table(b: int) -> tuple[CycloNum, ...]:
     return tuple(powers)
 
 
-def a_constant(b: int, l: int, root: CycloNum | None = None) -> CycloNum:
-    """Sum of k^l * root^k over one period k = 0 .. b-1 (with 0^0 = 1).
+def a_constant(b: int, l: int) -> CycloNum:
+    """Sum of k^l * xi^k over one period k = 0 .. b-1 (with 0^0 = 1).
 
-    Special values: l=0 gives 0 and l=1 gives b/(xi - 1) for any primitive
-    b-th root.
+    Special values: l=0 gives 0 and l=1 gives b/(xi - 1).
     """
     if l < 0:
         raise ValueError("power must be >= 0")
-    if root is None:
-        powers = xi_power_table(b)
-        total = CycloNum.zero(b)
-        for k in range(b):
-            total = total + powers[k] * (k**l)
-        return total
-    total = CycloNum.zero(root.b)
-    power = CycloNum.one(root.b)
+    powers = xi_power_table(b)
+    total = CycloNum.zero(b)
     for k in range(b):
-        total = total + power * (k**l)
-        power = power * root
+        total = total + powers[k] * (k**l)
     return total

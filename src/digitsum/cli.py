@@ -26,7 +26,6 @@ from .cost import DEFAULT_MAX_COST, CostCapExceeded
 from .identities import (
     DEFAULT_SEED,
     IdentityReport,
-    MultiIndexConfig,
     report_to_dict,
     scalar_to_json,
 )
@@ -82,6 +81,23 @@ def parse_seed(text: str) -> int:
     return value
 
 
+def parse_fraction(text: str) -> Fraction:
+    """A rational such as ``3``, ``-1/2`` or ``0.25``; a zero denominator is
+    a ValueError like any other malformed value."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def parse_fraction_list(text: str) -> tuple[Fraction, ...]:
+    return tuple(parse_fraction(token) for token in text.split(",") if token.strip())
+
+
+def parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(token) for token in text.split(",") if token.strip())
+
+
 def parse_grid(spec: str) -> tuple[Fraction, ...]:
     """Grid specs: an explicit comma list of rationals, or ``lo..hi/step``.
 
@@ -93,17 +109,16 @@ def parse_grid(spec: str) -> tuple[Fraction, ...]:
     spec = spec.strip()
     if ".." in spec:
         lo_text, rest = spec.split("..", 1)
-        lo = Fraction(lo_text)
+        lo = parse_fraction(lo_text)
         parts = rest.split("/")
         if len(parts) == 1:
-            hi, step = Fraction(parts[0]), Fraction(1)
+            hi, step = parse_fraction(parts[0]), Fraction(1)
         elif len(parts) == 2:
-            hi, step = Fraction(parts[0]), Fraction(parts[1])
+            hi, step = parse_fraction(parts[0]), parse_fraction(parts[1])
         elif len(parts) == 3:
-            hi, step = Fraction(parts[0]), Fraction(int(parts[1]), int(parts[2]))
+            hi, step = parse_fraction(parts[0]), parse_fraction("/".join(parts[1:]))
         elif len(parts) == 4:
-            hi = Fraction(int(parts[0]), int(parts[1]))
-            step = Fraction(int(parts[2]), int(parts[3]))
+            hi, step = parse_fraction("/".join(parts[:2])), parse_fraction("/".join(parts[2:]))
         else:
             raise ValueError(f"cannot parse grid range {spec!r}")
         if step <= 0:
@@ -114,15 +129,7 @@ def parse_grid(spec: str) -> tuple[Fraction, ...]:
             values.append(current)
             current += step
         return tuple(values)
-    return tuple(Fraction(token.strip()) for token in spec.split(",") if token.strip())
-
-
-def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(token.strip()) for token in text.split(",") if token.strip())
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(token.strip()) for token in text.split(",") if token.strip())
+    return parse_fraction_list(spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,16 +161,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run identity verifications")
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true", help="run the full suite")
-    group.add_argument("--identity", help="run a single identity family by id")
+    group.add_argument(
+        "--identity", help="run one identity by id: " + ", ".join(identities.FAMILY_OF)
+    )
     p_verify.add_argument("--base", type=int, default=None)
-    p_verify.add_argument("--order", type=str, default=None, help="order N, or comma list for multi-index sums")
-    p_verify.add_argument("--x", type=Fraction, default=None)
-    p_verify.add_argument("--y", type=Fraction, default=None)
-    p_verify.add_argument("--x-list", type=str, default=None, help="comma list of rationals")
-    p_verify.add_argument("--y-list", type=str, default=None, help="comma list of rationals")
-    p_verify.add_argument("--x1", type=Fraction, default=None)
-    p_verify.add_argument("--x2", type=Fraction, default=None)
-    p_verify.add_argument("--t", type=Fraction, default=None)
+    p_verify.add_argument(
+        "--order", type=parse_int_list, default=None, help="order N, or comma list for multi-index sums"
+    )
+    p_verify.add_argument("--x", type=parse_fraction, default=None)
+    p_verify.add_argument("--y", type=parse_fraction, default=None)
+    p_verify.add_argument("--x-list", type=parse_fraction_list, default=None, help="comma list of rationals")
+    p_verify.add_argument("--y-list", type=parse_fraction_list, default=None, help="comma list of rationals")
+    p_verify.add_argument("--x1", type=parse_fraction, default=None)
+    p_verify.add_argument("--x2", type=parse_fraction, default=None)
+    p_verify.add_argument("--t", type=parse_fraction, default=None)
     p_verify.add_argument("--l", type=int, default=None, help="power for the mixed sums")
     p_verify.add_argument("--draws", type=int, default=3, help="random draws per configuration")
     p_verify.add_argument(
@@ -180,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_show = sub.add_parser("pte-show", help="print one partition with its certificate")
     p_show.add_argument("--base", type=int, required=True)
     p_show.add_argument("--order", type=int, required=True)
-    p_show.add_argument("--x", type=Fraction, required=True)
-    p_show.add_argument("--y", type=Fraction, required=True)
+    p_show.add_argument("--x", type=parse_fraction, required=True)
+    p_show.add_argument("--y", type=parse_fraction, required=True)
     p_show.add_argument("--kmax", type=int, default=None, help="check powers up to this (default N-1)")
     common(p_show, "text")
 
@@ -215,123 +226,25 @@ def _emit(text: str, output_path: str | None) -> None:
 
 
 def _single_identity_reports(args, rng: random.Random, max_cost: int) -> list[IdentityReport]:
-    b = args.base if args.base is not None else 2
-
-    def frac(value, fallback):
-        return value if value is not None else fallback
-
-    def order(default):
-        if args.order is None:
-            return default
-        orders = _parse_int_list(args.order)
-        return orders[0] if len(orders) == 1 else default
-
-    def order_list(default):
-        return _parse_int_list(args.order) if args.order is not None else default
-
+    """The id's default point with the given flags laid over it, run once,
+    or ``--draws`` times when the suite draws that family more than once."""
     name = args.identity
-    draws = max(args.draws, 1)
-    reports: list[IdentityReport] = []
-    if name == "difference-identity":
-        N = order(2)
-        for _ in range(draws):
-            x = frac(args.x, identities.random_fraction(rng))
-            y = frac(args.y, identities.random_fraction(rng))
-            f = identities.random_poly(rng, N + 2)
-            reports.append(identities.verify_difference_identity(b, N, f, x, y, max_cost))
-    elif name in ("power-sum-n", "power-sum-n1"):
-        N = order(2)
-        which = "N" if name == "power-sum-n" else "N+1"
-        for _ in range(draws):
-            x = frac(args.x, identities.random_fraction(rng))
-            y = frac(args.y, identities.random_fraction(rng))
-            reports.append(identities.verify_power_sum(b, N, x, y, which, max_cost))
-    elif name in ("moment0", "moment1"):
-        reports.append(identities.verify_moment(b, order(2), int(name[-1])))
-    elif name == "betaconv-dual1":
-        reports.append(identities.verify_betaconv_dual1(b, order(2), max_cost))
-    elif name == "betaconv-dual2":
-        reports.append(identities.verify_betaconv_dual2(b, order(2), max_cost))
-    elif name == "beta-alpha-reduction":
-        reports.append(identities.verify_beta_alpha_reduction(order(3)))
-    elif name in ("alpha-moment0", "alpha-moment1"):
-        reports.append(identities.verify_alpha_moment(order(2), int(name[-1])))
-    elif name in ("multi-power-sum", "multisum", "multi-mixed-sum"):
-        N_list = order_list((1, 2))
-        y_list = (
-            _parse_fraction_list(args.y_list)
-            if args.y_list
-            else tuple(identities.random_fraction(rng, nonzero=True) for _ in N_list)
-        )
-        if name == "multi-mixed-sum":
-            x_list = (
-                _parse_fraction_list(args.x_list)
-                if args.x_list
-                else tuple(identities.random_fraction(rng) for _ in N_list)
-            )
-            config = MultiIndexConfig(b=b, N_list=N_list, y_list=y_list, x_list=x_list)
-            reports.append(identities.verify_multi_mixed_sum(config, max_cost))
-        else:
-            x = frac(args.x, identities.random_fraction(rng))
-            config = MultiIndexConfig(b=b, N_list=N_list, y_list=y_list, x=x)
-            if name == "multi-power-sum":
-                reports.append(identities.verify_multi_power_sum(config, max_cost))
-            else:
-                f = identities.random_poly(rng, sum(N_list))
-                reports.append(identities.verify_multisum(config, f, max_cost))
-    elif name in ("mixed-sum-vanishing", "mixed-sum-closed-form", "mixed-sum-recurrence"):
-        N = order(2)
-        x = frac(args.x, identities.random_fraction(rng))
-        y = frac(args.y, identities.random_fraction(rng))
-        if name == "mixed-sum-vanishing":
-            l = args.l if args.l is not None else N - 1
-            reports.append(identities.verify_mixed_vanishing(b, N, l, x, y, max_cost))
-        elif name == "mixed-sum-closed-form":
-            reports.append(identities.verify_mixed_closed_form(b, N, x, y, max_cost))
-        else:
-            l = args.l if args.l is not None else N
-            reports.append(identities.verify_mixed_recurrence(b, N, l, x, y, max_cost))
-    elif name == "joint-vanishing":
-        N = order(3)
-        p = args.l if args.l is not None else N - 2
-        reports.append(identities.verify_joint_vanishing(N, p, 2, b, max_cost))
-    elif name == "joint-line-base2":
-        N = order(2)
-        for _ in range(draws):
-            x1 = frac(args.x1, identities.random_fraction(rng))
-            x2 = frac(args.x2, identities.random_fraction(rng))
-            while x2 == x1:
-                x2 = identities.random_fraction(rng)
-            t = frac(args.t, identities.random_fraction(rng))
-            reports.append(identities.verify_joint_line_base2(N, x1, x2, t, max_cost))
-    elif name == "joint-line-general":
-        N = order(2)
-        x1 = frac(args.x1, identities.random_fraction(rng))
-        x2 = frac(args.x2, identities.random_fraction(rng))
-        while x2 == x1:
-            x2 = identities.random_fraction(rng)
-        reports.append(identities.verify_joint_line_general(b, N, x1, x2, max_cost))
-    elif name == "faulhaber":
-        for _ in range(draws):
-            a = identities.random_fraction(rng)
-            step = identities.random_fraction(rng, nonzero=True)
-            lo = rng.randint(-6, 6)
-            reports.append(identities.verify_faulhaber(a, step, lo, lo + rng.randint(0, 12), rng.randint(0, 6)))
-    elif name == "delta-bernoulli":
-        N = order(3)
-        a = frac(args.x, identities.random_fraction(rng))
-        step = frac(args.y, identities.random_fraction(rng, nonzero=True))
-        reports.append(identities.verify_delta_bernoulli(a, step, 0, N))
-    elif name == "generalized-pte":
-        N = order(3)
-        for _ in range(draws):
-            x = frac(args.x, identities.random_fraction(rng))
-            y = frac(args.y, identities.random_fraction(rng, nonzero=True))
-            f = identities.random_poly(rng, N - 1)
-            reports.append(identities.verify_generalized_pte(b, N, f, x, y, max_cost))
-    else:
+    family = identities.FAMILY_OF.get(name)
+    if family is None:
         raise ValueError(f"unknown identity {name!r}")
-    return reports
+    flags = {
+        "b": args.base, "x": args.x, "y": args.y, "x1": args.x1, "x2": args.x2, "t": args.t,
+        "l": args.l, "x_list": args.x_list, "y_list": args.y_list, "N_list": args.order,
+    }
+    defaults = family.defaults[name]
+    if args.order is not None and "N" in defaults:
+        if len(args.order) != 1:
+            raise ValueError(f"{name} takes one order, got --order {','.join(map(str, args.order))}")
+        flags["N"] = args.order[0]
+    point = {key: value if flags.get(key) is None else flags[key] for key, value in defaults.items()}
+    point["id"] = name
+    draws = max(args.draws, 1) if family.draws > 1 else 1
+    return [rep for _ in range(draws) for rep in family.case(rng, point, max_cost)]
 
 
 def _format_reports(reports: list[IdentityReport], fmt: str, timings: bool) -> str:

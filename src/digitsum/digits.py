@@ -18,8 +18,6 @@ from .poly import RationalPoly
 
 __all__ = [
     "digit_sum",
-    "thue_morse_class",
-    "xi_digit_weight",
     "iter_digit_sums",
     "digit_sums",
 ]
@@ -40,16 +38,6 @@ def digit_sum(n: int, b: int) -> int:
         n, d = divmod(n, b)
         total += d
     return total
-
-
-def thue_morse_class(n: int, b: int) -> int:
-    """Residue class of the digit sum mod b (base 2 gives the Thue-Morse sequence)."""
-    return digit_sum(n, b) % b
-
-
-def xi_digit_weight(n: int, b: int) -> CycloNum:
-    """xi raised to the base-b digit sum of n (exponent reduced mod b)."""
-    return xi_power_table(b)[thue_morse_class(n, b)]
 
 
 def iter_digit_sums(b: int, limit: int) -> Iterator[int]:

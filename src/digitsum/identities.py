@@ -2,8 +2,10 @@
 
 Each ``verify_*`` function evaluates one identity both ways in exact
 arithmetic and returns an :class:`IdentityReport` whose ``equal`` flag means
-literal equality, never tolerance.  :func:`run_suite` executes the full
-deterministic verification schedule used by ``digitsum verify --all``.
+literal equality, never tolerance.  :data:`FAMILIES` is the one table of
+how each identity's inputs are drawn: :func:`run_suite` walks its full
+deterministic schedule for ``digitsum verify --all``, and
+``digitsum verify --identity`` runs one id from its default point.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .arith import CycloNum, a_constant, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
@@ -62,6 +64,9 @@ __all__ = [
     "verify_generalized_pte",
     "random_fraction",
     "random_poly",
+    "IdentityFamily",
+    "FAMILIES",
+    "FAMILY_OF",
     "run_suite",
     "report_to_dict",
     "scalar_to_json",
@@ -203,6 +208,8 @@ def verify_betaconv_dual1(b: int, N: int, max_cost: int | None = None) -> Identi
 
 def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> IdentityReport:
     """Recovering the digit weights from the beta table, entrywise."""
+    if N < 1:
+        raise ValueError(f"order must be >= 1, got {N}")
     start = time.perf_counter()
     count = b**N
     charge(count * (N + 1), max_cost)
@@ -644,7 +651,7 @@ def verify_generalized_pte(
 
 
 # ---------------------------------------------------------------------------
-# Deterministic suite
+# The identity table: one sampling schedule for the suite and single runs
 
 
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
@@ -662,131 +669,222 @@ def random_poly(rng: random.Random, degree: int) -> RationalPoly:
     return RationalPoly(coeffs)
 
 
+class IdentityFamily(NamedTuple):
+    """Identities checked together from one draw of their free inputs.
+
+    ``case(rng, point, max_cost)`` draws the free inputs for one point and
+    returns its reports.  A point is a dict of fixed parameters (``b``,
+    ``N`` or ``N_list``, ``l``, ...).  A free input the point sets to a value
+    replaces its draw; the draw is still made, so later draws do not shift.
+    A point whose ``"id"`` names one id gets only that id's reports.
+    ``points`` and ``draws`` (per point) are the suite's schedule, in rng
+    order.  ``defaults`` maps each id the family serves to its point for
+    ``verify --identity``; that point's keys are the inputs the id accepts.
+
+    Cases call the ``verify_*`` functions by module-global name, never
+    through a stored reference, so replacing a module attribute (as a
+    tracer does) reaches every call.
+    """
+
+    case: Callable[[random.Random, dict, int | None], list[IdentityReport]]
+    points: tuple[dict, ...]
+    draws: int
+    defaults: dict[str, dict]
+
+
+def _grid(**axes) -> tuple[dict, ...]:
+    """Every combination of the axis values, the first axis outermost."""
+    return tuple(dict(zip(axes, values)) for values in itertools.product(*axes.values()))
+
+
+def _given(point: dict, key: str, drawn):
+    return drawn if point.get(key) is None else point[key]
+
+
+def _wants(point: dict, name: str) -> bool:
+    return point.get("id", name) == name
+
+
+def _xy(rng: random.Random, p: dict, nonzero_y: bool = False) -> tuple:
+    x = _given(p, "x", random_fraction(rng))
+    return x, _given(p, "y", random_fraction(rng, nonzero=nonzero_y))
+
+
+def _difference_case(rng, p, max_cost):
+    x, y = _xy(rng, p)
+    f = random_poly(rng, p["N"] + 2)
+    return [verify_difference_identity(p["b"], p["N"], f, x, y, max_cost)]
+
+
+def _power_sum_case(rng, p, max_cost):
+    x, y = _xy(rng, p)
+    return [
+        verify_power_sum(p["b"], p["N"], x, y, which, max_cost)
+        for which, name in (("N", "power-sum-n"), ("N+1", "power-sum-n1"))
+        if _wants(p, name)
+    ]
+
+
+def _moment_case(rng, p, max_cost):
+    return [verify_moment(p["b"], p["N"], k) for k in (0, 1) if _wants(p, f"moment{k}")]
+
+
+def _betaconv_case(rng, p, max_cost):
+    reports = []
+    if _wants(p, "betaconv-dual1"):
+        reports.append(verify_betaconv_dual1(p["b"], p["N"], max_cost))
+    if _wants(p, "betaconv-dual2"):
+        reports.append(verify_betaconv_dual2(p["b"], p["N"], max_cost))
+    return reports
+
+
+def _alpha_moment_case(rng, p, max_cost):
+    return [verify_alpha_moment(p["N"], k) for k in (0, 1) if _wants(p, f"alpha-moment{k}")]
+
+
+def _multi_config(rng, p) -> MultiIndexConfig:
+    x = _given(p, "x", random_fraction(rng))
+    ys = _given(p, "y_list", tuple(random_fraction(rng, nonzero=True) for _ in p["N_list"]))
+    return MultiIndexConfig(b=p["b"], N_list=p["N_list"], y_list=ys, x=x)
+
+
+def _multisum_case(rng, p, max_cost):
+    config = _multi_config(rng, p)
+    return [verify_multisum(config, random_poly(rng, config.total_order), max_cost)]
+
+
+def _mixed_case(rng, p, max_cost):
+    b, N = p["b"], p["N"]
+    x, y = _xy(rng, p)
+    reports = []
+    if _wants(p, "mixed-sum-vanishing"):
+        # The suite checks every power l < N; a point with an ``l`` key checks
+        # only that power, N-1 when it is None.
+        powers = range(N) if "l" not in p else [_given(p, "l", N - 1)]
+        reports += [verify_mixed_vanishing(b, N, l, x, y, max_cost) for l in powers]
+    if _wants(p, "mixed-sum-closed-form"):
+        reports.append(verify_mixed_closed_form(b, N, x, y, max_cost))
+    return reports
+
+
+def _recurrence_case(rng, p, max_cost):
+    x, y = _xy(rng, p)
+    return [verify_mixed_recurrence(p["b"], p["N"], _given(p, "l", p["N"]), x, y, max_cost)]
+
+
+def _multi_mixed_case(rng, p, max_cost):
+    xs = _given(p, "x_list", tuple(random_fraction(rng) for _ in p["N_list"]))
+    ys = _given(p, "y_list", tuple(random_fraction(rng, nonzero=True) for _ in p["N_list"]))
+    config = MultiIndexConfig(b=p["b"], N_list=p["N_list"], y_list=ys, x_list=xs)
+    return [verify_multi_mixed_sum(config, max_cost)]
+
+
+def _joint_vanishing_case(rng, p, max_cost):
+    N = p["N"]
+    return [verify_joint_vanishing(N, _given(p, "l", N - 2), 2, p["b"], max_cost)]
+
+
+def _distinct_pair(rng, p) -> tuple[Fraction, Fraction]:
+    x1 = _given(p, "x1", random_fraction(rng))
+    x2 = _given(p, "x2", random_fraction(rng))
+    # Only a drawn x2 is redrawn; equal given values reach the verifier's check.
+    while p.get("x2") is None and x2 == x1:
+        x2 = random_fraction(rng)
+    return x1, x2
+
+
+def _joint_line_base2_case(rng, p, max_cost):
+    x1, x2 = _distinct_pair(rng, p)
+    t = _given(p, "t", random_fraction(rng))
+    return [verify_joint_line_base2(p["N"], x1, x2, t, max_cost)]
+
+
+def _joint_line_general_case(rng, p, max_cost):
+    x1, x2 = _distinct_pair(rng, p)
+    return [verify_joint_line_general(p["b"], p["N"], x1, x2, max_cost)]
+
+
+def _faulhaber_case(rng, p, max_cost):
+    a = random_fraction(rng)
+    step = random_fraction(rng, nonzero=True)
+    lo = rng.randint(-6, 6)
+    hi = lo + rng.randint(0, 12)
+    return [verify_faulhaber(a, step, lo, hi, rng.randint(0, 6))]
+
+
+def _delta_bernoulli_case(rng, p, max_cost):
+    a, step = _xy(rng, p, nonzero_y=True)
+    return [verify_delta_bernoulli(a, step, _given(p, "k", rng.randint(-3, 3)), p["N"])]
+
+
+def _generalized_pte_case(rng, p, max_cost):
+    x, y = _xy(rng, p, nonzero_y=True)
+    f = random_poly(rng, p["N"] - 1)
+    return [verify_generalized_pte(p["b"], p["N"], f, x, y, max_cost)]
+
+
+_BN = {"b": 2, "N": 2}
+_BNXY = {**_BN, "x": None, "y": None}
+_MULTI = {"b": 2, "N_list": (1, 2), "x": None, "y_list": None}
+
+# Each row: case, the suite's points, its draws per point, each id's default point.
+FAMILIES: tuple[IdentityFamily, ...] = (
+    IdentityFamily(_difference_case, _grid(b=(2, 3, 4, 5), N=(1, 2, 3, 4)), 5,
+                   {"difference-identity": _BNXY}),
+    IdentityFamily(_power_sum_case, _grid(b=(2, 3), N=(1, 2, 3)), 2,
+                   {"power-sum-n": _BNXY, "power-sum-n1": _BNXY}),
+    IdentityFamily(_moment_case, _grid(b=range(2, 7), N=(1, 2, 3, 4)), 1,
+                   {"moment0": _BN, "moment1": _BN}),
+    IdentityFamily(_betaconv_case, _grid(b=(2, 3, 4), N=(1, 2, 3)), 1,
+                   {"betaconv-dual1": _BN, "betaconv-dual2": _BN}),
+    IdentityFamily(lambda rng, p, max_cost: [verify_beta_alpha_reduction(p["N"])], _grid(N=range(6)), 1,
+                   {"beta-alpha-reduction": {"N": 3}}),
+    IdentityFamily(_alpha_moment_case, _grid(N=(1, 2, 3, 4, 5)), 1,
+                   {"alpha-moment0": {"N": 2}, "alpha-moment1": {"N": 2}}),
+    IdentityFamily(lambda rng, p, max_cost: [verify_multi_power_sum(_multi_config(rng, p), max_cost)],
+                   _grid(b=(2, 3), N_list=((2,), (4,), (1, 2), (2, 3), (1, 1, 1), (2, 2, 2))), 2,
+                   {"multi-power-sum": _MULTI}),
+    IdentityFamily(_multisum_case, _grid(b=(2, 3), N_list=((1, 1), (1, 2))), 1, {"multisum": _MULTI}),
+    IdentityFamily(_mixed_case, _grid(b=(2, 3, 4), N=(1, 2, 3, 4)), 1,
+                   {"mixed-sum-vanishing": {**_BNXY, "l": None}, "mixed-sum-closed-form": _BNXY}),
+    IdentityFamily(_recurrence_case, _grid(b=(2, 3), N=(2, 3), l=(2, 3)), 1,
+                   {"mixed-sum-recurrence": {**_BNXY, "l": None}}),
+    IdentityFamily(_multi_mixed_case, _grid(b=(2, 3), N_list=((1,), (3,), (1, 1), (1, 2))), 1,
+                   {"multi-mixed-sum": {"b": 2, "N_list": (1, 2), "x_list": None, "y_list": None}}),
+    IdentityFamily(_joint_vanishing_case,
+                   tuple({"b": 2, "N": N, "l": l} for N in (2, 3, 4) for l in range(N - 1)), 1,
+                   {"joint-vanishing": {"b": 2, "N": 3, "l": None}}),
+    IdentityFamily(_joint_line_base2_case, _grid(N=(1, 2, 3, 4)), 5,
+                   {"joint-line-base2": {"N": 2, "x1": None, "x2": None, "t": None}}),
+    IdentityFamily(_joint_line_general_case, ({"b": 2, "N": 2}, {"b": 3, "N": 1}, {"b": 3, "N": 2}), 1,
+                   {"joint-line-general": {**_BN, "x1": None, "x2": None}}),
+    IdentityFamily(_faulhaber_case, ({},), 25, {"faulhaber": {}}),
+    IdentityFamily(_delta_bernoulli_case, _grid(N=range(7)), 1,
+                   {"delta-bernoulli": {"N": 3, "x": None, "y": None, "k": 0}}),
+    IdentityFamily(_generalized_pte_case, (*_grid(b=(2,), N=(2, 3, 4)), {"b": 3, "N": 2}), 2,
+                   {"generalized-pte": {"b": 2, "N": 3, "x": None, "y": None}}),
+)
+
+FAMILY_OF = {name: family for family in FAMILIES for name in family.defaults}
+
+
 def run_suite(seed: int = DEFAULT_SEED, max_cost: int | None = None) -> list[IdentityReport]:
-    """Run the full verification schedule; deterministic for a fixed seed.
+    """Run every family at every point of its schedule; deterministic for a
+    fixed seed.
 
     Reports come back sorted by identity id (stable within an id), so two
     runs with the same seed produce identical output.
     """
     rng = random.Random(seed)
     reports: list[IdentityReport] = []
-
-    def add(rep: IdentityReport, draw: int | None = None) -> None:
-        rep.params["seed"] = seed
-        if draw is not None:
-            rep.params["draw"] = draw
-        reports.append(rep)
-
-    # Single-sum identity across bases and orders.
-    for b in (2, 3, 4, 5):
-        for N in (1, 2, 3, 4):
-            if b**N > 4096:
-                continue
-            for draw in range(5):
-                x, y = random_fraction(rng), random_fraction(rng)
-                f = random_poly(rng, N + 2)
-                add(verify_difference_identity(b, N, f, x, y, max_cost), draw)
-
-    # Power-sum corollaries.
-    for b in (2, 3):
-        for N in (1, 2, 3):
-            for draw in range(2):
-                x, y = random_fraction(rng), random_fraction(rng)
-                add(verify_power_sum(b, N, x, y, "N", max_cost), draw)
-                add(verify_power_sum(b, N, x, y, "N+1", max_cost), draw)
-
-    # Weight-table moments and convolutions.
-    for b in range(2, 7):
-        for N in (1, 2, 3, 4):
-            add(verify_moment(b, N, 0))
-            add(verify_moment(b, N, 1))
-    for b in (2, 3, 4):
-        for N in (1, 2, 3):
-            add(verify_betaconv_dual1(b, N, max_cost))
-            add(verify_betaconv_dual2(b, N, max_cost))
-    for N in range(6):
-        add(verify_beta_alpha_reduction(N))
-    for N in (1, 2, 3, 4, 5):
-        add(verify_alpha_moment(N, 0))
-        add(verify_alpha_moment(N, 1))
-
-    # Multi-index sums.
-    multi_orders = {1: [(2,), (4,)], 2: [(1, 2), (2, 3)], 3: [(1, 1, 1), (2, 2, 2)]}
-    for b in (2, 3):
-        for r, order_lists in multi_orders.items():
-            for N_list in order_lists:
-                for draw in range(2):
-                    x = random_fraction(rng)
-                    ys = tuple(random_fraction(rng, nonzero=True) for _ in range(r))
-                    config = MultiIndexConfig(b=b, N_list=N_list, y_list=ys, x=x)
-                    add(verify_multi_power_sum(config, max_cost), draw)
-    for b in (2, 3):
-        for N_list in ((1, 1), (1, 2)):
-            x = random_fraction(rng)
-            ys = tuple(random_fraction(rng, nonzero=True) for _ in range(2))
-            f = random_poly(rng, sum(N_list))
-            config = MultiIndexConfig(b=b, N_list=N_list, y_list=ys, x=x)
-            add(verify_multisum(config, f, max_cost))
-
-    # Mixed digit-sum/linear sums.
-    for b in (2, 3, 4):
-        for N in (1, 2, 3, 4):
-            x, y = random_fraction(rng), random_fraction(rng)
-            for l in range(N):
-                add(verify_mixed_vanishing(b, N, l, x, y, max_cost))
-            add(verify_mixed_closed_form(b, N, x, y, max_cost))
-    for b in (2, 3):
-        for N in (2, 3):
-            for l in (2, 3):
-                x, y = random_fraction(rng), random_fraction(rng)
-                add(verify_mixed_recurrence(b, N, l, x, y, max_cost))
-    for b in (2, 3):
-        for N_list in ((1,), (3,), (1, 1), (1, 2)):
-            xs = tuple(random_fraction(rng) for _ in N_list)
-            ys = tuple(random_fraction(rng, nonzero=True) for _ in N_list)
-            config = MultiIndexConfig(b=b, N_list=N_list, y_list=ys, x_list=xs)
-            add(verify_multi_mixed_sum(config, max_cost))
-
-    # The entangled two-variable family.
-    for N in (2, 3, 4):
-        for p in range(N - 1):
-            add(verify_joint_vanishing(N, p, 2, 2, max_cost))
-    for N in (1, 2, 3, 4):
-        for draw in range(5):
-            x1 = random_fraction(rng)
-            x2 = random_fraction(rng)
-            while x2 == x1:
-                x2 = random_fraction(rng)
-            t = random_fraction(rng)
-            add(verify_joint_line_base2(N, x1, x2, t, max_cost), draw)
-    for b, N in ((2, 2), (3, 1), (3, 2)):
-        x1 = random_fraction(rng)
-        x2 = random_fraction(rng)
-        while x2 == x1:
-            x2 = random_fraction(rng)
-        add(verify_joint_line_general(b, N, x1, x2, max_cost))
-
-    # Bernoulli machinery.
-    for draw in range(25):
-        a = random_fraction(rng)
-        step = random_fraction(rng, nonzero=True)
-        lo = rng.randint(-6, 6)
-        hi = lo + rng.randint(0, 12)
-        p = rng.randint(0, 6)
-        add(verify_faulhaber(a, step, lo, hi, p), draw)
-    for N in range(7):
-        a = random_fraction(rng)
-        step = random_fraction(rng, nonzero=True)
-        k = rng.randint(-3, 3)
-        add(verify_delta_bernoulli(a, step, k, N))
-
-    # Scalar form of the partition theorem.
-    for b, N in ((2, 2), (2, 3), (2, 4), (3, 2)):
-        for draw in range(2):
-            x, y = random_fraction(rng), random_fraction(rng, nonzero=True)
-            f = random_poly(rng, N - 1)
-            add(verify_generalized_pte(b, N, f, x, y, max_cost), draw)
-
+    for family in FAMILIES:
+        for point in family.points:
+            for draw in range(family.draws):
+                for rep in family.case(rng, point, max_cost):
+                    rep.params["seed"] = seed
+                    if family.draws > 1:
+                        rep.params["draw"] = draw
+                    reports.append(rep)
     reports.sort(key=lambda rep: rep.identity)
     return reports
 

@@ -161,10 +161,3 @@ class TestAConstant:
                 for k in range(b):
                     expected = expected + xi(b) ** k * (k**l)
                 assert a_constant(b, l) == expected
-
-    def test_custom_primitive_root(self):
-        root = xi(5, 2)
-        total = CycloNum.zero(5)
-        for k in range(5):
-            total = total + root**k * k
-        assert a_constant(5, 1, root) == total

@@ -1,11 +1,45 @@
 """CLI surface: formats, exit codes, grids, and the stable JSON shapes."""
 
+import hashlib
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from digitsum.cli import parse_cost, parse_grid, parse_seed, run
+from digitsum.identities import FAMILY_OF, verify_betaconv_dual2
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# sha256 of `digitsum verify --identity <id> --seed 42` stdout.  A single run
+# draws in the suite's order: x, then the y list, then f; the x list before
+# the y list.
+IDENTITY_SEED42_SHA256 = {
+    "difference-identity": "c8666fdfacb47cb8e88fc2060e581423d80ff5da50fdadaa76ee09ee7ef91200",
+    "power-sum-n": "91261c05c98f5667b5a82a72f3b615fd101297b3e79fd1d0587ffffc51f9fd39",
+    "power-sum-n1": "fc6f8b5de6ad91f8e7a1a535d2af7011497cc4801aa3ab7b4475b9d2027c5263",
+    "moment0": "72b3f8ca13572ad1f037ed5d87bd01bc5436da2a591c7bf34945398c96b541e2",
+    "moment1": "3b609bbf230b91c16c84740ea4851c77e1f20142437d499bcb1c68067e27ef0f",
+    "betaconv-dual1": "30a4bdbdae3dbc55aa4ac9b31792791191c64602116645ead17850b9a1f9f341",
+    "betaconv-dual2": "1491955e8b48575cc6a8a3875238cf23c2e630edefb55500c2ab010db2bea840",
+    "beta-alpha-reduction": "f2693edaf68f5fc82cbf20acd270b6d2664c39463b8d9d2a2e57640e81d192e3",
+    "alpha-moment0": "5591d3ddbc3ef59efa3f6e117d9989e63d575c9cfe142f2700373a9316e5687d",
+    "alpha-moment1": "a888443055d2e3a37e1126c68828c71fb300b7ba4e685c50d3c8c30037e9561c",
+    "multi-power-sum": "d0fd7b24a5f9e020ef2ee2c5cbc6d1e09298a096e54e2f501a707413ca53fe1e",
+    "multisum": "2b7922b569ae13dfa0c9edd28ba6c1168577defa4a0ef04fec304195afcaa4a9",
+    "mixed-sum-vanishing": "22746393bb4c4f81de90542aae198f6d3ffd2756cc2a1301d050c671c23c710e",
+    "mixed-sum-closed-form": "d8a9fafdad56fd5e68adb1f9ab39b8fb45882d157ba2640d26465a23061eb8f3",
+    "mixed-sum-recurrence": "401306f8a85f97e071776124c662afa9726ee645d43baccc078dfc2fad9ad749",
+    "multi-mixed-sum": "0a687536a21d18488dffe68903cbab1589abdaa3f2c2aa1a905560dd6daa612f",
+    "joint-vanishing": "194294a6cefeb37e645e667c6c9b4895c4f6129364f913bc09b874dc3b9955fc",
+    "joint-line-base2": "cb74a7f385e50355b70c9a9118ae831bf98c892a39a4509ed7520c893258f19d",
+    "joint-line-general": "eaa0932e3380fd4b246bfd59c43f9468fdd963b0e92fae8f91652df3e9b227ca",
+    "faulhaber": "7df0dedcb289fdced7fbca0226216ab686b994b1dddb8386e8e83f1b8e5b1a4a",
+    "delta-bernoulli": "7064fb038f9e31d03989cd7e7a472d121ef9c6199ee8ab9915ca55e4895892bb",
+    "generalized-pte": "bfc7c85267adf14bb9d0ab69090e7994200da7f0670432745455d6a76cfaa28b",
+}
 
 
 def invoke(capsys, *argv):
@@ -127,6 +161,43 @@ class TestVerifyCommand:
         assert code == 0
         assert out.strip().endswith("2/2 identities verified")
 
+    @pytest.mark.parametrize("identity", list(FAMILY_OF))
+    def test_default_output_is_pinned(self, capsys, identity):
+        code, out, _ = invoke(capsys, "verify", "--identity", identity, "--seed", "42")
+        assert code == 0
+        assert all(rep["equal"] for rep in json.loads(out))
+        assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_SEED42_SHA256[identity]
+
+    def test_readme_lists_every_identity_and_the_repeated_ones(self):
+        text = README.read_text(encoding="utf-8")
+        listed = re.search(r"Identity ids: (.*?)\.\n", text, re.S).group(1)
+        assert re.findall(r"`([^`]+)`", listed) == list(FAMILY_OF)
+        repeated = re.search(r"more than once per point:(.*?)\.", text, re.S).group(1)
+        assert re.findall(r"`([^`]+)`", repeated) == [
+            name for name, family in FAMILY_OF.items() if family.draws > 1
+        ]
+
+    def test_negative_order_is_usage_error(self, capsys):
+        with pytest.raises(ValueError):
+            verify_betaconv_dual2(2, -1)
+        code, _, err = invoke(capsys, "verify", "--identity", "betaconv-dual2", "--order", "-1")
+        assert code == 2 and err.startswith("error:")
+
+    def test_order_list_only_for_multi_index_ids(self, capsys):
+        code, _, err = invoke(capsys, "verify", "--identity", "moment0", "--order", "3,4")
+        assert code == 2 and "one order" in err
+        for identity in ("multisum", "multi-power-sum", "multi-mixed-sum"):
+            code, out, _ = invoke(capsys, "verify", "--identity", identity, "--order", "1,1,2")
+            assert code == 0
+            assert json.loads(out)[0]["params"]["N_list"] == [1, 1, 2]
+
+    @pytest.mark.parametrize("identity", ["joint-line-base2", "joint-line-general"])
+    def test_given_x2_is_not_redrawn(self, capsys, identity):
+        code, out, _ = invoke(capsys, "verify", "--identity", identity, "--x2", "1/2", "--draws", "1")
+        assert code == 0 and json.loads(out)[0]["params"]["x2"] == "1/2"
+        code, _, err = invoke(capsys, "verify", "--identity", identity, "--x1", "1", "--x2", "1")
+        assert code == 2 and "must differ" in err
+
     def test_general_base_reports_conjectured_constant(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "--identity", "joint-line-general",
@@ -226,3 +297,17 @@ class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         code, _, _ = invoke(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--identity", "difference-identity", "--x", "1/0"],
+            ["verify", "--identity", "multisum", "--y-list", "1/0"],
+            ["pte-search", "--base", "2", "--order", "2", "--x-grid", "1/0", "--y-grid", "1"],
+            ["pte-search", "--base", "2", "--order", "2", "--x-grid", "0..1/1/0", "--y-grid", "1"],
+        ],
+    )
+    def test_zero_denominator(self, capsys, argv):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2
+        assert "error:" in err

@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsum.digits import (
+    combine_buckets,
     digit_sum,
     digit_sums,
+    digit_weighted_sum,
     iter_digit_sums,
-    thue_morse_class,
-    xi_digit_weight,
 )
 from digitsum.arith import xi
+from digitsum.poly import RationalPoly
 
 
 class TestDigitSum:
@@ -67,34 +68,34 @@ class TestStreamingTable:
 
 
 class TestClasses:
+    # The digit-sum residue class mod b: the partition classes and the
+    # kernel's buckets.
     def test_thue_morse_prefix(self):
-        assert [thue_morse_class(n, 2) for n in range(8)] == [0, 1, 1, 0, 1, 0, 0, 1]
+        assert [digit_sum(n, 2) % 2 for n in range(8)] == [0, 1, 1, 0, 1, 0, 0, 1]
 
     def test_base_three(self):
-        assert thue_morse_class(8, 3) == 1  # digits 22, sum 4
+        assert digit_sum(8, 3) % 3 == 1  # digits 22, sum 4
 
     def test_block_shift_flips_base_two_class(self):
         for N in (2, 3, 4):
             for n in range(2**N):
-                assert thue_morse_class(n + 2**N, 2) == 1 - thue_morse_class(n, 2)
+                assert digit_sum(n + 2**N, 2) % 2 == 1 - digit_sum(n, 2) % 2
 
 
 class TestXiDigitWeight:
-    def test_base_two_signs(self):
-        assert xi_digit_weight(3, 2) == 1
-        assert xi_digit_weight(4, 2) == -1
-
-    def test_base_three_wraps(self):
-        assert xi_digit_weight(5, 3) == 1  # digits 12, sum 3, xi^3 = 1
+    # The weight xi^s(n) as the brute-force kernel forms it: a one-hot
+    # residue bucket combined into Q(xi).
+    @staticmethod
+    def weight(n, b):
+        buckets = [0] * b
+        buckets[digit_sum(n, b) % b] = 1
+        return combine_buckets(b, buckets)
 
     @pytest.mark.parametrize("b,N", [(2, 5), (3, 3), (4, 2)])
     def test_weight_sum_vanishes_over_block(self, b, N):
-        total = xi_digit_weight(0, b)
-        for n in range(1, b**N):
-            total = total + xi_digit_weight(n, b)
-        assert total.is_zero()
+        assert digit_weighted_sum(RationalPoly([1]), b, [(N, 0, 0)]).is_zero()
 
     def test_matches_xi_power(self):
         for b in (2, 3, 5):
             for n in range(40):
-                assert xi_digit_weight(n, b) == xi(b) ** digit_sum(n, b)
+                assert self.weight(n, b) == xi(b) ** digit_sum(n, b)
