@@ -50,7 +50,6 @@ from .pte import (
     verify_power_sums,
 )
 from .weights import (
-    PolyOverCyclo,
     WeightTable,
     alpha_moment0,
     alpha_moment1,
@@ -59,7 +58,6 @@ from .weights import (
     beta_moment0,
     beta_moment1,
     beta_table,
-    digit_weight_series,
     xi_from_convolution,
 )
 

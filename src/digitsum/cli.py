@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import identities
 from .arith import CycloNum, euler_phi
 from .bernoulli import bernoulli_poly
-from .cost import DEFAULT_MAX_COST, CostCapExceeded
+from .cost import DEFAULT_MAX_COST, CostCapExceeded, charge
 from .identities import (
     DEFAULT_SEED,
     IdentityReport,
@@ -244,6 +244,7 @@ def _single_identity_reports(args, rng: random.Random, max_cost: int) -> list[Id
     point = {key: value if flags.get(key) is None else flags[key] for key, value in defaults.items()}
     point["id"] = name
     draws = max(args.draws, 1) if family.draws > 1 else 1
+    charge(draws, max_cost)
     return [rep for _ in range(draws) for rep in family.case(rng, point, max_cost)]
 
 
@@ -391,6 +392,8 @@ def _cmd_pte_show(args, config: RunConfig) -> int:
 
 
 def _cmd_pte_search(args, config: RunConfig) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     results = search_small_solutions(
         args.base,
         args.order,

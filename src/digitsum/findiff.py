@@ -3,9 +3,8 @@ digit-weighted summation identity they connect."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .arith import CycloNum
 from .cost import charge
@@ -13,7 +12,40 @@ from .digits import digit_weighted_sum
 from .poly import RationalPoly
 from .weights import beta_table
 
+# forward_differences and beta_weighted_sum are package-internal and stay
+# out of __all__: bench/spans.py wraps every exported name, which would move
+# their time out of weighted_rhs's self time.
 __all__ = ["forward_diff_n", "lhs_sum", "weighted_rhs"]
+
+
+def forward_differences(values: Sequence, N: int) -> list:
+    """N passes of v[k+1] - v[k]: entry k of the result is the N-fold
+    forward difference sum_j C(N,j) (-1)^(N-j) values[k+j]."""
+    values = list(values)
+    for _ in range(N):
+        values = [hi - lo for lo, hi in zip(values, values[1:])]
+    return values
+
+
+def beta_weighted_sum(f: Callable, b: int, axes: Sequence[tuple[int, Fraction]], c) -> CycloNum:
+    """Closed side of the r-fold identity over ``axes`` = [(N_j, y_j)]:
+    (-1)^N sum_k beta_k Delta^N g(k) for the first axis (N, y), with beta
+    the order-(N-1) table.
+
+    On the last axis g(n) = f(c + n y); on an earlier one g(n) is this sum
+    over the remaining axes at base point c + n y.  Differences on different
+    axes commute, so the nesting equals the tensor of every axis'
+    differences.  Only f is sampled, never a digit sum.
+    """
+    (N, y), rest = axes[0], axes[1:]
+    if rest:
+        samples = [beta_weighted_sum(f, b, rest, c + n * y) for n in range(b**N)]
+    else:
+        samples = [f(c + n * y) for n in range(b**N)]
+    total = CycloNum.zero(b)
+    for w, delta in zip(beta_table(b, N - 1).values, forward_differences(samples, N)):
+        total = total + w * delta
+    return -total if N % 2 else total
 
 
 def forward_diff_n(f: Callable, x, y, k: int, N: int):
@@ -23,13 +55,7 @@ def forward_diff_n(f: Callable, x, y, k: int, N: int):
         raise ValueError(f"order must be >= 0, got {N}")
     x = Fraction(x)
     y = Fraction(y)
-    total = None
-    for j in range(N + 1):
-        term = math.comb(N, j) * f(x + (k + j) * y)
-        if (N - j) % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    return forward_differences([f(x + (k + j) * y) for j in range(N + 1)], N)[0]
 
 
 def lhs_sum(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = None) -> CycloNum:
@@ -55,16 +81,5 @@ def weighted_rhs(f: Callable, x, y, b: int, N: int, max_cost: int | None = None)
         raise ValueError(f"base must be >= 2, got {b}")
     if N < 1:
         raise ValueError(f"order must be >= 1, got {N}")
-    count = b**N
-    charge(count, max_cost)
-    table = beta_table(b, N - 1).values
-    x = Fraction(x)
-    y = Fraction(y)
-    # Sample once across the whole window; each difference reuses N+1 values.
-    samples = [f(x + k * y) for k in range(count)]
-    diff_coeffs = [math.comb(N, j) * (-1) ** (N - j) for j in range(N + 1)]
-    total = CycloNum.zero(b)
-    for k, w in enumerate(table):
-        delta = sum(c * samples[k + j] for j, c in enumerate(diff_coeffs))
-        total = total + w * delta
-    return -total if N % 2 else total
+    charge(b**N, max_cost)
+    return beta_weighted_sum(f, b, [(N, Fraction(y))], Fraction(x))

@@ -22,10 +22,9 @@ from .arith import CycloNum, a_constant, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from .cost import charge
 from .digits import combine_buckets, digit_sums, digit_weighted_sum
-from .findiff import forward_diff_n, lhs_sum, weighted_rhs
+from .findiff import beta_weighted_sum, forward_diff_n, lhs_sum, weighted_rhs
 from .poly import RationalPoly
 from .weights import (
-    PolyOverCyclo,
     alpha_moment0,
     alpha_moment1,
     alpha_table,
@@ -191,6 +190,8 @@ def verify_moment(b: int, N: int, order: int) -> IdentityReport:
     """Closed-form moment of the order-(N-1) beta table versus the direct sum."""
     if order not in (0, 1):
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
+    if N < 1:
+        raise ValueError(f"order must be >= 1, got {N}")
     start = time.perf_counter()
     table = beta_table(b, N - 1)
     lhs = table.moment(order)
@@ -231,6 +232,8 @@ def verify_alpha_moment(N: int, order: int) -> IdentityReport:
     """Alpha-table moments versus their closed forms."""
     if order not in (0, 1):
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
+    if N < 1:
+        raise ValueError(f"order must be >= 1, got {N}")
     start = time.perf_counter()
     table = alpha_table(N - 1)
     lhs = Fraction(table.moment(order))
@@ -265,28 +268,7 @@ def verify_multisum(
     )
 
     # The closed side samples f itself rather than reusing the brute sum.
-    values = {
-        tup: f(config.x + sum(n * yj for n, yj in zip(tup, config.y_list)))
-        for tup in itertools.product(*(range(size) for size in sizes))
-    }
-    tables = [beta_table(b, N - 1).values for N in config.N_list]
-    diff_coeffs = [
-        [math.comb(N, t) * (-1) ** (N - t) for t in range(N + 1)] for N in config.N_list
-    ]
-    rhs = CycloNum.zero(b)
-    for ktup in itertools.product(*(range(kr) for kr in kranges)):
-        weight = tables[0][ktup[0]]
-        for j in range(1, config.r):
-            weight = weight * tables[j][ktup[j]]
-        inner_total = Fraction(0)
-        for ttup in itertools.product(*(range(N + 1) for N in config.N_list)):
-            c = 1
-            for j, t in enumerate(ttup):
-                c *= diff_coeffs[j][t]
-            inner_total += c * values[tuple(k + t for k, t in zip(ktup, ttup))]
-        rhs = rhs + weight * inner_total
-    if config.total_order % 2:
-        rhs = -rhs
+    rhs = beta_weighted_sum(f, b, list(zip(config.N_list, config.y_list)), config.x)
 
     params = {
         "b": b,
@@ -441,9 +423,9 @@ def verify_multi_mixed_sum(config: MultiIndexConfig, max_cost: int | None = None
 
 def joint_weight_polynomial(
     m: int, N: int, p: int, x_list: Sequence, b: int = 2, max_cost: int | None = None
-) -> PolyOverCyclo:
+) -> tuple[CycloNum, ...]:
     """Expand the m-fold sum of xi^s(i_1+...+i_m) (t + sum i_j x_j)^p as an
-    exact polynomial in t."""
+    exact polynomial in t: its p+1 coefficients, constant term first."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if N < 1:
@@ -474,11 +456,10 @@ def joint_weight_polynomial(
             for row in buckets:
                 row[r] += v
                 v *= B
-    coeffs = [
+    return tuple(
         combine_buckets(b, [math.comb(p, q) * v for v in buckets[p - q]], den ** (p - q))
         for q in range(p + 1)
-    ]
-    return PolyOverCyclo(b, coeffs)
+    )
 
 
 def verify_joint_vanishing(N: int, p: int, m: int = 2, b: int = 2, max_cost: int | None = None) -> IdentityReport:
@@ -487,8 +468,7 @@ def verify_joint_vanishing(N: int, p: int, m: int = 2, b: int = 2, max_cost: int
         raise ValueError(f"need 0 <= p <= N-2, got p={p}, N={N}")
     start = time.perf_counter()
     x_list = [Fraction(j + 1) for j in range(m)]
-    poly = joint_weight_polynomial(m, N, p, x_list, b, max_cost)
-    lhs = [poly.coeff(q) for q in range(p + 1)]
+    lhs = list(joint_weight_polynomial(m, N, p, x_list, b, max_cost))
     rhs = [CycloNum.zero(b)] * (p + 1)
     params = {"m": m, "b": b, "N": N, "p": p, "x_list": x_list}
     return _report("joint-vanishing", params, lhs, rhs, start)
@@ -528,17 +508,17 @@ def verify_joint_line_base2(N: int, x1, x2, t, max_cost: int | None = None) -> I
     if x1 == x2:
         raise ValueError("x1 and x2 must differ (the closed form divides by x1 - x2)")
     start = time.perf_counter()
-    poly = joint_weight_polynomial(2, N, N, (x1, x2), 2, max_cost)
+    coeffs = joint_weight_polynomial(2, N, N, (x1, x2), 2, max_cost)
     slope, const = joint_line_coeffs_base2(N, x1, x2)
-    lhs = poly.evaluate(t)
+    lhs = sum((c * t**q for q, c in enumerate(coeffs)), CycloNum.zero(2))
     rhs = slope * t + const
-    extras = {"slope_brute": poly.coeff(1), "slope_closed": slope}
+    extras = {"slope_brute": coeffs[1], "slope_closed": slope}
     report = _report("joint-line-base2", {"N": N, "x1": x1, "x2": x2, "t": t}, lhs, rhs, start, extras)
     report.equal = (
         report.equal
-        and poly.degree <= 1
-        and poly.coeff(1) == slope
-        and poly.coeff(0) == const
+        and not any(coeffs[2:])
+        and coeffs[1] == slope
+        and coeffs[0] == const
     )
     return report
 
@@ -558,7 +538,7 @@ def verify_joint_line_general(b: int, N: int, x1, x2, max_cost: int | None = Non
     if x1 == x2:
         raise ValueError("x1 and x2 must differ (the closed form divides by x1 - x2)")
     start = time.perf_counter()
-    poly = joint_weight_polynomial(2, N, N, (x1, x2), b, max_cost)
+    coeffs = joint_weight_polynomial(2, N, N, (x1, x2), b, max_cost)
     root = xi(b)
     one = CycloNum.one(b)
     m0 = beta_moment0(b, N)
@@ -591,16 +571,16 @@ def verify_joint_line_general(b: int, N: int, x1, x2, max_cost: int | None = Non
         )
     ) * fact
 
-    lhs = [poly.coeff(0), poly.coeff(1)]
+    lhs = [coeffs[0], coeffs[1]]
     rhs = [const_derived, slope_closed]
     extras = {
         "constant_conjectured": const_conjectured,
-        "conjectured_matches_brute": poly.coeff(0) == const_conjectured,
+        "conjectured_matches_brute": coeffs[0] == const_conjectured,
     }
     report = _report(
         "joint-line-general", {"b": b, "N": N, "x1": x1, "x2": x2}, lhs, rhs, start, extras
     )
-    report.equal = report.equal and poly.degree <= 1
+    report.equal = report.equal and not any(coeffs[2:])
     return report
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .arith import CycloNum, xi, xi_power_table
 from .cost import charge
@@ -23,7 +22,6 @@ from .digits import digit_sums
 
 __all__ = [
     "WeightTable",
-    "PolyOverCyclo",
     "alpha_table",
     "beta_table",
     "alpha_moment0",
@@ -32,87 +30,7 @@ __all__ = [
     "beta_moment1",
     "beta_from_convolution",
     "xi_from_convolution",
-    "digit_weight_series",
 ]
-
-
-class PolyOverCyclo:
-    """Dense polynomial with CycloNum coefficients (index = degree).
-
-    The trailing coefficient is nonzero unless the polynomial is zero.
-    """
-
-    __slots__ = ("b", "coeffs")
-
-    def __init__(self, b: int, coeffs: Iterable[CycloNum]) -> None:
-        vec = list(coeffs)
-        for c in vec:
-            if c.b != b:
-                raise ValueError(f"coefficient of order {c.b} in order-{b} polynomial")
-        while vec and vec[-1].is_zero():
-            vec.pop()
-        self.b = b
-        self.coeffs = tuple(vec)
-
-    @classmethod
-    def from_scalars(cls, b: int, values: Iterable) -> PolyOverCyclo:
-        return cls(
-            b,
-            (
-                v if isinstance(v, CycloNum) else CycloNum.from_rational(b, v)
-                for v in values
-            ),
-        )
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, index: int) -> CycloNum:
-        """Coefficient at ``index``, zero beyond the degree."""
-        if 0 <= index < len(self.coeffs):
-            return self.coeffs[index]
-        return CycloNum.zero(self.b)
-
-    def evaluate(self, value):
-        result = CycloNum.zero(self.b)
-        for c in reversed(self.coeffs):
-            result = result * value + c
-        return result
-
-    def __add__(self, other: PolyOverCyclo) -> PolyOverCyclo:
-        if not isinstance(other, PolyOverCyclo):
-            return NotImplemented
-        if other.b != self.b:
-            raise ValueError(f"mixed root orders {self.b} and {other.b}")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyOverCyclo(self.b, (self.coeff(i) + other.coeff(i) for i in range(n)))
-
-    def __mul__(self, other: PolyOverCyclo) -> PolyOverCyclo:
-        if not isinstance(other, PolyOverCyclo):
-            return NotImplemented
-        if other.b != self.b:
-            raise ValueError(f"mixed root orders {self.b} and {other.b}")
-        if not self.coeffs or not other.coeffs:
-            return PolyOverCyclo(self.b, ())
-        out = [CycloNum.zero(self.b)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, c in enumerate(other.coeffs):
-                    if not c.is_zero():
-                        out[i + j] = out[i + j] + a * c
-        return PolyOverCyclo(self.b, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyOverCyclo):
-            return NotImplemented
-        return self.b == other.b and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.b, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"PolyOverCyclo(b={self.b}, degree={self.degree})"
 
 
 @dataclass(frozen=True)
@@ -290,12 +208,3 @@ def xi_from_convolution(b: int, N: int, n: int) -> CycloNum:
         total = total - term if k % 2 else total + term
     return total
 
-
-def digit_weight_series(b: int, N: int, max_cost: int | None = None) -> PolyOverCyclo:
-    """The polynomial sum_{k < b^N} xi^(digit sum of k) z^k."""
-    if b < 2 or N < 0:
-        raise ValueError(f"need base >= 2 and order >= 0, got b={b}, N={N}")
-    count = b**N
-    charge(count, max_cost)
-    powers = xi_power_table(b)
-    return PolyOverCyclo(b, (powers[s % b] for s in digit_sums(b, count)))

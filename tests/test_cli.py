@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +47,21 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_cli_lines():
+    """Arguments of each `digitsum` line in the README's CLI block, with
+    trailing comments stripped."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("digitsum ")]
+
+
+# `verify --all` is run by acceptance criterion 11.
+@pytest.mark.parametrize("argv", [a for a in readme_cli_lines() if "--all" not in a], ids=" ".join)
+def test_readme_cli_examples_exit_zero(capsys, argv):
+    code, _, err = invoke(capsys, *argv)
+    assert code == 0, err
 
 
 class TestParsers:
@@ -183,6 +199,17 @@ class TestVerifyCommand:
         code, _, err = invoke(capsys, "verify", "--identity", "betaconv-dual2", "--order", "-1")
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("identity", ["moment0", "moment1", "alpha-moment0", "alpha-moment1"])
+    def test_zero_order_names_the_given_order(self, capsys, identity):
+        code, _, err = invoke(capsys, "verify", "--identity", identity, "--order", "0")
+        assert code == 2 and "order must be >= 1, got 0" in err
+
+    def test_draw_count_is_charged(self, capsys):
+        code, out, err = invoke(
+            capsys, "verify", "--identity", "faulhaber", "--max-cost", "10", "--draws", "11"
+        )
+        assert code == 3 and err.startswith("error:") and out == ""
+
     def test_order_list_only_for_multi_index_ids(self, capsys):
         code, _, err = invoke(capsys, "verify", "--identity", "moment0", "--order", "3,4")
         assert code == 2 and "one order" in err
@@ -255,6 +282,14 @@ class TestPteCommands:
         assert best["reduced_size"] == 6
         assert best["classes"] == [["0", "7", "8"], ["2", "3", "10"]]
         assert best["power_sums"] == [["3", "15", "113"], ["3", "15", "113"]]
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_search_top_must_be_positive(self, capsys, top):
+        code, out, err = invoke(
+            capsys, "pte-search", "--base", "2", "--order", "3",
+            "--x-grid", "0,1,2", "--y-grid", "1", "--top", top,
+        )
+        assert code == 2 and err.startswith("error:") and "--top" in err and out == ""
 
     def test_search_csv(self, capsys):
         code, out, _ = invoke(

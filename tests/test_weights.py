@@ -7,8 +7,8 @@ import pytest
 
 from digitsum.arith import CycloNum, xi, xi_power_table
 from digitsum.digits import digit_sums
+from digitsum.findiff import forward_differences
 from digitsum.weights import (
-    PolyOverCyclo,
     WeightTable,
     alpha_moment0,
     alpha_moment1,
@@ -17,7 +17,6 @@ from digitsum.weights import (
     beta_moment0,
     beta_moment1,
     beta_table,
-    digit_weight_series,
     xi_from_convolution,
 )
 
@@ -81,14 +80,15 @@ class TestBetaTable:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_difference_product_recovers_digit_weights(self, b, N):
         # (1 - z)^N times the order-(N-1) table equals the digit-weight
-        # series, coefficient by coefficient.
-        one = CycloNum.one(b)
-        binomial = PolyOverCyclo.from_scalars(b, [1])
-        one_minus_z = PolyOverCyclo(b, [one, -one])
-        for _ in range(N):
-            binomial = binomial * one_minus_z
-        table_poly = PolyOverCyclo(b, beta_table(b, N - 1).values)
-        assert binomial * table_poly == digit_weight_series(b, N)
+        # series sum_{n < b^N} xi^s(n) z^n, coefficient by coefficient.  The
+        # coefficient of z^n on the left is the N-fold forward difference at
+        # n of the table shifted right by N, so padding N zeros on each side
+        # yields all b^N coefficients of the product, the table's last
+        # entries included.
+        pad = [CycloNum.zero(b)] * N
+        product = forward_differences(pad + list(beta_table(b, N - 1).values) + pad, N)
+        powers = xi_power_table(b)
+        assert product == [powers[s % b] for s in digit_sums(b, b**N)]
 
 
 class TestMoments:
@@ -160,18 +160,3 @@ class TestWeightTableType:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             WeightTable(b=2, N=1, kind="gamma", values=(1, 1))
-
-
-class TestPolyOverCyclo:
-    def test_trims_trailing_zeros(self):
-        poly = PolyOverCyclo.from_scalars(3, [1, 2, 0])
-        assert poly.degree == 1
-        assert poly.coeff(5).is_zero()
-
-    def test_mixed_orders_rejected(self):
-        with pytest.raises(ValueError):
-            PolyOverCyclo(3, [CycloNum.one(4)])
-
-    def test_evaluate(self):
-        poly = PolyOverCyclo.from_scalars(2, [1, 2, 3])
-        assert poly.evaluate(Fraction(1, 2)) == 1 + 1 + Fraction(3, 4)
