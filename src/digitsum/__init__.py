@@ -50,7 +50,6 @@ from .pte import (
     verify_power_sums,
 )
 from .weights import (
-    WeightTable,
     alpha_moment0,
     alpha_moment1,
     alpha_table,
@@ -58,7 +57,6 @@ from .weights import (
     beta_moment0,
     beta_moment1,
     beta_table,
-    xi_from_convolution,
 )
 
 __version__ = "0.1.0"

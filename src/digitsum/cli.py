@@ -98,13 +98,14 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(token) for token in text.split(",") if token.strip())
 
 
-def parse_grid(spec: str) -> tuple[Fraction, ...]:
+def parse_grid(spec: str, max_cost: int | None = None) -> tuple[Fraction, ...]:
     """Grid specs: an explicit comma list of rationals, or ``lo..hi/step``.
 
     In range form the text after ``..`` is split on ``/``: one token is a
     bare upper bound (step 1), two tokens are integer hi/step, three are
     hi plus a rational step p/q, four are rational hi and step (p/q/p/q).
-    Use a comma list when that is too rigid.
+    Use a comma list when that is too rigid.  A range's point count is
+    charged against ``max_cost`` before the grid is built.
     """
     spec = spec.strip()
     if ".." in spec:
@@ -123,6 +124,7 @@ def parse_grid(spec: str) -> tuple[Fraction, ...]:
             raise ValueError(f"cannot parse grid range {spec!r}")
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
+        charge(max(0, (hi - lo) // step + 1), max_cost)
         values = []
         current = lo
         while current <= hi:
@@ -203,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--y-grid", required=True, help="comma list or lo..hi/step")
     p_search.add_argument("--top", type=int, default=10, help="keep this many best results")
     p_search.add_argument("--kmax", type=int, default=None)
-    p_search.add_argument("--min-size", type=int, default=0, help="drop reduced partitions smaller than this")
+    p_search.add_argument(
+        "--min-size", type=int, default=1, help="drop reduced partitions smaller than this (default: 1)"
+    )
     common(p_search, "json")
 
     p_bern = sub.add_parser("bernoulli", help="print Bernoulli polynomial coefficients")
@@ -296,36 +300,36 @@ def _cmd_verify(args, config: RunConfig) -> int:
 
 
 def _cmd_weights(args, config: RunConfig) -> int:
-    if args.kind == "alpha":
-        if args.base != 2:
-            raise ValueError("alpha tables exist only for base 2")
-        table = alpha_table(args.order)
-    else:
-        table = beta_table(args.base, args.order)
+    b, N, kind = args.base, args.order, args.kind
+    if kind == "alpha" and b != 2:
+        raise ValueError("alpha tables exist only for base 2")
+    if N >= 0:  # a negative order is left to the builders' usage error
+        charge(b ** (N + 1) - N - 1, config.max_cost)
+    table = alpha_table(N) if kind == "alpha" else beta_table(b, N)
     coeff_lists = [
         [str(c) for c in v.coeffs] if isinstance(v, CycloNum) else [str(v)]
-        for v in table.values
+        for v in table
     ]
     if config.output_format == "json":
         payload = {
-            "b": table.b,
-            "N": table.N,
-            "kind": table.kind,
-            "phi_b": euler_phi(table.b),
+            "b": b,
+            "N": N,
+            "kind": kind,
+            "phi_b": euler_phi(b),
             "values": coeff_lists,
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif config.output_format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        phi = euler_phi(table.b)
-        writer.writerow(["k"] + [f"c{i}" for i in range(phi if args.kind == "beta" else 1)])
+        phi = euler_phi(b)
+        writer.writerow(["k"] + [f"c{i}" for i in range(phi if kind == "beta" else 1)])
         for k, coeffs in enumerate(coeff_lists):
             writer.writerow([k] + coeffs)
         text = buffer.getvalue()
     else:
-        lines = [f"{table.kind} table b={table.b} N={table.N} ({len(table)} entries)"]
-        for k, v in enumerate(table.values):
+        lines = [f"{kind} table b={b} N={N} ({len(table)} entries)"]
+        for k, v in enumerate(table):
             lines.append(f"  {k}: {v}")
         text = "\n".join(lines) + "\n"
     _emit(text, config.output_path)
@@ -397,8 +401,8 @@ def _cmd_pte_search(args, config: RunConfig) -> int:
     results = search_small_solutions(
         args.base,
         args.order,
-        parse_grid(args.x_grid),
-        parse_grid(args.y_grid),
+        parse_grid(args.x_grid, config.max_cost),
+        parse_grid(args.y_grid, config.max_cost),
         k_max=args.kmax,
         min_size=args.min_size,
         max_cost=config.max_cost,

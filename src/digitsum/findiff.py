@@ -43,7 +43,7 @@ def beta_weighted_sum(f: Callable, b: int, axes: Sequence[tuple[int, Fraction]],
     else:
         samples = [f(c + n * y) for n in range(b**N)]
     total = CycloNum.zero(b)
-    for w, delta in zip(beta_table(b, N - 1).values, forward_differences(samples, N)):
+    for w, delta in zip(beta_table(b, N - 1), forward_differences(samples, N)):
         total = total + w * delta
     return -total if N % 2 else total
 

@@ -22,7 +22,7 @@ from .arith import CycloNum, a_constant, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from .cost import charge
 from .digits import combine_buckets, digit_sums, digit_weighted_sum
-from .findiff import beta_weighted_sum, forward_diff_n, lhs_sum, weighted_rhs
+from .findiff import beta_weighted_sum, forward_diff_n, forward_differences, lhs_sum, weighted_rhs
 from .poly import RationalPoly
 from .weights import (
     alpha_moment0,
@@ -32,7 +32,6 @@ from .weights import (
     beta_moment0,
     beta_moment1,
     beta_table,
-    xi_from_convolution,
 )
 
 __all__ = [
@@ -110,10 +109,6 @@ class MultiIndexConfig:
             raise ValueError("x_list length must match N_list")
 
     @property
-    def r(self) -> int:
-        return len(self.N_list)
-
-    @property
     def total_order(self) -> int:
         return sum(self.N_list)
 
@@ -186,15 +181,15 @@ def verify_power_sum(
 # Weight-table identities
 
 
-def verify_moment(b: int, N: int, order: int) -> IdentityReport:
+def verify_moment(b: int, N: int, order: int, max_cost: int | None = None) -> IdentityReport:
     """Closed-form moment of the order-(N-1) beta table versus the direct sum."""
     if order not in (0, 1):
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
     if N < 1:
         raise ValueError(f"order must be >= 1, got {N}")
     start = time.perf_counter()
-    table = beta_table(b, N - 1)
-    lhs = table.moment(order)
+    charge(b**N - N, max_cost)
+    lhs = sum(k**order * v for k, v in enumerate(beta_table(b, N - 1)))
     rhs = beta_moment0(b, N) if order == 0 else beta_moment1(b, N)
     return _report(f"moment{order}", {"b": b, "N": N}, lhs, rhs, start)
 
@@ -203,40 +198,43 @@ def verify_betaconv_dual1(b: int, N: int, max_cost: int | None = None) -> Identi
     """Binomial-convolution route to the first b^N beta weights."""
     start = time.perf_counter()
     lhs = list(beta_from_convolution(b, N, max_cost))
-    rhs = list(beta_table(b, N).values[: b**N])
+    rhs = list(beta_table(b, N)[: b**N])
     return _report("betaconv-dual1", {"b": b, "N": N}, lhs, rhs, start)
 
 
 def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> IdentityReport:
-    """Recovering the digit weights from the beta table, entrywise."""
+    """Recovering the digit weights from the beta table: (1-z)^N times the
+    order-(N-1) table, as N difference passes over the zero-padded table."""
     if N < 1:
         raise ValueError(f"order must be >= 1, got {N}")
     start = time.perf_counter()
     count = b**N
     charge(count * (N + 1), max_cost)
     powers = xi_power_table(b)
-    lhs = [xi_from_convolution(b, N, n) for n in range(count)]
+    pad = [CycloNum.zero(b)] * N
+    lhs = forward_differences(pad + list(beta_table(b, N - 1)) + pad, N)
     rhs = [powers[s % b] for s in digit_sums(b, count)]
     return _report("betaconv-dual2", {"b": b, "N": N}, lhs, rhs, start)
 
 
-def verify_beta_alpha_reduction(N: int) -> IdentityReport:
+def verify_beta_alpha_reduction(N: int, max_cost: int | None = None) -> IdentityReport:
     """Base-2 beta table versus the integer alpha table, entrywise."""
     start = time.perf_counter()
-    lhs = list(beta_table(2, N).values)
-    rhs = list(alpha_table(N).values)
+    charge(2 ** (N + 1) - N - 1, max_cost)
+    lhs = list(beta_table(2, N))
+    rhs = list(alpha_table(N))
     return _report("beta-alpha-reduction", {"N": N}, lhs, rhs, start)
 
 
-def verify_alpha_moment(N: int, order: int) -> IdentityReport:
+def verify_alpha_moment(N: int, order: int, max_cost: int | None = None) -> IdentityReport:
     """Alpha-table moments versus their closed forms."""
     if order not in (0, 1):
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
     if N < 1:
         raise ValueError(f"order must be >= 1, got {N}")
     start = time.perf_counter()
-    table = alpha_table(N - 1)
-    lhs = Fraction(table.moment(order))
+    charge(2**N - N, max_cost)
+    lhs = Fraction(sum(k**order * v for k, v in enumerate(alpha_table(N - 1))))
     rhs = Fraction(alpha_moment0(N)) if order == 0 else alpha_moment1(N)
     return _report(f"alpha-moment{order}", {"N": N}, lhs, rhs, start)
 
@@ -706,7 +704,7 @@ def _power_sum_case(rng, p, max_cost):
 
 
 def _moment_case(rng, p, max_cost):
-    return [verify_moment(p["b"], p["N"], k) for k in (0, 1) if _wants(p, f"moment{k}")]
+    return [verify_moment(p["b"], p["N"], k, max_cost) for k in (0, 1) if _wants(p, f"moment{k}")]
 
 
 def _betaconv_case(rng, p, max_cost):
@@ -719,7 +717,7 @@ def _betaconv_case(rng, p, max_cost):
 
 
 def _alpha_moment_case(rng, p, max_cost):
-    return [verify_alpha_moment(p["N"], k) for k in (0, 1) if _wants(p, f"alpha-moment{k}")]
+    return [verify_alpha_moment(p["N"], k, max_cost) for k in (0, 1) if _wants(p, f"alpha-moment{k}")]
 
 
 def _multi_config(rng, p) -> MultiIndexConfig:
@@ -817,7 +815,8 @@ FAMILIES: tuple[IdentityFamily, ...] = (
                    {"moment0": _BN, "moment1": _BN}),
     IdentityFamily(_betaconv_case, _grid(b=(2, 3, 4), N=(1, 2, 3)), 1,
                    {"betaconv-dual1": _BN, "betaconv-dual2": _BN}),
-    IdentityFamily(lambda rng, p, max_cost: [verify_beta_alpha_reduction(p["N"])], _grid(N=range(6)), 1,
+    IdentityFamily(lambda rng, p, max_cost: [verify_beta_alpha_reduction(p["N"], max_cost)],
+                   _grid(N=range(6)), 1,
                    {"beta-alpha-reduction": {"N": 3}}),
     IdentityFamily(_alpha_moment_case, _grid(N=(1, 2, 3, 4, 5)), 1,
                    {"alpha-moment0": {"N": 2}, "alpha-moment1": {"N": 2}}),

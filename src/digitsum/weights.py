@@ -11,17 +11,15 @@ table length to b^(N+1) - N - 1.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .arith import CycloNum, xi, xi_power_table
 from .cost import charge
 from .digits import digit_sums
 
 __all__ = [
-    "WeightTable",
     "alpha_table",
     "beta_table",
     "alpha_moment0",
@@ -29,45 +27,11 @@ __all__ = [
     "beta_moment0",
     "beta_moment1",
     "beta_from_convolution",
-    "xi_from_convolution",
 ]
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """A finite weight sequence: integer alphas (base 2) or CycloNum betas."""
-
-    b: int
-    N: int
-    kind: str
-    values: tuple
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("alpha", "beta"):
-            raise ValueError(f"unknown table kind {self.kind!r}")
-        if self.kind == "alpha" and self.b != 2:
-            raise ValueError("alpha tables exist only for base 2")
-        expected = self.b ** (self.N + 1) - self.N - 1
-        if len(self.values) != expected:
-            raise ValueError(
-                f"{self.kind} table for b={self.b}, N={self.N} must have "
-                f"{expected} entries, got {len(self.values)}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, index: int):
-        return self.values[index]
-
-    def moment(self, order: int):
-        """Sum of k^order * value over the table (0^0 counts as 1)."""
-        total = sum(k**order * v for k, v in enumerate(self.values))
-        return total
-
-
 @lru_cache(maxsize=None)
-def alpha_table(N: int) -> WeightTable:
+def alpha_table(N: int) -> tuple[int, ...]:
     """Integer weights of order N from the base-2 generating product."""
     if N < 0:
         raise ValueError(f"order must be >= 0, got {N}")
@@ -81,7 +45,7 @@ def alpha_table(N: int) -> WeightTable:
                 nxt[i + gap] += c
             coeffs = nxt
     assert len(coeffs) == 2 ** (N + 1) - N - 1
-    return WeightTable(b=2, N=N, kind="alpha", values=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _mul_all_ones(coeffs: list[CycloNum], length: int, b: int) -> list[CycloNum]:
@@ -101,18 +65,13 @@ def _mul_all_ones(coeffs: list[CycloNum], length: int, b: int) -> list[CycloNum]
 
 
 @lru_cache(maxsize=None)
-def beta_table(b: int, N: int) -> WeightTable:
+def beta_table(b: int, N: int) -> tuple[CycloNum, ...]:
     """CycloNum weights of order N from the base-b generating product."""
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
     if N < 0:
         raise ValueError(f"order must be >= 0, got {N}")
-    powers = xi_power_table(b)
-    prefix = []
-    acc = CycloNum.zero(b)
-    for k in range(b):
-        acc = acc + powers[k]
-        prefix.append(acc)
+    prefix = list(accumulate(xi_power_table(b)))
     # prefix[b-1] vanishes; keep only the nonzero bracket terms.
     bracket = [(k, prefix[k]) for k in range(b) if not prefix[k].is_zero()]
     coeffs = [CycloNum.one(b)]
@@ -133,7 +92,7 @@ def beta_table(b: int, N: int) -> WeightTable:
         coeffs = out
     expected = b ** (N + 1) - N - 1
     assert len(coeffs) == expected, (b, N, len(coeffs), expected)
-    return WeightTable(b=b, N=N, kind="beta", values=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def alpha_moment0(N: int) -> int:
@@ -173,38 +132,18 @@ def beta_from_convolution(b: int, N: int, max_cost: int | None = None) -> tuple[
     """First b^N beta weights of order N via the binomial convolution
     sum_{k<=n} C(n-k+N, N) xi^(digit sum of k).
 
-    The convolution identity covers only this prefix of the full table, so
-    a plain tuple is returned rather than a WeightTable.
+    That convolution multiplies the digit-weight series by 1/(1-z)^(N+1),
+    so it is computed as N+1 running-sum passes.  The identity covers only
+    this prefix of the full table.
     """
     if b < 2 or N < 0:
         raise ValueError(f"need base >= 2 and order >= 0, got b={b}, N={N}")
     count = b**N
+    # More than the passes cost, but also the only bound on the uncharged
+    # b^(N+1)-entry beta_table(b, N) that verify_betaconv_dual1 builds.
     charge(count * (count + 1) // 2, max_cost)
     powers = xi_power_table(b)
     weights = [powers[s % b] for s in digit_sums(b, count)]
-    out = []
-    for n in range(count):
-        total = CycloNum.zero(b)
-        for k in range(n + 1):
-            total = total + weights[k] * math.comb(n - k + N, N)
-        out.append(total)
-    return tuple(out)
-
-
-def xi_from_convolution(b: int, N: int, n: int) -> CycloNum:
-    """Recover xi^(digit sum of n) from the order-(N-1) beta table via
-    sum_k C(N, k) (-1)^k beta_(n-k); out-of-range table entries count as 0."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    if not 0 <= n < b**N:
-        raise ValueError(f"n must lie in [0, {b**N}), got {n}")
-    table = beta_table(b, N - 1).values
-    total = CycloNum.zero(b)
-    for k in range(min(n, N) + 1):
-        idx = n - k
-        if idx >= len(table):
-            continue
-        term = table[idx] * math.comb(N, k)
-        total = total - term if k % 2 else total + term
-    return total
-
+    for _ in range(N + 1):
+        weights = list(accumulate(weights))
+    return tuple(weights)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -130,6 +131,11 @@ class TestWeightsCommand:
         assert code == 0
         assert out.splitlines() == ["k,c0", "0,1", "1,1"]
 
+    def test_table_build_is_charged(self, capsys):
+        # 6^6 - 6 = 46650 entries against a cap of 1000.
+        code, out, err = invoke(capsys, "weights", "--base", "6", "--order", "5", "--max-cost", "1000")
+        assert code == 3 and err.startswith("error:") and out == ""
+
 
 class TestVerifyCommand:
     def test_single_identity_json(self, capsys):
@@ -210,6 +216,15 @@ class TestVerifyCommand:
         )
         assert code == 3 and err.startswith("error:") and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("moment0", "--base", "7", "--order", "6"),
+        ("alpha-moment1", "--order", "8"),
+        ("beta-alpha-reduction", "--order", "8"),
+    ], ids=lambda argv: argv[0])
+    def test_table_build_is_charged(self, capsys, argv):
+        code, out, err = invoke(capsys, "verify", "--identity", *argv, "--max-cost", "10")
+        assert code == 3 and err.startswith("error:") and out == ""
+
     def test_order_list_only_for_multi_index_ids(self, capsys):
         code, _, err = invoke(capsys, "verify", "--identity", "moment0", "--order", "3,4")
         assert code == 2 and "one order" in err
@@ -282,6 +297,26 @@ class TestPteCommands:
         assert best["reduced_size"] == 6
         assert best["classes"] == [["0", "7", "8"], ["2", "3", "10"]]
         assert best["power_sums"] == [["3", "15", "113"], ["3", "15", "113"]]
+
+    def test_search_skips_empty_partitions_by_default(self, capsys):
+        argv = ["pte-search", "--base", "2", "--order", "3", "--x-grid=-2..2", "--y-grid", "1,1/2,2",
+                "--top", "5", "--format", "text"]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1] == "  x=1 y=1 size=6: {0, 7, 8} | {2, 3, 10}"
+        assert "size=0" not in out
+        code, out, _ = invoke(capsys, *argv, "--min-size", "0")
+        assert code == 0
+        assert "  x=-1 y=1 size=0: {} | {}" in out.splitlines()
+
+    def test_search_grid_is_charged_before_it_is_built(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "pte-search", "--base", "2", "--order", "2",
+            "--x-grid", "0..1/1/100000000", "--y-grid", "1", "--max-cost", "16",
+        )
+        assert code == 3 and err.startswith("error:") and out == ""
+        assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_search_top_must_be_positive(self, capsys, top):

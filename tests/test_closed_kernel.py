@@ -25,7 +25,7 @@ from digitsum.weights import beta_table
 
 
 def oracle_weighted_rhs(f, x, y, b, N):
-    table = beta_table(b, N - 1).values
+    table = beta_table(b, N - 1)
     x = Fraction(x)
     y = Fraction(y)
     samples = [f(x + k * y) for k in range(b**N)]
@@ -44,7 +44,7 @@ def oracle_multisum_rhs(b, N_list, y_list, x, f):
         tup: f(x + sum(n * yj for n, yj in zip(tup, y_list)))
         for tup in itertools.product(*(range(size) for size in sizes))
     }
-    tables = [beta_table(b, N - 1).values for N in N_list]
+    tables = [beta_table(b, N - 1) for N in N_list]
     diff_coeffs = [[math.comb(N, t) * (-1) ** (N - t) for t in range(N + 1)] for N in N_list]
     rhs = CycloNum.zero(b)
     for ktup in itertools.product(*(range(kr) for kr in kranges)):
