@@ -330,6 +330,24 @@ def xi(b: int, exponent: int = 1) -> CycloNum:
 
 
 @lru_cache(maxsize=None)
+def xi_power_coords(b: int) -> tuple[tuple[int, ...], ...]:
+    """Integer power-basis coordinates of xi^0 .. xi^(b-1), memoized.
+
+    Package-internal: multiplying by xi shifts the coordinates up one place
+    and folds the overflow back through the monic cyclotomic polynomial, so
+    every power has integer coordinates.
+    """
+    mod = cyclotomic_polynomial(b)
+    coords = [1] + [0] * (len(mod) - 2)
+    powers = []
+    for _ in range(b):
+        powers.append(tuple(coords))
+        top = coords[-1]
+        coords = [c - top * m for c, m in zip([0] + coords[:-1], mod)]
+    return tuple(powers)
+
+
+@lru_cache(maxsize=None)
 def xi_power_table(b: int) -> tuple[CycloNum, ...]:
     """Powers xi^0 .. xi^(b-1) of the canonical primitive root, memoized."""
     root = xi(b)

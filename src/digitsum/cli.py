@@ -450,7 +450,10 @@ def _cmd_pte_search(args, config: RunConfig) -> int:
 
 
 def _cmd_bernoulli(args, config: RunConfig) -> int:
-    poly = bernoulli_poly(args.degree)
+    d = args.degree
+    if d >= 0:  # a negative degree is left to bernoulli_poly's usage error
+        charge((d + 1) * (d + 2) // 2, config.max_cost)  # Akiyama-Tanigawa steps
+    poly = bernoulli_poly(d)
     coeffs = list(poly.coeffs) or [Fraction(0)]
     if config.output_format == "json":
         text = json.dumps({"degree": args.degree, "coeffs": [str(c) for c in coeffs]}) + "\n"

@@ -15,9 +15,16 @@ class CostCapExceeded(Exception):
     """A brute-force evaluation would exceed the configured cost cap."""
 
     def __init__(self, cost: int, cap: int) -> None:
-        super().__init__(f"evaluation needs {cost} summand evaluations, cap is {cap}")
+        super().__init__(
+            f"evaluation needs {_count(cost)} summand evaluations, cap is {_count(cap)}"
+        )
         self.cost = cost
         self.cap = cap
+
+
+def _count(n: int) -> str:
+    # An exact power such as b**N can be too long for str(); name its size.
+    return str(n) if n.bit_length() <= 64 else f"more than 2^{n.bit_length() - 1}"
 
 
 def charge(cost: int, max_cost: int | None = None) -> None:

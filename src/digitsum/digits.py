@@ -2,19 +2,18 @@
 integer residue-bucket kernel behind every brute-force digit-weighted sum.
 
 The kernel (:func:`digit_weighted_sum`, :func:`combine_buckets`) reads only
-the digit-sum iterators below and ``xi_power_table``; it never touches weight
+the digit-sum iterators below and ``xi_power_coords``; it never touches weight
 tables, moments or Bernoulli code, so the brute-force side of each identity
 stays independent of its closed form.  It is package-internal, not exported.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .arith import CycloNum, xi_power_table
-from .poly import RationalPoly
+from .arith import CycloNum, xi_power_coords
+from .poly import RationalPoly, clear_denominators
 
 __all__ = [
     "digit_sum",
@@ -71,14 +70,12 @@ def digit_sums(b: int, limit: int) -> list[int]:
 
 def combine_buckets(b: int, buckets: Sequence[int], den: int = 1) -> CycloNum:
     """sum_r buckets[r] * xi^r / den for integer residue buckets r = 0 .. b-1."""
-    powers = xi_power_table(b)
-    coords = [0] * len(powers[0].coeffs)
+    powers = xi_power_coords(b)
+    coords = [0] * len(powers[0])
     for bucket, power in zip(buckets, powers):
         if bucket:
-            # xi^r reduced modulo the monic integer cyclotomic polynomial has
-            # integer coordinates, so numerators are the whole value.
-            for j, c in enumerate(power.coeffs):
-                coords[j] += bucket * c.numerator
+            for j, c in enumerate(power):
+                coords[j] += bucket * c
     return CycloNum(b, (Fraction(v, den) for v in coords))
 
 
@@ -93,33 +90,25 @@ def digit_weighted_sum(
     b buckets become one CycloNum at the end.  Exactly equal to summing
     ``xi^s * f(arg)`` term by term in Q(xi).
     """
-    c = Fraction(c)
-    axes = [(N, Fraction(x), Fraction(y)) for N, x, y in axes]
-    den = math.lcm(c.denominator, *(v.denominator for _, x, y in axes for v in (x, y)))
-
-    def scaled(v: Fraction) -> int:
-        return v.numerator * (den // v.denominator)
-
-    # f(A / den) = g(A) / (lcm * den^d) with g's coefficients integers.
-    coeffs = f.coeffs or (Fraction(0),)
-    d = len(coeffs) - 1
-    lcm = math.lcm(*(a.denominator for a in coeffs))
-    g = [a.numerator * (lcm // a.denominator) * den ** (d - k) for k, a in enumerate(coeffs)]
+    g, scale, (C, *scaled) = clear_denominators(f, c, *(v for _, x, y in axes for v in (x, y)))
+    d = len(g) - 1
     top, rest = g[-1], g[-2::-1]
     monomial = not any(rest)
 
-    *outer_axes, (N, x, y) = axes
+    axes = [(Nj, X, Y) for (Nj, _, _), X, Y in zip(axes, scaled[::2], scaled[1::2])]
+    *outer_axes, (N, X, Y) = axes
     # Fold every axis but the last into (argument, residue) pairs; the last
     # axis streams its digit sums when it is the only one.
-    outer = [(scaled(c), 0)]
-    for Nj, xj, yj in outer_axes:
-        X, Y = scaled(xj), scaled(yj)
+    outer = [(C, 0)]
+    for Nj, Xj, Yj in outer_axes:
         sums = digit_sums(b, b**Nj)
-        outer = [(a + s * X + n * Y, (r + s) % b) for a, r in outer for n, s in enumerate(sums)]
-    X, Y = scaled(x), scaled(y)
+        outer = [(a + s * Xj + n * Yj, (r + s) % b) for a, r in outer for n, s in enumerate(sums)]
     count = b**N
     last = iter_digit_sums(b, count) if len(outer) == 1 else digit_sums(b, count)
 
+    # The Horner loop is written out here rather than calling
+    # poly.integer_samples: its arguments are no arithmetic progression, and
+    # the single-axis case streams b^N terms without materializing them.
     buckets = [0] * b
     for a0, r0 in outer:
         for n, s in enumerate(last):
@@ -133,4 +122,4 @@ def digit_weighted_sum(
             buckets[(r0 + s) % b] += v
     if monomial:
         buckets = [top * v for v in buckets]
-    return combine_buckets(b, buckets, lcm * den**d)
+    return combine_buckets(b, buckets, scale)

@@ -3,14 +3,15 @@ digit-weighted summation identity they connect."""
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .arith import CycloNum
+from .arith import CycloNum, xi_power_coords
 from .cost import charge
 from .digits import digit_weighted_sum
-from .poly import RationalPoly
-from .weights import beta_table
+from .poly import RationalPoly, clear_denominators, integer_samples
+from .weights import beta_columns
 
 # forward_differences and beta_weighted_sum are package-internal and stay
 # out of __all__: bench/spans.py wraps every exported name, which would move
@@ -27,7 +28,7 @@ def forward_differences(values: Sequence, N: int) -> list:
     return values
 
 
-def beta_weighted_sum(f: Callable, b: int, axes: Sequence[tuple[int, Fraction]], c) -> CycloNum:
+def beta_weighted_sum(f: RationalPoly, b: int, axes: Sequence[tuple[int, Fraction]], c) -> CycloNum:
     """Closed side of the r-fold identity over ``axes`` = [(N_j, y_j)]:
     (-1)^N sum_k beta_k Delta^N g(k) for the first axis (N, y), with beta
     the order-(N-1) table.
@@ -35,17 +36,37 @@ def beta_weighted_sum(f: Callable, b: int, axes: Sequence[tuple[int, Fraction]],
     On the last axis g(n) = f(c + n y); on an earlier one g(n) is this sum
     over the remaining axes at base point c + n y.  Differences on different
     axes commute, so the nesting equals the tensor of every axis'
-    differences.  Only f is sampled, never a digit sum.
+    differences.  Only f is sampled, never a digit sum.  Denominators are
+    cleared once, so the samples, differences and table products are all
+    integers and the result is divided once at the end.
     """
-    (N, y), rest = axes[0], axes[1:]
+    g, scale, (C, *ys) = clear_denominators(f, c, *(y for _, y in axes))
+    coords = _closed_numerators(g, b, [(N, Y) for (N, _), Y in zip(axes, ys)], C)
+    return CycloNum(b, (Fraction(v, scale) for v in coords))
+
+
+def _closed_numerators(g: list[int], b: int, axes: Sequence[tuple[int, int]], C: int) -> list[int]:
+    # beta_weighted_sum times its scale, as integer power-basis coordinates.
+    # An entry of the sampled data is a phi-vector of the inner sums on an
+    # outer axis and a plain integer on the last one (a single column).
+    (N, Y), rest = axes[0], axes[1:]
+    count = b**N
     if rest:
-        samples = [beta_weighted_sum(f, b, rest, c + n * y) for n in range(b**N)]
+        inner = [_closed_numerators(g, b, rest, C + n * Y) for n in range(count)]
+        columns = [forward_differences(col, N) for col in zip(*inner)]
     else:
-        samples = [f(c + n * y) for n in range(b**N)]
-    total = CycloNum.zero(b)
-    for w, delta in zip(beta_table(b, N - 1), forward_differences(samples, N)):
-        total = total + w * delta
-    return -total if N % 2 else total
+        columns = [forward_differences(integer_samples(g, C, Y, count), N)]
+    # sum_k beta_k * delta_k: column m of the table against column p of the
+    # data lands on xi^(m+p).
+    powers = xi_power_coords(b)
+    coords = [0] * len(powers[0])
+    for m, weights in enumerate(beta_columns(b, N - 1)):
+        for p, deltas in enumerate(columns):
+            dot = sum(map(operator.mul, weights, deltas))
+            if dot:
+                for j, v in enumerate(powers[(m + p) % b]):
+                    coords[j] += dot * v
+    return [-v for v in coords] if N % 2 else coords
 
 
 def forward_diff_n(f: Callable, x, y, k: int, N: int):
@@ -74,9 +95,13 @@ def lhs_sum(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = None) 
     return digit_weighted_sum(f, b, [(N, 0, y)], x)
 
 
-def weighted_rhs(f: Callable, x, y, b: int, N: int, max_cost: int | None = None) -> CycloNum:
+def weighted_rhs(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = None) -> CycloNum:
     """Beta-weighted sum of N-fold forward differences of f: the closed-form
-    side of the identity matching :func:`lhs_sum`."""
+    side of the identity matching :func:`lhs_sum`.
+
+    ``f`` must be a :class:`RationalPoly`, for the same reason as there: the
+    sum is taken in integers from its coefficients.
+    """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
     if N < 1:

@@ -28,10 +28,12 @@ from .weights import (
     alpha_moment0,
     alpha_moment1,
     alpha_table,
+    beta_columns,
     beta_from_convolution,
     beta_moment0,
     beta_moment1,
     beta_table,
+    from_columns,
 )
 
 __all__ = [
@@ -189,7 +191,8 @@ def verify_moment(b: int, N: int, order: int, max_cost: int | None = None) -> Id
         raise ValueError(f"order must be >= 1, got {N}")
     start = time.perf_counter()
     charge(b**N - N, max_cost)
-    lhs = sum(k**order * v for k, v in enumerate(beta_table(b, N - 1)))
+    table = beta_columns(b, N - 1)
+    lhs = CycloNum(b, [sum(k**order * v for k, v in enumerate(col)) for col in table])
     rhs = beta_moment0(b, N) if order == 0 else beta_moment1(b, N)
     return _report(f"moment{order}", {"b": b, "N": N}, lhs, rhs, start)
 
@@ -198,7 +201,7 @@ def verify_betaconv_dual1(b: int, N: int, max_cost: int | None = None) -> Identi
     """Binomial-convolution route to the first b^N beta weights."""
     start = time.perf_counter()
     lhs = list(beta_from_convolution(b, N, max_cost))
-    rhs = list(beta_table(b, N)[: b**N])
+    rhs = list(from_columns(b, [col[: b**N] for col in beta_columns(b, N)]))
     return _report("betaconv-dual1", {"b": b, "N": N}, lhs, rhs, start)
 
 
@@ -211,8 +214,9 @@ def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> Identi
     count = b**N
     charge(count * (N + 1), max_cost)
     powers = xi_power_table(b)
-    pad = [CycloNum.zero(b)] * N
-    lhs = forward_differences(pad + list(beta_table(b, N - 1)) + pad, N)
+    pad = [0] * N
+    columns = [forward_differences(pad + list(col) + pad, N) for col in beta_columns(b, N - 1)]
+    lhs = list(from_columns(b, columns))
     rhs = [powers[s % b] for s in digit_sums(b, count)]
     return _report("betaconv-dual2", {"b": b, "N": N}, lhs, rhs, start)
 
@@ -689,6 +693,8 @@ def _xy(rng: random.Random, p: dict, nonzero_y: bool = False) -> tuple:
 
 
 def _difference_case(rng, p, max_cost):
+    if p["N"] >= 1:  # charged before f, whose degree grows with N, is drawn
+        charge(p["b"] ** p["N"], max_cost)
     x, y = _xy(rng, p)
     f = random_poly(rng, p["N"] + 2)
     return [verify_difference_identity(p["b"], p["N"], f, x, y, max_cost)]

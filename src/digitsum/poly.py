@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -100,6 +101,36 @@ class RationalPoly:
 
     def __repr__(self) -> str:
         return f"RationalPoly({list(map(str, self.coeffs))})"
+
+
+def clear_denominators(f: RationalPoly, *points) -> tuple[list[int], int, list[int]]:
+    """Integer form of f on the lattice of ``points``.
+
+    With den the lcm of the points' denominators, returns g (integer
+    coefficients, constant first), scale and the points times den, so that
+    f(A / den) = g(A) / scale for every integer A.  Package-internal: both
+    sides of an identity clear denominators here once and then sample g.
+    """
+    points = [Fraction(v) for v in points]
+    den = math.lcm(*(v.denominator for v in points))
+    coeffs = f.coeffs or (_FRACTION_ZERO,)
+    d = len(coeffs) - 1
+    lcm = math.lcm(*(a.denominator for a in coeffs))
+    g = [a.numerator * (lcm // a.denominator) * den ** (d - k) for k, a in enumerate(coeffs)]
+    return g, lcm * den**d, [v.numerator * (den // v.denominator) for v in points]
+
+
+def integer_samples(g: list[int], start: int, step: int, count: int) -> list[int]:
+    """g(start + n * step) for n < count, by integer Horner."""
+    top, rest = g[-1], g[-2::-1]
+    out = []
+    for n in range(count):
+        A = start + n * step
+        v = top
+        for p in rest:
+            v = v * A + p
+        out.append(v)
+    return out
 
 
 def _as_poly(value):

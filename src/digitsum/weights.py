@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .arith import CycloNum, xi, xi_power_table
+from .arith import CycloNum, euler_phi, xi, xi_power_coords
 from .cost import charge
 from .digits import digit_sums
 
@@ -48,51 +48,74 @@ def alpha_table(N: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _mul_all_ones(coeffs: list[CycloNum], length: int, b: int) -> list[CycloNum]:
-    # Multiply by 1 + z + ... + z^(length-1) with a sliding window sum.
+def _mul_all_ones(coeffs: list[int], length: int) -> list[int]:
+    # Multiply by 1 + z + ... + z^(length-1): window sums of the prefix sums.
     if length == 1:
         return coeffs
-    n = len(coeffs)
-    out = []
-    running = CycloNum.zero(b)
-    for i in range(n + length - 1):
-        if i < n:
-            running = running + coeffs[i]
-        if i - length >= 0:
-            running = running - coeffs[i - length]
-        out.append(running)
-    return out
+    acc = list(accumulate(coeffs + [0] * (length - 1)))
+    return acc[:length] + [hi - lo for hi, lo in zip(acc[length:], acc)]
+
+
+@lru_cache(maxsize=None)
+def _bracket_matrices(b: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # Entry k multiplies by the partial sum P_k = 1 + xi + ... + xi^k as an
+    # integer phi x phi matrix: M[j][m] is the j-th coordinate of xi^m P_k.
+    # P_(b-1) vanishes and is left out.
+    powers = xi_power_coords(b)
+    phi = len(powers[0])
+    return tuple(
+        tuple(
+            tuple(sum(powers[(m + t) % b][j] for t in range(k + 1)) for m in range(phi))
+            for j in range(phi)
+        )
+        for k in range(b - 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def beta_columns(b: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """The order-N beta table as phi(b) integer columns: column j holds the
+    j-th power-basis coordinate of every entry.
+
+    Package-internal.  Every entry lies in Z[xi], so the generating product
+    runs on plain ints: the geometric factor per column, each bracket term
+    as an integer matrix across the columns.
+    """
+    if b < 2:
+        raise ValueError(f"base must be >= 2, got {b}")
+    if N < 0:
+        raise ValueError(f"order must be >= 0, got {N}")
+    bracket = _bracket_matrices(b)
+    columns = [[1]] + [[0]] * (euler_phi(b) - 1)
+    for l in range(N + 1):
+        gap = b**l
+        columns = [_mul_all_ones(col, gap) for col in columns]
+        n = len(columns[0])
+        size = n + (b - 2) * gap
+        out = []
+        for row in range(len(columns)):
+            acc = [0] * size
+            for k, matrix in enumerate(bracket):
+                off = k * gap
+                for w, col in zip(matrix[row], columns):
+                    if w:
+                        acc[off : off + n] = [a + w * c for a, c in zip(acc[off : off + n], col)]
+            out.append(acc)
+        columns = out
+    expected = b ** (N + 1) - N - 1
+    assert len(columns[0]) == expected, (b, N, len(columns[0]), expected)
+    return tuple(tuple(col) for col in columns)
+
+
+def from_columns(b: int, columns) -> tuple[CycloNum, ...]:
+    """The CycloNum entries whose coordinates ``columns`` hold column-wise."""
+    return tuple(CycloNum(b, coords) for coords in zip(*columns))
 
 
 @lru_cache(maxsize=None)
 def beta_table(b: int, N: int) -> tuple[CycloNum, ...]:
     """CycloNum weights of order N from the base-b generating product."""
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    if N < 0:
-        raise ValueError(f"order must be >= 0, got {N}")
-    prefix = list(accumulate(xi_power_table(b)))
-    # prefix[b-1] vanishes; keep only the nonzero bracket terms.
-    bracket = [(k, prefix[k]) for k in range(b) if not prefix[k].is_zero()]
-    coeffs = [CycloNum.one(b)]
-    for l in range(N + 1):
-        gap = b**l
-        coeffs = _mul_all_ones(coeffs, gap, b)
-        top = bracket[-1][0] * gap
-        out = [CycloNum.zero(b)] * (len(coeffs) + top)
-        for k, w in bracket:
-            off = k * gap
-            if k == 0:
-                for i, c in enumerate(coeffs):
-                    out[i + off] = out[i + off] + c
-            else:
-                for i, c in enumerate(coeffs):
-                    if not c.is_zero():
-                        out[i + off] = out[i + off] + c * w
-        coeffs = out
-    expected = b ** (N + 1) - N - 1
-    assert len(coeffs) == expected, (b, N, len(coeffs), expected)
-    return tuple(coeffs)
+    return from_columns(b, beta_columns(b, N))
 
 
 def alpha_moment0(N: int) -> int:
@@ -140,10 +163,10 @@ def beta_from_convolution(b: int, N: int, max_cost: int | None = None) -> tuple[
         raise ValueError(f"need base >= 2 and order >= 0, got b={b}, N={N}")
     count = b**N
     # More than the passes cost, but also the only bound on the uncharged
-    # b^(N+1)-entry beta_table(b, N) that verify_betaconv_dual1 builds.
+    # b^(N+1)-entry beta_columns(b, N) that verify_betaconv_dual1 builds.
     charge(count * (count + 1) // 2, max_cost)
-    powers = xi_power_table(b)
-    weights = [powers[s % b] for s in digit_sums(b, count)]
+    powers = xi_power_coords(b)
+    columns = zip(*(powers[s % b] for s in digit_sums(b, count)))
     for _ in range(N + 1):
-        weights = list(accumulate(weights))
-    return tuple(weights)
+        columns = [list(accumulate(col)) for col in columns]
+    return from_columns(b, columns)

@@ -12,6 +12,7 @@ from digitsum.arith import (
     cyclotomic_polynomial,
     euler_phi,
     xi,
+    xi_power_coords,
     xi_power_table,
 )
 
@@ -69,6 +70,12 @@ class TestXi:
         for power in xi_power_table(b):
             total = total + power
         assert total.is_zero()
+
+    @pytest.mark.parametrize("b", range(2, 31))
+    def test_integer_power_coords(self, b):
+        coords = xi_power_coords(b)
+        assert all(type(c) is int for power in coords for c in power)
+        assert [CycloNum(b, power) for power in coords] == list(xi_power_table(b))
 
     def test_exponent_reduction_mod_order(self):
         assert xi(3) ** 5 == xi(3) ** 2

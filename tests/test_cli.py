@@ -44,6 +44,32 @@ IDENTITY_SEED42_SHA256 = {
 }
 
 
+# sha256 of `digitsum weights <args> --format <fmt>` stdout; pinned so the
+# table builder's output stays byte-identical.
+WEIGHTS_SHA256 = {
+    "--base 7 --order 3": {
+        "json": "337698d7e0dfc7101d402c25fd7d84371cc3a4d395696d587e306be078aba8b2",
+        "csv": "55343041b8fc1248cfb52cd1bd9e5ac11199d47fc7a79785de07d9c983a87389",
+        "text": "aff98a75b6a92b6b1a4fe83c49787f09a08afdca207800342758e46ec73c8ab5",
+    },
+    "--base 12 --order 2": {
+        "json": "0fa99691faf3047b9b781ace4679113be2f320876ae7fc9663f34cb849f2ce6f",
+        "csv": "ba1eb71ac741d9a9abccd2872b1fd44a6a15157e185ccc2323df4cc687fc14b6",
+        "text": "35704beb5685777949c84c57b61f3bf3e98ca23a22168ed865625fe35a829d28",
+    },
+    "--base 5 --order 4": {
+        "json": "ee3348cebe34e98df3e73147984c739301f15d8a0a1a55e9b17b8677cde38b75",
+        "csv": "2d0cf78ab88513506a8059e9329f4ab1a7140a2a28736622f104a180b16160a3",
+        "text": "51bcfda37b0d2eeae64c960c83274bd11582d030bcbe466ce2f0ea11175ec20b",
+    },
+    "--base 2 --order 5 --kind alpha": {
+        "json": "f03f4dcc654360fc0f1c89fe9c2034a6c9f295ce54decc765dc2c495aeffcb4a",
+        "csv": "1b2ed96dcaccfa858146147a867dc015cfb587232022c34355827c500b8b71eb",
+        "text": "2738ef5d20bb82abdfb4c88c295f9e2f84c67e81e3e4a981a5a6cab840766818",
+    },
+}
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -131,6 +157,14 @@ class TestWeightsCommand:
         assert code == 0
         assert out.splitlines() == ["k,c0", "0,1", "1,1"]
 
+    @pytest.mark.parametrize("args,fmt", [
+        (args, fmt) for args, digests in WEIGHTS_SHA256.items() for fmt in digests
+    ], ids=" ".join)
+    def test_output_is_pinned(self, capsys, args, fmt):
+        code, out, _ = invoke(capsys, "weights", *args.split(), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == WEIGHTS_SHA256[args][fmt]
+
     def test_table_build_is_charged(self, capsys):
         # 6^6 - 6 = 46650 entries against a cap of 1000.
         code, out, err = invoke(capsys, "weights", "--base", "6", "--order", "5", "--max-cost", "1000")
@@ -159,6 +193,18 @@ class TestVerifyCommand:
             "--base", "2", "--order", "4", "--max-cost", "4",
         )
         assert code == 3 and "cap" in err
+
+    @pytest.mark.parametrize("order", ["5000", "1000000"])
+    def test_huge_order_is_refused_at_once(self, capsys, order):
+        # b^N has more digits than int -> str allows, and the degree-(N+2) f
+        # is drawn only after the charge.
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "verify", "--identity", "difference-identity",
+            "--base", "10", "--order", order, "--max-cost", "10",
+        )
+        assert code == 3 and err.startswith("error:") and "cap is 10" in err and out == ""
+        assert time.perf_counter() - start < 5
 
     def test_env_cost_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("DIGITSUM_MAX_COST", "4")
@@ -345,6 +391,13 @@ class TestBernoulliCommand:
         code, out, _ = invoke(capsys, "bernoulli", "--degree", "1", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"degree": 1, "coeffs": ["-1/2", "1"]}
+
+    def test_degree_is_charged(self, capsys):
+        # 3001 * 3002 / 2 Akiyama-Tanigawa steps against a cap of 1.
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "bernoulli", "--degree", "3000", "--max-cost", "1")
+        assert code == 3 and err.startswith("error:") and out == ""
+        assert time.perf_counter() - start < 5
 
 
 class TestOutputFile:

@@ -8,7 +8,7 @@ import pytest
 
 from digitsum.cost import CostCapExceeded
 from digitsum.findiff import forward_diff_n, lhs_sum, weighted_rhs
-from digitsum.poly import RationalPoly
+from digitsum.poly import RationalPoly, clear_denominators, integer_samples
 
 
 def rand_fraction(rng, nonzero=False):
@@ -121,3 +121,24 @@ class TestIdentity:
     def test_rhs_requires_positive_order(self):
         with pytest.raises(ValueError):
             weighted_rhs(RationalPoly.monomial(1), 0, 1, 2, 0)
+
+
+class TestIntegerForm:
+    @pytest.mark.parametrize("degree", [-1, 0, 1, 2, 5])
+    def test_samples_match_rational_evaluation(self, degree):
+        # f(A / den) = g(A) / scale at every point of the cleared lattice,
+        # the zero polynomial included.
+        rng = random.Random(degree + 5)
+        for _ in range(5):
+            f = rand_poly(rng, degree) if degree >= 0 else RationalPoly()
+            c, y = rand_fraction(rng), rand_fraction(rng)
+            g, scale, (C, Y) = clear_denominators(f, c, y)
+            assert all(type(v) is int for v in (*g, scale, C, Y))
+            values = [Fraction(v, scale) for v in integer_samples(g, C, Y, 7)]
+            assert values == [f(c + n * y) for n in range(7)]
+
+    def test_monomial(self):
+        f = RationalPoly.monomial(3, Fraction(2, 3))
+        g, scale, (C, Y) = clear_denominators(f, Fraction(1, 2), Fraction(-1, 4))
+        values = [Fraction(v, scale) for v in integer_samples(g, C, Y, 5)]
+        assert values == [f(Fraction(1, 2) - Fraction(n, 4)) for n in range(5)]

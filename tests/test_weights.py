@@ -14,6 +14,7 @@ from digitsum.weights import (
     alpha_moment0,
     alpha_moment1,
     alpha_table,
+    beta_columns,
     beta_from_convolution,
     beta_moment0,
     beta_moment1,
@@ -62,6 +63,44 @@ def oracle_xi_from_convolution(b, N):
     return out
 
 
+# Oracle: the generating-product expansion on CycloNum entries, as the table
+# builder ran before it moved to integer coordinate columns.
+
+
+def oracle_mul_all_ones(coeffs, length, b):
+    if length == 1:
+        return coeffs
+    n = len(coeffs)
+    out = []
+    running = CycloNum.zero(b)
+    for i in range(n + length - 1):
+        if i < n:
+            running = running + coeffs[i]
+        if i - length >= 0:
+            running = running - coeffs[i - length]
+        out.append(running)
+    return out
+
+
+def oracle_beta_table(b, N):
+    prefix = list(itertools.accumulate(xi_power_table(b)))
+    bracket = [(k, prefix[k]) for k in range(b) if not prefix[k].is_zero()]
+    coeffs = [CycloNum.one(b)]
+    for l in range(N + 1):
+        gap = b**l
+        coeffs = oracle_mul_all_ones(coeffs, gap, b)
+        out = [CycloNum.zero(b)] * (len(coeffs) + bracket[-1][0] * gap)
+        for k, w in bracket:
+            for i, c in enumerate(coeffs):
+                out[i + k * gap] = out[i + k * gap] + c * w
+        coeffs = out
+    return tuple(coeffs)
+
+
+# Every (b, N) with b in 2..12 and b^(N+1) <= 3000.
+ORACLE_POINTS = [(b, N) for b in range(2, 13) for N in range(11) if b ** (N + 1) <= 3000]
+
+
 class TestAlphaTable:
     def test_frozen_rows(self):
         assert alpha_table(0) == (1,)
@@ -107,6 +146,12 @@ class TestBetaTable:
         alpha = alpha_table(N)
         assert len(beta) == len(alpha)
         assert all(bv == av for bv, av in zip(beta, alpha))
+
+    @pytest.mark.parametrize("b,N", ORACLE_POINTS)
+    def test_integer_columns_match_cyclonum_expansion(self, b, N):
+        columns = beta_columns(b, N)
+        assert all(type(v) is int for col in columns for v in col)
+        assert beta_table(b, N) == oracle_beta_table(b, N)
 
     @pytest.mark.parametrize("b", [2, 3, 4])
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
