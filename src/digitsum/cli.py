@@ -349,6 +349,9 @@ def _class_lines(label: str, expanded: list[list[Fraction]]) -> list[str]:
 
 def _cmd_pte_show(args, config: RunConfig) -> int:
     kmax = args.kmax if args.kmax is not None else args.order - 1
+    # Power-sum terms of one certificate; bad values are left to the usage errors.
+    if args.base >= 2 and args.order >= 1 and kmax >= 0:
+        charge(args.base**args.order * (kmax + 1), config.max_cost)
     partition = generalized_partition(args.base, args.order, args.x, args.y, config.max_cost)
     certificate = verify_power_sums(partition, kmax)
     reduced = cancel_common(partition)

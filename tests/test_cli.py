@@ -4,6 +4,8 @@ import hashlib
 import json
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -70,6 +72,22 @@ WEIGHTS_SHA256 = {
 }
 
 
+# sha256 of the README's `pte-show` and `pte-search` examples' stdout in each
+# format; pinned so the integer partition core keeps the output byte-identical.
+PTE_SHA256 = {
+    "pte-show --base 2 --order 3 --x 1 --y 1": {
+        "json": "7b5eb736651102890bafde68572a5a9af1ce8fc6ece57c29e3bc702986bedb15",
+        "csv": "5ca25b9f644506643714466515edc831d461b89d9c7a69297351ae6ca8312d09",
+        "text": "ce8e3c7a4f4d2079f8037552691d41956536c7e28764c64427db661368228e42",
+    },
+    "pte-search --base 2 --order 3 --x-grid=-2..2 --y-grid 1,1/2,2 --top 5": {
+        "json": "54145328c4d3d19d9a4ccde4c9229af84941b376e472067cdab02105cbd38289",
+        "csv": "05fefa53f5ff31862d0cd78707a66b756e70ad4ed8e89835507d6904ad0c4a73",
+        "text": "6e664b96d31c126ae91298632a999d4829d1d0a0c755c838ff8969ab6d4b080e",
+    },
+}
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -89,6 +107,13 @@ def readme_cli_lines():
 def test_readme_cli_examples_exit_zero(capsys, argv):
     code, _, err = invoke(capsys, *argv)
     assert code == 0, err
+
+
+def test_readme_library_example_runs():
+    """The README's library example is the public contract; run it as written."""
+    text = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 class TestParsers:
@@ -363,6 +388,32 @@ class TestPteCommands:
         )
         assert code == 3 and err.startswith("error:") and out == ""
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 1000 * 1000 points * 2^2 values * 2 powers against a cap of 1000.
+            "pte-search --base 2 --order 2 --x-grid 0..999 --y-grid 0..999 --max-cost 1000",
+            # 2^3 values * (10^8 + 1) powers against the default cap.
+            "pte-search --base 2 --order 3 --x-grid 1 --y-grid 1 --kmax 100000000",
+            "pte-show --base 2 --order 3 --x 1 --y 1 --kmax 100000000",
+        ],
+    )
+    def test_work_is_charged_before_it_runs(self, argv):
+        # A child process, so that a hang fails at the timeout instead of stalling the suite.
+        result = subprocess.run(
+            [sys.executable, "-m", "digitsum", *argv.split()], capture_output=True, text=True, timeout=5
+        )
+        assert result.returncode == 3 and result.stdout == ""
+        assert result.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("args,fmt", [
+        (args, fmt) for args, digests in PTE_SHA256.items() for fmt in digests
+    ], ids=lambda value: value)
+    def test_output_is_pinned(self, capsys, args, fmt):
+        code, out, _ = invoke(capsys, *shlex.split(args), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PTE_SHA256[args][fmt]
 
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_search_top_must_be_positive(self, capsys, top):

@@ -1,12 +1,20 @@
 """Partitions, certificates, cancellation, and the grid search."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitsum.cost import CostCapExceeded
+from digitsum.digits import iter_digit_sums
 from digitsum.pte import (
+    PteCertificate,
+    PtePartition,
+    ReducedPartition,
+    SearchResult,
     cancel_common,
     generalized_partition,
     prouhet_partition,
@@ -152,3 +160,134 @@ class TestSearch:
         first = search_small_solutions(2, 3, grid, grid)
         second = search_small_solutions(2, 3, list(reversed(grid)), grid)
         assert [(r.x, r.y) for r in first] == [(r.x, r.y) for r in second]
+
+
+# The search as it ran before it moved to integers: partition, cancel and
+# certify each grid point in Fraction arithmetic.  It is the oracle for the
+# integer core behind the public functions.
+
+
+def _oracle_freeze(counter):
+    return tuple(sorted((v, m) for v, m in counter.items() if m))
+
+
+def oracle_partition(b, N, x, y):
+    x = Fraction(x)
+    y = Fraction(y)
+    counters = [{} for _ in range(b)]
+    for n, s in enumerate(iter_digit_sums(b, b**N)):
+        value = s * x + n * y
+        bucket = counters[s % b]
+        bucket[value] = bucket.get(value, 0) + 1
+    return PtePartition(b, N, x, y, tuple(_oracle_freeze(c) for c in counters))
+
+
+def oracle_power_sums(partition, max_degree):
+    sums = []
+    for cls in partition.classes:
+        sums.append(
+            tuple(
+                sum((mult * value**k for value, mult in cls), start=Fraction(0))
+                for k in range(max_degree + 1)
+            )
+        )
+    valid = all(row == sums[0] for row in sums[1:])
+    return PteCertificate(partition, max_degree, tuple(sums), valid)
+
+
+def oracle_cancel(partition):
+    counters = [dict(cls) for cls in partition.classes]
+    shared = set(counters[0])
+    for counter in counters[1:]:
+        shared &= set(counter)
+    for value in shared:
+        low = min(counter[value] for counter in counters)
+        if low:
+            for counter in counters:
+                counter[value] -= low
+    classes = tuple(_oracle_freeze(c) for c in counters)
+    size = sum(m for cls in classes for _, m in cls)
+    return ReducedPartition(partition.b, partition.N, partition.x, partition.y, classes, size)
+
+
+def oracle_search(b, N, x_grid, y_grid, k_max=None, min_size=0):
+    degree = N - 1 if k_max is None else k_max
+    results = []
+    for x in sorted({Fraction(v) for v in x_grid}):
+        for y in sorted({Fraction(v) for v in y_grid}):
+            reduced = oracle_cancel(oracle_partition(b, N, x, y))
+            certificate = oracle_power_sums(reduced, degree)
+            if certificate.valid and reduced.reduced_size >= min_size:
+                results.append(SearchResult(x, y, reduced, certificate))
+    results.sort(
+        key=lambda res: (
+            res.reduced.reduced_size,
+            math.lcm(res.x.denominator, res.y.denominator),
+            abs(res.x) + abs(res.y),
+            res.x,
+            res.y,
+        )
+    )
+    return results
+
+
+# Zero, small signed rationals, and values with a 10^15 denominator.
+grid_values = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.integers(-3 * 10**15, 3 * 10**15).map(lambda n: Fraction(n, 10**15)),
+)
+grids = st.lists(grid_values, min_size=1, max_size=4)
+# Every (b, N) with b in 2..4 and N in 1..4 has b^N <= 256.
+blocks = st.tuples(st.integers(2, 4), st.integers(1, 4))
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_search_matches_oracle(self, data):
+        b, N = data.draw(blocks)
+        xs, ys = data.draw(grids), data.draw(grids)
+        k_max = data.draw(st.sampled_from([None, 0, N - 1, N, N + 1]))
+        min_size = data.draw(st.sampled_from([0, 1, 5]))
+        assert search_small_solutions(b, N, xs, ys, k_max, min_size) == oracle_search(
+            b, N, xs, ys, k_max, min_size
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_partition_chain_matches_oracle(self, data):
+        b, N = data.draw(blocks)
+        x, y = data.draw(grid_values), data.draw(grid_values)
+        partition = generalized_partition(b, N, x, y)
+        assert partition == oracle_partition(b, N, x, y)
+        reduced = cancel_common(partition)
+        assert reduced == oracle_cancel(partition)
+        for degree in (0, N - 1, N + 1):
+            assert verify_power_sums(partition, degree) == oracle_power_sums(partition, degree)
+            assert verify_power_sums(reduced, degree) == oracle_power_sums(reduced, degree)
+
+    @pytest.mark.parametrize("b,N", [(2, 3), (3, 2), (4, 2)])
+    def test_collapsed_partition_matches_oracle(self, b, N):
+        reduced = cancel_common(generalized_partition(b, N, 0, 0))
+        assert reduced.reduced_size == 0
+        for degree in (0, N - 1, N + 1):
+            certificate = verify_power_sums(reduced, degree)
+            assert certificate == oracle_power_sums(reduced, degree)
+            assert certificate.valid
+
+
+class TestSearchCost:
+    def test_whole_grid_is_charged_once(self):
+        # 2 * 2 points * 2^3 values * 3 powers = 96 against a cap of 95.
+        with pytest.raises(CostCapExceeded):
+            search_small_solutions(2, 3, [1, 2], [1, 2], max_cost=95)
+        assert len(search_small_solutions(2, 3, [1, 2], [1, 2], max_cost=96)) == 4
+
+    @pytest.mark.parametrize(
+        "b,N,k_max,message",
+        [(1, 0, -1, "base"), (2, 0, -1, "order"), (2, 3, -1, "degree")],
+    )
+    def test_usage_errors_in_order(self, b, N, k_max, message):
+        with pytest.raises(ValueError, match=message):
+            search_small_solutions(b, N, [1], [1], k_max=k_max, max_cost=1)
