@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "cyclotomic_polynomial",
@@ -63,25 +63,6 @@ def cyclotomic_polynomial(b: int) -> tuple[int, ...]:
 def euler_phi(b: int) -> int:
     """Euler's totient of b, i.e. the degree of the b-th cyclotomic polynomial."""
     return len(cyclotomic_polynomial(b)) - 1
-
-
-@lru_cache(maxsize=None)
-def _reduction_rows(b: int) -> tuple[tuple[Fraction, ...], ...]:
-    # Row i holds x^(phi+i) reduced modulo the cyclotomic polynomial,
-    # for i = 0 .. phi-2 (the degrees a product of two reduced elements
-    # can reach).
-    mod = cyclotomic_polynomial(b)
-    phi = len(mod) - 1
-    if phi < 2:
-        return ()
-    first = tuple(Fraction(-c) for c in mod[:phi])
-    rows = [first]
-    for _ in range(phi - 2):
-        prev = rows[-1]
-        top = prev[-1]
-        shifted = (_ZERO,) + prev[:-1]
-        rows.append(tuple(s + top * f for s, f in zip(shifted, first)))
-    return tuple(rows)
 
 
 def _frac_poly_divmod(
@@ -144,11 +125,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def to_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} has nonzero xi components")
-        return self.coeffs[0]
-
     def _other(self, other) -> CycloNum | None:
         if isinstance(other, CycloNum):
             if other.b != self.b:
@@ -190,20 +166,20 @@ class CycloNum:
             raise ValueError(f"mixed root orders {self.b} and {other.b}")
         a, c = self.coeffs, other.coeffs
         phi = len(a)
-        if phi == 1:
-            return CycloNum._raw(self.b, (a[0] * c[0],))
         conv = [_ZERO] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, cj in enumerate(c):
                     if cj:
                         conv[i + j] += ai * cj
+        # xi^b = 1, so x^i reduces modulo the cyclotomic polynomial to the
+        # coordinates of xi^(i mod b).
         out = conv[:phi]
-        rows = _reduction_rows(self.b)
+        powers = xi_power_coords(self.b)
         for i in range(phi, 2 * phi - 1):
             ci = conv[i]
             if ci:
-                for j, rj in enumerate(rows[i - phi]):
+                for j, rj in enumerate(powers[i % self.b]):
                     if rj:
                         out[j] += ci * rj
         return CycloNum._raw(self.b, tuple(out))
@@ -321,12 +297,7 @@ def xi(b: int, exponent: int = 1) -> CycloNum:
     j = exponent % b
     if math.gcd(j, b) != 1:
         raise ValueError(f"exponent {exponent} is not coprime to {b}")
-    phi = euler_phi(b)
-    if phi == 1:
-        gen = CycloNum.from_rational(b, -cyclotomic_polynomial(b)[0])
-    else:
-        gen = CycloNum._raw(b, (_ZERO, _ONE) + (_ZERO,) * (phi - 2))
-    return gen if j == 1 else gen ** j
+    return xi_power_table(b)[j]
 
 
 @lru_cache(maxsize=None)
@@ -350,11 +321,21 @@ def xi_power_coords(b: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def xi_power_table(b: int) -> tuple[CycloNum, ...]:
     """Powers xi^0 .. xi^(b-1) of the canonical primitive root, memoized."""
-    root = xi(b)
-    powers = [CycloNum.one(b)]
-    for _ in range(b - 1):
-        powers.append(powers[-1] * root)
-    return tuple(powers)
+    return tuple(CycloNum(b, power) for power in xi_power_coords(b))
+
+
+def combine_buckets(b: int, buckets: Sequence[int], den: int = 1) -> CycloNum:
+    """sum_r buckets[r] * xi^r / den for integer residue buckets r = 0 .. b-1.
+
+    Package-internal: both the brute-force and the closed-form kernel end here.
+    """
+    powers = xi_power_coords(b)
+    coords = [0] * len(powers[0])
+    for bucket, power in zip(buckets, powers):
+        if bucket:
+            for j, c in enumerate(power):
+                coords[j] += bucket * c
+    return CycloNum(b, (Fraction(v, den) for v in coords))
 
 
 def a_constant(b: int, l: int) -> CycloNum:
@@ -364,8 +345,4 @@ def a_constant(b: int, l: int) -> CycloNum:
     """
     if l < 0:
         raise ValueError("power must be >= 0")
-    powers = xi_power_table(b)
-    total = CycloNum.zero(b)
-    for k in range(b):
-        total = total + powers[k] * (k**l)
-    return total
+    return combine_buckets(b, [k**l for k in range(b)])

@@ -1,18 +1,18 @@
 """Base-b digit sums, the root-of-unity weights built on them, and the
 integer residue-bucket kernel behind every brute-force digit-weighted sum.
 
-The kernel (:func:`digit_weighted_sum`, :func:`combine_buckets`) reads only
-the digit-sum iterators below and ``xi_power_coords``; it never touches weight
-tables, moments or Bernoulli code, so the brute-force side of each identity
-stays independent of its closed form.  It is package-internal, not exported.
+The kernel (:func:`digit_weighted_sum`) reads only the digit-sum iterators
+below and ends in ``arith.combine_buckets``, the one place residue buckets
+become coordinates; it never touches weight tables, moments or Bernoulli
+code, so the brute-force side of each identity stays independent of its
+closed form.  It is package-internal, not exported.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .arith import CycloNum, xi_power_coords
+from .arith import CycloNum, combine_buckets
 from .poly import RationalPoly, clear_denominators
 
 __all__ = [
@@ -66,17 +66,6 @@ def iter_digit_sums(b: int, limit: int) -> Iterator[int]:
 def digit_sums(b: int, limit: int) -> list[int]:
     """Digit sums of 0 .. limit-1 as a list (precomputed table form)."""
     return list(iter_digit_sums(b, limit))
-
-
-def combine_buckets(b: int, buckets: Sequence[int], den: int = 1) -> CycloNum:
-    """sum_r buckets[r] * xi^r / den for integer residue buckets r = 0 .. b-1."""
-    powers = xi_power_coords(b)
-    coords = [0] * len(powers[0])
-    for bucket, power in zip(buckets, powers):
-        if bucket:
-            for j, c in enumerate(power):
-                coords[j] += bucket * c
-    return CycloNum(b, (Fraction(v, den) for v in coords))
 
 
 def digit_weighted_sum(

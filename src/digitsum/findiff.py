@@ -7,7 +7,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .arith import CycloNum, xi_power_coords
+from .arith import CycloNum, combine_buckets
 from .cost import charge
 from .digits import digit_weighted_sum
 from .poly import RationalPoly, clear_denominators, integer_samples
@@ -41,14 +41,15 @@ def beta_weighted_sum(f: RationalPoly, b: int, axes: Sequence[tuple[int, Fractio
     integers and the result is divided once at the end.
     """
     g, scale, (C, *ys) = clear_denominators(f, c, *(y for _, y in axes))
-    coords = _closed_numerators(g, b, [(N, Y) for (N, _), Y in zip(axes, ys)], C)
-    return CycloNum(b, (Fraction(v, scale) for v in coords))
+    buckets = _closed_numerators(g, b, [(N, Y) for (N, _), Y in zip(axes, ys)], C)
+    return combine_buckets(b, buckets, scale)
 
 
 def _closed_numerators(g: list[int], b: int, axes: Sequence[tuple[int, int]], C: int) -> list[int]:
-    # beta_weighted_sum times its scale, as integer power-basis coordinates.
-    # An entry of the sampled data is a phi-vector of the inner sums on an
-    # outer axis and a plain integer on the last one (a single column).
+    # beta_weighted_sum times its scale, as b integer residue buckets: bucket
+    # r holds the coefficient of xi^r.  An entry of the sampled data is the
+    # b-vector of the inner sums on an outer axis and a plain integer on the
+    # last one (a single column).
     (N, Y), rest = axes[0], axes[1:]
     count = b**N
     if rest:
@@ -58,15 +59,11 @@ def _closed_numerators(g: list[int], b: int, axes: Sequence[tuple[int, int]], C:
         columns = [forward_differences(integer_samples(g, C, Y, count), N)]
     # sum_k beta_k * delta_k: column m of the table against column p of the
     # data lands on xi^(m+p).
-    powers = xi_power_coords(b)
-    coords = [0] * len(powers[0])
+    buckets = [0] * b
     for m, weights in enumerate(beta_columns(b, N - 1)):
         for p, deltas in enumerate(columns):
-            dot = sum(map(operator.mul, weights, deltas))
-            if dot:
-                for j, v in enumerate(powers[(m + p) % b]):
-                    coords[j] += dot * v
-    return [-v for v in coords] if N % 2 else coords
+            buckets[(m + p) % b] += sum(map(operator.mul, weights, deltas))
+    return [-v for v in buckets] if N % 2 else buckets
 
 
 def forward_diff_n(f: Callable, x, y, k: int, N: int):

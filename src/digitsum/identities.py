@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .arith import CycloNum, a_constant, xi, xi_power_table
+from .arith import CycloNum, a_constant, combine_buckets, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from .cost import charge
-from .digits import combine_buckets, digit_sums, digit_weighted_sum
+from .digits import digit_sums, digit_weighted_sum
 from .findiff import beta_weighted_sum, forward_diff_n, forward_differences, lhs_sum, weighted_rhs
 from .poly import RationalPoly
 from .weights import (
@@ -375,6 +375,8 @@ def verify_mixed_recurrence(b: int, N: int, l: int, x, y, max_cost: int | None =
     if l < 0:
         raise ValueError(f"power must be >= 0, got {l}")
     start = time.perf_counter()
+    # The order-N sum and the l order-(N-1) sums, charged together.
+    charge(b**N + l * b ** (N - 1), max_cost)
     x = Fraction(x)
     y = Fraction(y)
     lhs = mixed_power_sum(b, N, l, x, y, max_cost)

@@ -25,6 +25,18 @@ def poly_mul(a, b):
     return out
 
 
+def poly_rem(a, mod):
+    """Remainder of a after long division by the monic polynomial mod."""
+    dn = len(mod) - 1
+    a = list(a) + [0] * dn
+    for i in range(len(a) - 1, dn - 1, -1):
+        q = a[i]
+        if q:
+            for j, m in enumerate(mod):
+                a[i - dn + j] -= q * m
+    return a[:dn]
+
+
 class TestCyclotomicPolynomial:
     def test_small_orders(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -150,6 +162,22 @@ class TestFieldAxioms:
             return
         assert u * u.inverse() == 1
         assert u / u == 1
+
+
+@pytest.mark.parametrize("b", range(2, 31))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_reduction_matches_long_division(b, data):
+    # Independent oracle: long division by the cyclotomic polynomial.  Where
+    # 2 phi(b) - 2 >= b (5, 7, 9, 11, the other primes, 21, 25, 27) a product
+    # reaches degree b, so the fold wraps through xi^b = 1.
+    mod = cyclotomic_polynomial(b)
+    coords = st.lists(st.integers(-9, 9), min_size=euler_phi(b), max_size=euler_phi(b))
+    u = CycloNum(b, data.draw(coords))
+    v = CycloNum(b, data.draw(coords)) / data.draw(st.integers(1, 9))
+    assert list((u * v).coeffs) == poly_rem(poly_mul(u.coeffs, v.coeffs), mod)
+    r = data.draw(st.integers(0, b - 1))
+    assert list(xi_power_coords(b)[r]) == poly_rem([0] * r + [1], mod)
 
 
 class TestAConstant:

@@ -5,13 +5,16 @@ as before the kernel: one CycloNum add and one CycloNum scale per summand,
 over Fractions.  The kernel-backed functions must agree with them exactly.
 """
 
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import digitsum
 from digitsum.arith import CycloNum, xi_power_table
 from digitsum.digits import combine_buckets, digit_sums, digit_weighted_sum, iter_digit_sums
 from digitsum.findiff import lhs_sum
@@ -221,3 +224,20 @@ def test_kernel_edge_cases():
         b=3, N_list=(1, 1, 2), y_list=(Fraction(1, 2), Fraction(-3), Fraction(5, 7)), x=Fraction(-1, 4)
     )
     assert verify_multisum(config, f).lhs == oracle_multi_lhs(config, f)
+
+
+def test_brute_side_imports_nothing_from_the_closed_side():
+    # The brute kernel ends in arith.combine_buckets, so neither module may
+    # reach weight tables, differences, Bernoulli code or the identities.
+    closed = {"weights", "findiff", "bernoulli", "identities"}
+    package = Path(digitsum.__file__).parent
+    for name in ("digits.py", "arith.py"):
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            if isinstance(node, ast.Import):
+                paths = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for path in paths:
+                assert not closed & set(path.split(".")), (name, path)

@@ -397,6 +397,8 @@ class TestPteCommands:
             # 2^3 values * (10^8 + 1) powers against the default cap.
             "pte-search --base 2 --order 3 --x-grid 1 --y-grid 1 --kmax 100000000",
             "pte-show --base 2 --order 3 --x 1 --y 1 --kmax 100000000",
+            # 2^20 + 60 * 2^19 summands over the 61 mixed sums against the default cap of 2^20.
+            "verify --identity mixed-sum-recurrence --base 2 --order 20 --l 60",
         ],
     )
     def test_work_is_charged_before_it_runs(self, argv):
