@@ -9,7 +9,7 @@ equality, never closeness.
 from .arith import CycloNum, a_constant, cyclotomic_polynomial, euler_phi, xi, xi_power_table
 from .bernoulli import bernoulli_numbers, bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from .cost import DEFAULT_MAX_COST, CostCapExceeded
-from .digits import digit_sum, digit_sums, iter_digit_sums
+from .digits import digit_sum, digit_sums
 from .findiff import forward_diff_n, lhs_sum, weighted_rhs
 from .identities import (
     DEFAULT_SEED,

@@ -1,7 +1,7 @@
 """Base-b digit sums, the root-of-unity weights built on them, and the
 integer residue-bucket kernel behind every brute-force digit-weighted sum.
 
-The kernel (:func:`digit_weighted_sum`) reads only the digit-sum iterators
+The kernel (:func:`digit_weighted_sum`) reads only the digit-sum table
 below and ends in ``arith.combine_buckets``, the one place residue buckets
 become coordinates; it never touches weight tables, moments or Bernoulli
 code, so the brute-force side of each identity stays independent of its
@@ -10,14 +10,13 @@ closed form.  It is package-internal, not exported.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .arith import CycloNum, combine_buckets
 from .poly import RationalPoly, clear_denominators
 
 __all__ = [
     "digit_sum",
-    "iter_digit_sums",
     "digit_sums",
 ]
 
@@ -39,33 +38,13 @@ def digit_sum(n: int, b: int) -> int:
     return total
 
 
-def iter_digit_sums(b: int, limit: int) -> Iterator[int]:
-    """Yield digit_sum(n, b) for n = 0 .. limit-1.
-
-    Maintains the digit string across increments so the whole range costs
-    O(limit) amortized instead of O(limit * log limit); it feeds the
-    streaming axis of :func:`digit_weighted_sum`.
-    """
-    _check_base(b)
-    digits: list[int] = []
-    s = 0
-    for n in range(limit):
-        if n:
-            i = 0
-            while i < len(digits) and digits[i] == b - 1:
-                digits[i] = 0
-                s -= b - 1
-                i += 1
-            if i == len(digits):
-                digits.append(0)
-            digits[i] += 1
-            s += 1
-        yield s
-
-
 def digit_sums(b: int, limit: int) -> list[int]:
-    """Digit sums of 0 .. limit-1 as a list (precomputed table form)."""
-    return list(iter_digit_sums(b, limit))
+    """Digit sums of 0 .. limit-1, one step per entry by s(n) = s(n // b) + n % b."""
+    _check_base(b)
+    sums = [0] * limit
+    for n in range(1, limit):
+        sums[n] = sums[n // b] + n % b
+    return sums
 
 
 def digit_weighted_sum(
@@ -86,18 +65,15 @@ def digit_weighted_sum(
 
     axes = [(Nj, X, Y) for (Nj, _, _), X, Y in zip(axes, scaled[::2], scaled[1::2])]
     *outer_axes, (N, X, Y) = axes
-    # Fold every axis but the last into (argument, residue) pairs; the last
-    # axis streams its digit sums when it is the only one.
+    # Fold every axis but the last into (argument, residue) pairs.
     outer = [(C, 0)]
     for Nj, Xj, Yj in outer_axes:
         sums = digit_sums(b, b**Nj)
         outer = [(a + s * Xj + n * Yj, (r + s) % b) for a, r in outer for n, s in enumerate(sums)]
-    count = b**N
-    last = iter_digit_sums(b, count) if len(outer) == 1 else digit_sums(b, count)
+    last = digit_sums(b, b**N)
 
     # The Horner loop is written out here rather than calling
-    # poly.integer_samples: its arguments are no arithmetic progression, and
-    # the single-axis case streams b^N terms without materializing them.
+    # poly.integer_samples: its arguments are no arithmetic progression.
     buckets = [0] * b
     for a0, r0 in outer:
         for n, s in enumerate(last):

@@ -41,51 +41,6 @@ class RationalPoly:
             result = result * value + c
         return result
 
-    def __add__(self, other):
-        rhs = _as_poly(other)
-        if rhs is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(rhs.coeffs))
-        return RationalPoly(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (rhs.coeffs[i] if i < len(rhs.coeffs) else 0)
-            for i in range(n)
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        rhs = _as_poly(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = _as_poly(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __neg__(self) -> RationalPoly:
-        return RationalPoly(-c for c in self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly(c * other for c in self.coeffs)
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return RationalPoly()
-        out = [_FRACTION_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, c in enumerate(other.coeffs):
-                    if c:
-                        out[i + j] += a * c
-        return RationalPoly(out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalPoly):
             return self.coeffs == other.coeffs
@@ -131,14 +86,6 @@ def integer_samples(g: list[int], start: int, step: int, count: int) -> list[int
             v = v * A + p
         out.append(v)
     return out
-
-
-def _as_poly(value):
-    if isinstance(value, RationalPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RationalPoly((value,))
-    return None
 
 
 _FRACTION_ZERO = Fraction(0)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cost import charge
-from .digits import iter_digit_sums
+from .digits import digit_sums
 
 __all__ = [
     "PtePartition",
@@ -54,7 +54,7 @@ def _digit_classes(b: int, N: int) -> list[list[tuple[int, list[int]]]]:
     """Per digit-sum class mod b, the pairs (s, ns): a digit sum s in the
     class and the n < b^N whose digit sum is s."""
     by_sum: dict[int, list[int]] = {}
-    for n, s in enumerate(iter_digit_sums(b, b**N)):
+    for n, s in enumerate(digit_sums(b, b**N)):
         by_sum.setdefault(s, []).append(n)
     classes: list[list[tuple[int, list[int]]]] = [[] for _ in range(b)]
     for s, ns in by_sum.items():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import digitsum
 from digitsum.arith import CycloNum, xi_power_table
-from digitsum.digits import combine_buckets, digit_sums, digit_weighted_sum, iter_digit_sums
+from digitsum.digits import combine_buckets, digit_sum, digit_weighted_sum
 from digitsum.findiff import lhs_sum
 from digitsum.identities import (
     MultiIndexConfig,
@@ -38,7 +38,8 @@ def oracle_lhs_sum(f, x, y, b, N):
     x = Fraction(x)
     y = Fraction(y)
     total = CycloNum.zero(b)
-    for n, s in enumerate(iter_digit_sums(b, b**N)):
+    for n in range(b**N):
+        s = digit_sum(n, b)
         total = total + powers[s % b] * f(x + n * y)
     return total
 
@@ -48,7 +49,8 @@ def oracle_mixed_power_sum(b, N, l, x, y):
     y = Fraction(y)
     powers = xi_power_table(b)
     total = CycloNum.zero(b)
-    for n, s in enumerate(iter_digit_sums(b, b**N)):
+    for n in range(b**N):
+        s = digit_sum(n, b)
         total = total + powers[s % b] * (s * x + n * y) ** l
     return total
 
@@ -58,7 +60,8 @@ def oracle_generalized_pte_lhs(b, N, f, x, y):
     y = Fraction(y)
     powers = xi_power_table(b)
     lhs = CycloNum.zero(b)
-    for n, s in enumerate(iter_digit_sums(b, b**N)):
+    for n in range(b**N):
+        s = digit_sum(n, b)
         lhs = lhs + powers[s % b] * f(s * x + n * y)
     return lhs
 
@@ -67,7 +70,7 @@ def oracle_multi_lhs(config, f):
     # Shared by multisum and multi-power-sum: f(x + sum n_j y_j).
     b = config.b
     sizes = [b**N for N in config.N_list]
-    sums = [digit_sums(b, size) for size in sizes]
+    sums = [[digit_sum(n, b) for n in range(size)] for size in sizes]
     powers = xi_power_table(b)
     lhs = CycloNum.zero(b)
     for tup in itertools.product(*(range(size) for size in sizes)):
@@ -81,7 +84,7 @@ def oracle_multi_mixed_lhs(config):
     b = config.b
     sizes = [b**N for N in config.N_list]
     total_N = sum(config.N_list)
-    sums = [digit_sums(b, size) for size in sizes]
+    sums = [[digit_sum(n, b) for n in range(size)] for size in sizes]
     powers = xi_power_table(b)
     lhs = CycloNum.zero(b)
     for tup in itertools.product(*(range(size) for size in sizes)):
@@ -97,7 +100,7 @@ def oracle_multi_mixed_lhs(config):
 def oracle_joint_coeffs(m, N, p, x_list, b):
     xs = [Fraction(v) for v in x_list]
     size = b**N
-    sums = digit_sums(b, m * (size - 1) + 1)
+    sums = [digit_sum(n, b) for n in range(m * (size - 1) + 1)]
     powers = xi_power_table(b)
     binom = [math.comb(p, q) for q in range(p + 1)]
     coeffs = [CycloNum.zero(b) for _ in range(p + 1)]

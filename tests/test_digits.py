@@ -1,4 +1,4 @@
-"""Digit sums, residue classes, and the streaming table."""
+"""Digit sums, residue classes, and the digit-sum table."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,6 @@ from digitsum.digits import (
     digit_sum,
     digit_sums,
     digit_weighted_sum,
-    iter_digit_sums,
 )
 from digitsum.arith import xi
 from digitsum.poly import RationalPoly
@@ -62,9 +61,14 @@ class TestStreamingTable:
         table = digit_sums(b, 500)
         assert table == [digit_sum(n, b) for n in range(500)]
 
-    def test_lazy_iteration(self):
-        it = iter_digit_sums(2, 4)
-        assert list(it) == [0, 1, 1, 2]
+    @settings(max_examples=100, deadline=None)
+    @given(b=st.integers(2, 16), limit=st.integers(0, 3000))
+    def test_recurrence_matches_pointwise(self, b, limit):
+        # Every drawn base also checks the block edges, where the recurrence carries.
+        reference = [digit_sum(n, b) for n in range(3001)]
+        edges = {0, 1, b - 1, b} | {e for k in range(2, 12) for e in (b**k, b**k + 1) if e <= 3000}
+        for size in edges | {limit}:
+            assert digit_sums(b, size) == reference[:size]
 
 
 class TestClasses:

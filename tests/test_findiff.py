@@ -1,5 +1,6 @@
 """Forward differences and the two sides of the weighted identity."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -112,7 +113,8 @@ class TestIdentity:
         rng = random.Random(23)
         f, g = rand_poly(rng, 4), rand_poly(rng, 4)
         x, y = rand_fraction(rng), rand_fraction(rng, nonzero=True)
-        combined = f + g * 3
+        pairs = itertools.zip_longest(f.coeffs, g.coeffs, fillvalue=0)
+        combined = RationalPoly(a + 3 * c for a, c in pairs)
         for side in (lhs_sum, weighted_rhs):
             assert side(combined, x, y, 3, 2) == side(f, x, y, 3, 2) + side(
                 g, x, y, 3, 2

@@ -185,6 +185,14 @@ class TestSSums:
         assert verify_mixed_recurrence(3, 2, 3, Fraction(1, 2), Fraction(-2, 3)).equal
         assert verify_mixed_recurrence(2, 1, 0, 1, 1).equal  # empty sum vs zero
 
+    def test_recurrence_charges_its_summands_once(self, monkeypatch):
+        charges = []
+        record = lambda cost, max_cost=None: charges.append(cost)  # noqa: E731
+        monkeypatch.setattr("digitsum.identities.charge", record)
+        b, N, l = 3, 3, 2
+        assert verify_mixed_recurrence(b, N, l, 1, 1).equal
+        assert charges == [b**N + l * b ** (N - 1)]
+
 
 class TestThm12:
     def test_hand_value(self):
@@ -305,6 +313,17 @@ class TestHFamily:
         assert report.extras["conjectured_matches_brute"] in (True, False)
         payload = report_to_dict(report)
         assert "constant_conjectured" in payload["extras"]
+
+    @pytest.mark.parametrize("b,N,x1,x2,difference", [
+        (2, 1, 1, 2, (9,)),
+        (3, 1, 1, 2, (-6, -36)),  # -6 - 36 xi
+    ])
+    def test_conjectured_constant_misses_by_a_pinned_amount(self, b, N, x1, x2, difference):
+        # The conjectured constant term is unresolved: it differs from the
+        # derived one, which brute force confirms, by exactly these amounts.
+        report = verify_joint_line_general(b, N, x1, x2)
+        assert report.equal
+        assert report.extras["constant_conjectured"] - report.rhs[0] == CycloNum(b, difference)
 
 
 class TestGeneralizedPte:
