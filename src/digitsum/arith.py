@@ -2,10 +2,14 @@
 
 Scalars are Python ints and ``fractions.Fraction`` (both arbitrary
 precision).  ``CycloNum`` represents an element of Q(xi) for xi the
-canonical primitive b-th root of unity, stored as rational coordinates in
-the power basis 1, xi, ..., xi^(phi(b)-1) modulo the b-th cyclotomic
-polynomial.  Every value is immutable and every operation pure, so all of
-this is safe to share between threads or workers without locking.
+canonical primitive b-th root of unity by its coordinates in the power
+basis 1, xi, ..., xi^(phi(b)-1) modulo the b-th cyclotomic polynomial,
+stored as integer numerators over one common denominator (the
+integral-basis representation of Cohen, A Course in Computational
+Algebraic Number Theory, 4.2).  Sums, products and quotients run on the
+integers and take one gcd at the end.  Every value is immutable and every
+operation pure, so all of this is safe to share between threads or
+workers without locking.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ __all__ = [
     "xi_power_table",
     "a_constant",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -65,65 +66,73 @@ def euler_phi(b: int) -> int:
     return len(cyclotomic_polynomial(b)) - 1
 
 
-def _frac_poly_divmod(
-    num: list[Fraction], den: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [_ZERO] * max(len(num) - dn, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = num[i + dn]
-        if c:
-            q = c / lead
-            quot[i] = q
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
-
-
 class CycloNum:
-    """An element of Q(xi), xi the canonical primitive b-th root of unity."""
+    """An element of Q(xi), xi the canonical primitive b-th root of unity.
 
-    __slots__ = ("b", "coeffs")
+    Stored as integer numerators ``nums`` over one common denominator
+    ``den``, in normal form: den > 0, gcd(den, *nums) == 1, and zero is
+    (0, ..., 0) / 1.  So two values are equal exactly when their
+    (b, den, nums) are.
+    """
+
+    __slots__ = ("b", "nums", "den")
 
     def __init__(self, b: int, coeffs: Iterable) -> None:
-        vec = tuple(Fraction(c) for c in coeffs)
+        vec = [Fraction(c) for c in coeffs]
         phi = euler_phi(b)
         if len(vec) != phi:
             raise ValueError(
                 f"order {b} needs exactly {phi} coordinates, got {len(vec)}"
             )
+        # Over the lcm of coordinates in lowest terms, the gcd is already 1.
+        den = math.lcm(*(c.denominator for c in vec))
         self.b = b
-        self.coeffs = vec
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in vec)
+        self.den = den
 
     @classmethod
-    def _raw(cls, b: int, coeffs: tuple[Fraction, ...]) -> CycloNum:
+    def from_integers(cls, b: int, nums: Sequence[int], den: int = 1) -> CycloNum:
+        """nums / den for phi(b) integer coordinates and a nonzero integer
+        den, brought to normal form by one gcd.  Package-internal: every
+        integer kernel hands its result over here."""
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums = [n // g for n in nums]
+                den //= g
         self = object.__new__(cls)
         self.b = b
-        self.coeffs = coeffs
+        self.nums = tuple(nums)
+        self.den = den
         return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational power-basis coordinates, each in lowest terms."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     @classmethod
     def zero(cls, b: int) -> CycloNum:
-        return cls._raw(b, (_ZERO,) * euler_phi(b))
+        return cls.from_integers(b, (0,) * euler_phi(b))
 
     @classmethod
     def one(cls, b: int) -> CycloNum:
-        return cls.from_rational(b, _ONE)
+        return cls.from_rational(b, 1)
 
     @classmethod
     def from_rational(cls, b: int, value) -> CycloNum:
-        phi = euler_phi(b)
-        return cls._raw(b, (Fraction(value),) + (_ZERO,) * (phi - 1))
+        value = Fraction(value)
+        nums = (value.numerator,) + (0,) * (euler_phi(b) - 1)
+        return cls.from_integers(b, nums, value.denominator)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def _other(self, other) -> CycloNum | None:
         if isinstance(other, CycloNum):
@@ -138,7 +147,7 @@ class CycloNum:
         rhs = self._other(other)
         if rhs is None:
             return NotImplemented
-        return CycloNum._raw(self.b, tuple(a + c for a, c in zip(self.coeffs, rhs.coeffs)))
+        return _add(self, rhs, 1)
 
     __radd__ = __add__
 
@@ -146,85 +155,44 @@ class CycloNum:
         rhs = self._other(other)
         if rhs is None:
             return NotImplemented
-        return CycloNum._raw(self.b, tuple(a - c for a, c in zip(self.coeffs, rhs.coeffs)))
+        return _add(self, rhs, -1)
 
     def __rsub__(self, other):
         rhs = self._other(other)
         if rhs is None:
             return NotImplemented
-        return rhs - self
+        return _add(rhs, self, -1)
 
     def __neg__(self) -> CycloNum:
-        return CycloNum._raw(self.b, tuple(-a for a in self.coeffs))
+        return CycloNum.from_integers(self.b, [-a for a in self.nums], self.den)
 
     def __mul__(self, other):
+        # An int has numerator itself and denominator 1.
         if isinstance(other, (int, Fraction)):
-            return CycloNum._raw(self.b, tuple(a * other for a in self.coeffs))
+            nums = [a * other.numerator for a in self.nums]
+            return CycloNum.from_integers(self.b, nums, self.den * other.denominator)
         if not isinstance(other, CycloNum):
             return NotImplemented
         if other.b != self.b:
             raise ValueError(f"mixed root orders {self.b} and {other.b}")
-        a, c = self.coeffs, other.coeffs
-        phi = len(a)
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, cj in enumerate(c):
-                    if cj:
-                        conv[i + j] += ai * cj
-        # xi^b = 1, so x^i reduces modulo the cyclotomic polynomial to the
-        # coordinates of xi^(i mod b).
-        out = conv[:phi]
-        powers = xi_power_coords(self.b)
-        for i in range(phi, 2 * phi - 1):
-            ci = conv[i]
-            if ci:
-                for j, rj in enumerate(powers[i % self.b]):
-                    if rj:
-                        out[j] += ci * rj
-        return CycloNum._raw(self.b, tuple(out))
+        nums = _mul_coords(self.b, self.nums, other.nums)
+        return CycloNum.from_integers(self.b, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNum:
-        """Multiplicative inverse, via the extended Euclidean algorithm
-        against the cyclotomic modulus."""
+        """Multiplicative inverse: the product of the other Galois
+        conjugates over the norm, memoized per value."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(xi)")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.b)]
-        r0, r1 = mod, [c for c in self.coeffs]
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [_ONE]
-        while len(r1) > 1:
-            q, r = _frac_poly_divmod(r0, r1)
-            # s_next = s0 - q * s1
-            prod = [_ZERO] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        prod[i + j] += qi * sj
-            nxt = [
-                (s0[i] if i < len(s0) else _ZERO) - (prod[i] if i < len(prod) else _ZERO)
-                for i in range(max(len(s0), len(prod)))
-            ]
-            while nxt and not nxt[-1]:
-                nxt.pop()
-            r0, r1 = r1, r
-            s0, s1 = s1, nxt
-        # r1 is a nonzero constant: the modulus is irreducible over Q.
-        g = r1[0]
-        phi = euler_phi(self.b)
-        coeffs = tuple((s1[i] if i < len(s1) else _ZERO) / g for i in range(phi))
-        return CycloNum._raw(self.b, coeffs)
+        return _inverse(self.b, self.nums, self.den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero")
-            inv = _ONE / Fraction(other)
-            return CycloNum._raw(self.b, tuple(a * inv for a in self.coeffs))
+            nums = [a * other.denominator for a in self.nums]
+            return CycloNum.from_integers(self.b, nums, self.den * other.numerator)
         rhs = self._other(other)
         if rhs is None:
             return NotImplemented
@@ -254,13 +222,19 @@ class CycloNum:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNum):
-            return self.b == other.b and self.coeffs == other.coeffs
+            return self.b == other.b and self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            # Both sides are in lowest terms.
+            num, den = other.numerator, other.denominator
+            return self.is_rational() and self.nums[0] == num and self.den == den
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.b, self.coeffs))
+        # A rational value equals its Fraction (and an int), so it hashes
+        # like one.
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.b, self.den, self.nums))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -283,6 +257,61 @@ class CycloNum:
 
     def __repr__(self) -> str:
         return f"CycloNum(b={self.b}, {self})"
+
+
+def _add(u: CycloNum, v: CycloNum, sign: int) -> CycloNum:
+    # u + sign * v over the lcm of the two denominators.
+    du, dv = u.den, v.den
+    if du == dv:
+        nums = [a + sign * c for a, c in zip(u.nums, v.nums)]
+    else:
+        g = math.gcd(du, dv)
+        su, sv = dv // g, sign * (du // g)
+        nums = [a * su + c * sv for a, c in zip(u.nums, v.nums)]
+        du *= su
+    return CycloNum.from_integers(u.b, nums, du)
+
+
+def _mul_coords(b: int, a: Sequence[int], c: Sequence[int]) -> list[int]:
+    # Integer coordinates of the product of two integer coordinate vectors.
+    phi = len(a)
+    conv = [0] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, cj in enumerate(c):
+                if cj:
+                    conv[i + j] += ai * cj
+    # xi^b = 1, so x^i reduces modulo the cyclotomic polynomial to the
+    # coordinates of xi^(i mod b).
+    out = conv[:phi]
+    powers = xi_power_coords(b)
+    for i in range(phi, 2 * phi - 1):
+        ci = conv[i]
+        if ci:
+            for j, rj in enumerate(powers[i % b]):
+                if rj:
+                    out[j] += ci * rj
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _inverse(b: int, nums: tuple[int, ...], den: int) -> CycloNum:
+    # The product c of the conjugates sigma_k(nums), k coprime to b and
+    # k != 1, is integral, and nums * c is the norm of nums, a nonzero
+    # integer.  sigma_k sends xi^j to xi^(jk), so it only permutes and folds
+    # integer coordinates.  Then 1 / (nums / den) = den * c / norm.
+    powers = xi_power_coords(b)
+    conj = [1] + [0] * (len(nums) - 1)
+    for k in range(2, b):
+        if math.gcd(k, b) == 1:
+            sigma = [0] * len(nums)
+            for j, a in enumerate(nums):
+                if a:
+                    for m, p in enumerate(powers[j * k % b]):
+                        sigma[m] += a * p
+            conj = _mul_coords(b, conj, sigma)
+    norm = _mul_coords(b, nums, conj)[0]
+    return CycloNum.from_integers(b, [den * c for c in conj], norm)
 
 
 def xi(b: int, exponent: int = 1) -> CycloNum:
@@ -321,7 +350,7 @@ def xi_power_coords(b: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def xi_power_table(b: int) -> tuple[CycloNum, ...]:
     """Powers xi^0 .. xi^(b-1) of the canonical primitive root, memoized."""
-    return tuple(CycloNum(b, power) for power in xi_power_coords(b))
+    return tuple(CycloNum.from_integers(b, power) for power in xi_power_coords(b))
 
 
 def combine_buckets(b: int, buckets: Sequence[int], den: int = 1) -> CycloNum:
@@ -335,7 +364,7 @@ def combine_buckets(b: int, buckets: Sequence[int], den: int = 1) -> CycloNum:
         if bucket:
             for j, c in enumerate(power):
                 coords[j] += bucket * c
-    return CycloNum(b, (Fraction(v, den) for v in coords))
+    return CycloNum.from_integers(b, coords, den)
 
 
 def a_constant(b: int, l: int) -> CycloNum:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import identities
-from .arith import CycloNum, euler_phi
+from .arith import euler_phi
 from .bernoulli import bernoulli_poly
 from .cost import DEFAULT_MAX_COST, CostCapExceeded, charge
 from .identities import (
@@ -30,7 +30,7 @@ from .identities import (
     scalar_to_json,
 )
 from .pte import cancel_common, generalized_partition, search_small_solutions, verify_power_sums
-from .weights import alpha_table, beta_table
+from .weights import alpha_table, beta_columns, beta_table
 
 ENV_MAX_COST = "DIGITSUM_MAX_COST"
 
@@ -305,11 +305,18 @@ def _cmd_weights(args, config: RunConfig) -> int:
         raise ValueError("alpha tables exist only for base 2")
     if N >= 0:  # a negative order is left to the builders' usage error
         charge(b ** (N + 1) - N - 1, config.max_cost)
-    table = alpha_table(N) if kind == "alpha" else beta_table(b, N)
-    coeff_lists = [
-        [str(c) for c in v.coeffs] if isinstance(v, CycloNum) else [str(v)]
-        for v in table
-    ]
+    if config.output_format == "text":
+        table = alpha_table(N) if kind == "alpha" else beta_table(b, N)
+        lines = [f"{kind} table b={b} N={N} ({len(table)} entries)"]
+        for k, v in enumerate(table):
+            lines.append(f"  {k}: {v}")
+        _emit("\n".join(lines) + "\n", config.output_path)
+        return 0
+    # Every entry has integer coordinates, and str(int) == str(Fraction(int)).
+    if kind == "alpha":
+        coeff_lists = [[str(v)] for v in alpha_table(N)]
+    else:
+        coeff_lists = [list(map(str, coords)) for coords in zip(*beta_columns(b, N))]
     if config.output_format == "json":
         payload = {
             "b": b,
@@ -319,7 +326,7 @@ def _cmd_weights(args, config: RunConfig) -> int:
             "values": coeff_lists,
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif config.output_format == "csv":
+    else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         phi = euler_phi(b)
@@ -327,11 +334,6 @@ def _cmd_weights(args, config: RunConfig) -> int:
         for k, coeffs in enumerate(coeff_lists):
             writer.writerow([k] + coeffs)
         text = buffer.getvalue()
-    else:
-        lines = [f"{kind} table b={b} N={N} ({len(table)} entries)"]
-        for k, v in enumerate(table):
-            lines.append(f"  {k}: {v}")
-        text = "\n".join(lines) + "\n"
     _emit(text, config.output_path)
     return 0
 

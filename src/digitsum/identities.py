@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -192,7 +193,9 @@ def verify_moment(b: int, N: int, order: int, max_cost: int | None = None) -> Id
     start = time.perf_counter()
     charge(b**N - N, max_cost)
     table = beta_columns(b, N - 1)
-    lhs = CycloNum(b, [sum(k**order * v for k, v in enumerate(col)) for col in table])
+    if order:
+        table = [map(operator.mul, range(len(col)), col) for col in table]
+    lhs = CycloNum.from_integers(b, [sum(col) for col in table])
     rhs = beta_moment0(b, N) if order == 0 else beta_moment1(b, N)
     return _report(f"moment{order}", {"b": b, "N": N}, lhs, rhs, start)
 

@@ -109,7 +109,7 @@ def beta_columns(b: int, N: int) -> tuple[tuple[int, ...], ...]:
 
 def from_columns(b: int, columns) -> tuple[CycloNum, ...]:
     """The CycloNum entries whose coordinates ``columns`` hold column-wise."""
-    return tuple(CycloNum(b, coords) for coords in zip(*columns))
+    return tuple(CycloNum.from_integers(b, coords) for coords in zip(*columns))
 
 
 @lru_cache(maxsize=None)

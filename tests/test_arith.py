@@ -1,6 +1,8 @@
 """Cyclotomic arithmetic: frozen small cases, field laws, special values."""
 
+import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -196,3 +198,139 @@ class TestAConstant:
                 for k in range(b):
                     expected = expected + xi(b) ** k * (k**l)
                 assert a_constant(b, l) == expected
+
+
+class TestHash:
+    def test_rational_value_hashes_like_its_fraction(self):
+        five = CycloNum.from_rational(3, 5)
+        assert five == 5 and hash(five) == hash(5)
+        assert {5: "x"}.get(five) == "x"
+        assert len({five, 5}) == 1
+        half = CycloNum.from_rational(4, Fraction(1, 2))
+        assert hash(half) == hash(Fraction(1, 2))
+
+    def test_irrational_values_hash_by_their_normal_form(self):
+        u = (xi(5) + 1) / 2
+        assert hash(u) == hash(CycloNum(5, [Fraction(1, 2), Fraction(1, 2), 0, 0]))
+        assert len({u, u * 1, xi(5)}) == 2
+
+
+# The Fraction-coordinate arithmetic that CycloNum used before it stored
+# integer numerators over one denominator: the product folds through the
+# integer powers of xi, the inverse runs the extended Euclidean algorithm
+# against the cyclotomic modulus.  It is the oracle for the integer form.
+
+
+def oracle_mul(b, a, c):
+    phi = len(a)
+    conv = [Fraction(0)] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        for j, cj in enumerate(c):
+            conv[i + j] += ai * cj
+    out = conv[:phi]
+    powers = xi_power_coords(b)
+    for i in range(phi, 2 * phi - 1):
+        for j, rj in enumerate(powers[i % b]):
+            out[j] += conv[i] * rj
+    return tuple(out)
+
+
+def _frac_poly_divmod(num, den):
+    num = list(num)
+    dn = len(den) - 1
+    quot = [Fraction(0)] * max(len(num) - dn, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        q = num[i + dn] / den[-1]
+        quot[i] = q
+        for j, d in enumerate(den):
+            num[i + j] -= q * d
+    while num and not num[-1]:
+        num.pop()
+    return quot, num
+
+
+def oracle_inverse(b, a):
+    if not any(a):
+        raise ZeroDivisionError
+    r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(b)], list(a)
+    while r1 and not r1[-1]:
+        r1.pop()
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _frac_poly_divmod(r0, r1)
+        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                prod[i + j] += qi * sj
+        nxt = [x - y for x, y in zip_longest(s0, prod, fillvalue=0)]
+        while nxt and not nxt[-1]:
+            nxt.pop()
+        r0, r1, s0, s1 = r1, r, s1, nxt
+    return tuple(Fraction(c) / r1[0] for c in s1 + [0] * (len(a) - len(s1)))
+
+
+def oracle_pow(b, a, e):
+    if e < 0:
+        a, e = oracle_inverse(b, a), -e
+    out = (Fraction(1),) + (Fraction(0),) * (len(a) - 1)
+    for _ in range(e):
+        out = oracle_mul(b, out, a)
+    return out
+
+
+def coordinates(b, nonzero=False):
+    coord = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    vec = st.lists(coord, min_size=euler_phi(b), max_size=euler_phi(b)).map(tuple)
+    return vec.filter(any) if nonzero else vec
+
+
+def is_normal(u):
+    return u.den > 0 and math.gcd(u.den, *u.nums) == 1 and (any(u.nums) or u.den == 1)
+
+
+@pytest.mark.parametrize("b", range(2, 13))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_fraction_oracle(b, data):
+    a = data.draw(coordinates(b))
+    c = data.draw(coordinates(b, nonzero=True))
+    q = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool))
+    e = data.draw(st.integers(-3, 4))
+    u, v = CycloNum(b, a), CycloNum(b, c)
+    results = {
+        "+": (u + v, tuple(x + y for x, y in zip(a, c))),
+        "-": (u - v, tuple(x - y for x, y in zip(a, c))),
+        "q-": (q - v, (q - c[0],) + tuple(-y for y in c[1:])),
+        "*": (u * v, oracle_mul(b, a, c)),
+        "*q": (u * q, tuple(x * q for x in a)),
+        "/": (u / v, oracle_mul(b, a, oracle_inverse(b, c))),
+        "/q": (u / q, tuple(x / q for x in a)),
+        "q/": (q / v, tuple(x * q for x in oracle_inverse(b, c))),
+        "**": (v**e, oracle_pow(b, c, e)),
+        "inverse": (v.inverse(), oracle_inverse(b, c)),
+    }
+    for op, (got, want) in results.items():
+        assert got.coeffs == want, op
+        assert is_normal(got), op
+    assert (u == v) == (a == c)
+    assert (u == q) == (a == (q,) + (0,) * (len(a) - 1))
+    assert u + q == CycloNum(b, (a[0] + q,) + a[1:])
+
+
+@pytest.mark.parametrize("b", range(2, 13))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_values_are_stored_in_normal_form(b, data):
+    a = data.draw(coordinates(b))
+    u = CycloNum(b, a)
+    assert is_normal(u)
+    assert u.coeffs == a
+    assert u.nums == tuple(x * u.den for x in a)
+    assert is_normal(u - u) and (u - u).nums == (0,) * len(a) and (u - u).den == 1
+    if not any(a):
+        with pytest.raises(ZeroDivisionError):
+            u.inverse()
+        return
+    inv = u.inverse()
+    assert is_normal(inv)
+    assert u.inverse() == inv and inv.inverse() == u
