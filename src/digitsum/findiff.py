@@ -1,10 +1,16 @@
 """Iterated forward differences in a scaled index, and the two sides of the
-digit-weighted summation identity they connect."""
+digit-weighted summation identity they connect.
+
+The closed side differences samples of a polynomial, so it evaluates only
+deg + 1 of them on its last axis and rebuilds the rest of Delta^N from their
+Newton difference table (sampled_differences).
+"""
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .arith import CycloNum, combine_buckets
@@ -13,9 +19,9 @@ from .digits import digit_weighted_sum
 from .poly import RationalPoly, clear_denominators, integer_samples
 from .weights import beta_columns
 
-# forward_differences and beta_weighted_sum are package-internal and stay
-# out of __all__: bench/spans.py wraps every exported name, which would move
-# their time out of weighted_rhs's self time.
+# forward_differences, sampled_differences and beta_weighted_sum are
+# package-internal and stay out of __all__: bench/spans.py wraps every
+# exported name, which would move their time out of weighted_rhs's self time.
 __all__ = ["forward_diff_n", "lhs_sum", "weighted_rhs"]
 
 
@@ -26,6 +32,32 @@ def forward_differences(values: Sequence, N: int) -> list:
     for _ in range(N):
         values = [hi - lo for lo, hi in zip(values, values[1:])]
     return values
+
+
+def sampled_differences(g: list[int], start: int, step: int, count: int, N: int) -> list[int]:
+    """forward_differences(integer_samples(g, start, step, count), N), from
+    only the first deg g + 1 samples.
+
+    Package-internal.  With d = len(g) - 1, Delta^d of the samples is
+    constant and Delta^(d+1) vanishes, so Newton's difference table of the
+    first d + 1 samples gives the head of every Delta^t, and
+    Delta^t = accumulate(Delta^(t+1), initial=head_t) rebuilds Delta^N in
+    d - N running-sum passes down from the constant.
+    """
+    d = len(g) - 1
+    if count <= d + 1:
+        return forward_differences(integer_samples(g, start, step, count), N)
+    if N > d:
+        return [0] * max(count - N, 0)
+    heads = []
+    values = integer_samples(g, start, step, d + 1)
+    while values:
+        heads.append(values[0])
+        values = [hi - lo for lo, hi in zip(values, values[1:])]
+    diffs = [heads[d]] * (count - d)
+    for head in reversed(heads[N:d]):
+        diffs = list(accumulate(diffs, initial=head))
+    return diffs
 
 
 def beta_weighted_sum(f: RationalPoly, b: int, axes: Sequence[tuple[int, Fraction]], c) -> CycloNum:
@@ -56,7 +88,7 @@ def _closed_numerators(g: list[int], b: int, axes: Sequence[tuple[int, int]], C:
         inner = [_closed_numerators(g, b, rest, C + n * Y) for n in range(count)]
         columns = [forward_differences(col, N) for col in zip(*inner)]
     else:
-        columns = [forward_differences(integer_samples(g, C, Y, count), N)]
+        columns = [sampled_differences(g, C, Y, count, N)]
     # sum_k beta_k * delta_k: column m of the table against column p of the
     # data lands on xi^(m+p).
     buckets = [0] * b

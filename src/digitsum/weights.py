@@ -7,15 +7,22 @@ l = 0..N of a geometric factor (1 - z^(b^l))/(1 - z) times the bracket
 whose coefficients are the partial sums 1, 1+xi, 1+xi+xi^2, ... placed at
 multiples of b^l.  The top partial sum vanishes, which is what pins the
 table length to b^(N+1) - N - 1.
+
+Beta tables are expanded on integer power-basis columns.  The partial sums
+follow P_k = P_(k-1) + xi^k, and each xi^k comes from xi^(k-1) by one
+multiplication by xi: a shift of the coordinates and one fold through
+xi^phi(b).  The builder never reads a digit sum; the convolution duals
+check the tables against them.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .arith import CycloNum, euler_phi, xi, xi_power_coords
+from .arith import CycloNum, xi, xi_power_coords
 from .cost import charge
 from .digits import digit_sums
 
@@ -41,8 +48,7 @@ def alpha_table(N: int) -> tuple[int, ...]:
         for _ in range(N - l):
             # multiply by (1 + z^gap)
             nxt = coeffs + [0] * gap
-            for i, c in enumerate(coeffs):
-                nxt[i + gap] += c
+            nxt[gap:] = map(operator.add, nxt[gap:], coeffs)
             coeffs = nxt
     assert len(coeffs) == 2 ** (N + 1) - N - 1
     return tuple(coeffs)
@@ -56,20 +62,20 @@ def _mul_all_ones(coeffs: list[int], length: int) -> list[int]:
     return acc[:length] + [hi - lo for hi, lo in zip(acc[length:], acc)]
 
 
-@lru_cache(maxsize=None)
-def _bracket_matrices(b: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # Entry k multiplies by the partial sum P_k = 1 + xi + ... + xi^k as an
-    # integer phi x phi matrix: M[j][m] is the j-th coordinate of xi^m P_k.
-    # P_(b-1) vanishes and is left out.
-    powers = xi_power_coords(b)
-    phi = len(powers[0])
-    return tuple(
-        tuple(
-            tuple(sum(powers[(m + t) % b][j] for t in range(k + 1)) for m in range(phi))
-            for j in range(phi)
-        )
-        for k in range(b - 1)
-    )
+def _times_xi(coords: list[list[int]], fold: tuple[int, ...]) -> list[list[int]]:
+    # xi times the entries held column-wise in power-basis coordinates: shift
+    # every entry's coordinates up one place and fold the top one back as
+    # that multiple of xi^phi, whose coordinates are ``fold``.
+    top = coords[-1]
+    out = [[0] * len(top)] + coords[:-1]
+    for j, w in enumerate(fold):
+        if w == 1:
+            out[j] = list(map(operator.add, out[j], top))
+        elif w == -1:
+            out[j] = list(map(operator.sub, out[j], top))
+        elif w:
+            out[j] = [c + w * t for c, t in zip(out[j], top)]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -78,29 +84,31 @@ def beta_columns(b: int, N: int) -> tuple[tuple[int, ...], ...]:
     j-th power-basis coordinate of every entry.
 
     Package-internal.  Every entry lies in Z[xi], so the generating product
-    runs on plain ints: the geometric factor per column, each bracket term
-    as an integer matrix across the columns.
+    runs on plain ints: the geometric factor per column, then the bracket
+    as the partial sums P_k col = P_(k-1) col + xi^k col, added in at
+    offset k b^l, with xi^k col one shift-and-fold step from xi^(k-1) col.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
     if N < 0:
         raise ValueError(f"order must be >= 0, got {N}")
-    bracket = _bracket_matrices(b)
-    columns = [[1]] + [[0]] * (euler_phi(b) - 1)
+    powers = xi_power_coords(b)
+    fold = powers[len(powers[0])]
+    columns = [[1]] + [[0]] * (len(fold) - 1)
     for l in range(N + 1):
         gap = b**l
         columns = [_mul_all_ones(col, gap) for col in columns]
         n = len(columns[0])
-        size = n + (b - 2) * gap
-        out = []
-        for row in range(len(columns)):
-            acc = [0] * size
-            for k, matrix in enumerate(bracket):
-                off = k * gap
-                for w, col in zip(matrix[row], columns):
-                    if w:
-                        acc[off : off + n] = [a + w * c for a, c in zip(acc[off : off + n], col)]
-            out.append(acc)
+        out = [[0] * (n + (b - 2) * gap) for _ in columns]
+        power = partial = columns
+        # P_(b-1) vanishes, so k stops at b - 2.
+        for k in range(b - 1):
+            if k:
+                power = _times_xi(power, fold)
+                partial = [list(map(operator.add, p, q)) for p, q in zip(partial, power)]
+            off = k * gap
+            for acc, col in zip(out, partial):
+                acc[off : off + n] = map(operator.add, acc[off : off + n], col)
         columns = out
     expected = b ** (N + 1) - N - 1
     assert len(columns[0]) == expected, (b, N, len(columns[0]), expected)

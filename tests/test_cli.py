@@ -183,8 +183,10 @@ class TestWeightsCommand:
         assert out.splitlines() == ["k,c0", "0,1", "1,1"]
 
     @pytest.mark.parametrize("args,fmt", [
-        (args, fmt) for args, digests in WEIGHTS_SHA256.items() for fmt in digests
-    ], ids=" ".join)
+        pytest.param(args, fmt, id=f"{args} {fmt}")
+        for args, digests in WEIGHTS_SHA256.items()
+        for fmt in digests
+    ])
     def test_output_is_pinned(self, capsys, args, fmt):
         code, out, _ = invoke(capsys, "weights", *args.split(), "--format", fmt)
         assert code == 0

@@ -6,9 +6,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from digitsum.cost import CostCapExceeded
-from digitsum.findiff import forward_diff_n, lhs_sum, weighted_rhs
+from digitsum.findiff import (
+    forward_diff_n,
+    forward_differences,
+    lhs_sum,
+    sampled_differences,
+    weighted_rhs,
+)
 from digitsum.poly import RationalPoly, clear_denominators, integer_samples
 
 
@@ -144,3 +152,27 @@ class TestIntegerForm:
         g, scale, (C, Y) = clear_denominators(f, Fraction(1, 2), Fraction(-1, 4))
         values = [Fraction(v, scale) for v in integer_samples(g, C, Y, 5)]
         assert values == [f(Fraction(1, 2) - Fraction(n, 4)) for n in range(5)]
+
+
+class TestSampledDifferences:
+    # Every branch must meet the direct route: count <= deg + 1 falls back to
+    # it, N > deg gives zeros, and otherwise Newton's table of deg + 1 samples
+    # is run down in deg - N accumulate passes.  The examples pin each branch
+    # and the zero polynomial; the step may be zero or negative.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        g=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
+        start=st.integers(-50, 50),
+        step=st.integers(-7, 7),
+        count=st.integers(0, 40),
+        N=st.integers(0, 10),
+    )
+    @example(g=[0], start=3, step=2, count=20, N=0)
+    @example(g=[5, -1, 2], start=-4, step=0, count=3, N=1)
+    @example(g=[5, -1, 2], start=-4, step=-3, count=2, N=4)
+    @example(g=[1, 2, 3], start=0, step=-1, count=12, N=3)
+    @example(g=[1, 2], start=1, step=1, count=5, N=8)
+    @example(g=[7, 0, 0, 0, 0, 0, 0, 0, 9], start=2, step=-5, count=40, N=2)
+    def test_matches_differences_of_every_sample(self, g, start, step, count, N):
+        expected = forward_differences(integer_samples(g, start, step, count), N)
+        assert sampled_differences(g, start, step, count, N) == expected

@@ -1,12 +1,15 @@
 """Weight tables: generating products, moments, and convolution duals."""
 
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from digitsum.arith import CycloNum, xi, xi_power_table
+import digitsum
+from digitsum.arith import CycloNum, euler_phi, xi, xi_power_coords, xi_power_table
 from digitsum.digits import digit_sums
 from digitsum.findiff import forward_differences
 from digitsum.identities import verify_betaconv_dual2
@@ -67,12 +70,12 @@ def oracle_xi_from_convolution(b, N):
 # builder ran before it moved to integer coordinate columns.
 
 
-def oracle_mul_all_ones(coeffs, length, b):
+def oracle_mul_all_ones(coeffs, length, zero):
     if length == 1:
         return coeffs
     n = len(coeffs)
     out = []
-    running = CycloNum.zero(b)
+    running = zero
     for i in range(n + length - 1):
         if i < n:
             running = running + coeffs[i]
@@ -88,7 +91,7 @@ def oracle_beta_table(b, N):
     coeffs = [CycloNum.one(b)]
     for l in range(N + 1):
         gap = b**l
-        coeffs = oracle_mul_all_ones(coeffs, gap, b)
+        coeffs = oracle_mul_all_ones(coeffs, gap, CycloNum.zero(b))
         out = [CycloNum.zero(b)] * (len(coeffs) + bracket[-1][0] * gap)
         for k, w in bracket:
             for i, c in enumerate(coeffs):
@@ -96,6 +99,51 @@ def oracle_beta_table(b, N):
         coeffs = out
     return tuple(coeffs)
 
+
+# Oracle: the integer-column expansion with each bracket constant P_k applied
+# as a dense phi x phi matrix, as the table builder ran before it stepped
+# through the partial sums by one multiplication by xi at a time.
+
+
+def oracle_bracket_matrices(b):
+    # Entry k multiplies by the partial sum P_k = 1 + xi + ... + xi^k as an
+    # integer phi x phi matrix: M[j][m] is the j-th coordinate of xi^m P_k.
+    # P_(b-1) vanishes and is left out.
+    powers = xi_power_coords(b)
+    phi = euler_phi(b)
+    matrix = [[0] * phi for _ in range(phi)]
+    matrices = []
+    for k in range(b - 1):
+        matrix = [[matrix[j][m] + powers[(m + k) % b][j] for m in range(phi)] for j in range(phi)]
+        matrices.append(matrix)
+    return matrices
+
+
+def oracle_beta_columns(b, N):
+    bracket = oracle_bracket_matrices(b)
+    columns = [[1]] + [[0]] * (euler_phi(b) - 1)
+    for l in range(N + 1):
+        gap = b**l
+        columns = [oracle_mul_all_ones(col, gap, 0) for col in columns]
+        n = len(columns[0])
+        out = []
+        for row in range(len(columns)):
+            acc = [0] * (n + (b - 2) * gap)
+            for k, matrix in enumerate(bracket):
+                off = k * gap
+                for w, col in zip(matrix[row], columns):
+                    if w:
+                        acc[off : off + n] = [a + w * c for a, c in zip(acc[off : off + n], col)]
+            out.append(acc)
+        columns = out
+    return tuple(tuple(col) for col in columns)
+
+
+# Every (b, N) with b in 2..30 and b^(N+1) <= 20000, and b = 105, whose
+# cyclotomic polynomial has a coefficient -2: the only way to fold by a
+# weight outside {-1, 0, 1}.
+COLUMN_POINTS = [(b, N) for b in range(2, 31) for N in range(15) if b ** (N + 1) <= 20000]
+COLUMN_POINTS.append((105, 0))
 
 # Every (b, N) with b in 2..12 and b^(N+1) <= 3000.
 ORACLE_POINTS = [(b, N) for b in range(2, 13) for N in range(11) if b ** (N + 1) <= 3000]
@@ -152,6 +200,13 @@ class TestBetaTable:
         columns = beta_columns(b, N)
         assert all(type(v) is int for col in columns for v in col)
         assert beta_table(b, N) == oracle_beta_table(b, N)
+
+    @pytest.mark.parametrize("b,N", COLUMN_POINTS)
+    def test_columns_match_dense_bracket_matrices(self, b, N):
+        assert beta_columns(b, N) == oracle_beta_columns(b, N)
+
+    def test_base_105_folds_by_two(self):
+        assert 2 in map(abs, xi_power_coords(105)[euler_phi(105)])
 
     @pytest.mark.parametrize("b", [2, 3, 4])
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -226,3 +281,32 @@ class TestConvolutionDuals:
     def test_digit_weight_recovery(self, b, N):
         powers = xi_power_table(b)
         assert verify_betaconv_dual2(b, N).lhs == [powers[s % b] for s in digit_sums(b, b**N)]
+
+
+def test_table_builder_names_nothing_from_the_digit_side():
+    # betaconv-dual1/2 and the difference identities check the tables against
+    # digit weights, so beta_columns and every helper it reaches in weights.py
+    # or arith.py must build them from the generating product alone.
+    digit_side = {"digit_sums", "digit_weighted_sum", "beta_from_convolution"}
+    package = Path(digitsum.__file__).parent
+    functions = {
+        node.name: node
+        for name in ("weights.py", "arith.py")
+        for node in ast.parse((package / name).read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    seen, todo = set(), ["beta_columns"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        names = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not digit_side & names, (name, digit_side & names)
+        todo.extend(names & functions.keys())
+    assert {"_mul_all_ones", "_times_xi", "xi_power_coords"} <= seen
