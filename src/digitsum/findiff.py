@@ -38,15 +38,14 @@ def sampled_differences(g: list[int], start: int, step: int, count: int, N: int)
     """forward_differences(integer_samples(g, start, step, count), N), from
     only the first deg g + 1 samples.
 
-    Package-internal.  With d = len(g) - 1, Delta^d of the samples is
-    constant and Delta^(d+1) vanishes, so Newton's difference table of the
-    first d + 1 samples gives the head of every Delta^t, and
+    Package-internal.  With d = min(len(g), count) - 1, Delta^d of the
+    samples is constant (a single entry when count <= len(g)) and
+    Delta^(d+1) vanishes, so Newton's difference table of the first d + 1
+    samples gives the head of every Delta^t, and
     Delta^t = accumulate(Delta^(t+1), initial=head_t) rebuilds Delta^N in
     d - N running-sum passes down from the constant.
     """
-    d = len(g) - 1
-    if count <= d + 1:
-        return forward_differences(integer_samples(g, start, step, count), N)
+    d = min(len(g), count) - 1
     if N > d:
         return [0] * max(count - N, 0)
     heads = []

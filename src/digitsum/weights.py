@@ -65,7 +65,8 @@ def _mul_all_ones(coeffs: list[int], length: int) -> list[int]:
 def _times_xi(coords: list[list[int]], fold: tuple[int, ...]) -> list[list[int]]:
     # xi times the entries held column-wise in power-basis coordinates: shift
     # every entry's coordinates up one place and fold the top one back as
-    # that multiple of xi^phi, whose coordinates are ``fold``.
+    # that multiple of xi^phi, whose coordinates are ``fold``.  Weights +-1,
+    # the only ones below b = 105, add or subtract without a multiply.
     top = coords[-1]
     out = [[0] * len(top)] + coords[:-1]
     for j, w in enumerate(fold):

@@ -155,10 +155,10 @@ class TestIntegerForm:
 
 
 class TestSampledDifferences:
-    # Every branch must meet the direct route: count <= deg + 1 falls back to
-    # it, N > deg gives zeros, and otherwise Newton's table of deg + 1 samples
-    # is run down in deg - N accumulate passes.  The examples pin each branch
-    # and the zero polynomial; the step may be zero or negative.
+    # Every case must meet the direct route: N > min(deg, count - 1) gives
+    # zeros, and otherwise Newton's table of min(deg + 1, count) samples is
+    # run down in accumulate passes.  The examples pin count <= deg + 1,
+    # N > deg and the zero polynomial; the step may be zero or negative.
     @settings(max_examples=300, deadline=None)
     @given(
         g=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
