@@ -5,6 +5,10 @@ Subcommands: ``verify`` (identity certificates), ``weights`` (table dumps),
 coefficients).  Exit codes: 0 success, 1 identity/certificate mismatch,
 2 usage error, 3 cost-cap refusal.  Rationals are always serialized as
 "p/q" strings, never floats.
+
+Each ``_cmd_*`` takes the parsed arguments and the resolved cost cap and
+returns ``(exit_code, text)``; :func:`run` is the one place that writes the
+text, to stdout or ``--output``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import identities
@@ -35,32 +38,6 @@ from .weights import alpha_table, beta_columns, beta_table
 ENV_MAX_COST = "DIGITSUM_MAX_COST"
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: subcommand plus the knobs shared by all of them."""
-
-    subcommand: str
-    output_format: str
-    output_path: str | None
-    seed: int
-    max_cost: int
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        if args.max_cost is not None:
-            max_cost = parse_cost(args.max_cost)
-        else:
-            env = os.environ.get(ENV_MAX_COST)
-            max_cost = parse_cost(env) if env else DEFAULT_MAX_COST
-        return cls(
-            subcommand=args.subcommand,
-            output_format=args.format,
-            output_path=args.output,
-            seed=parse_seed(args.seed),
-            max_cost=max_cost,
-        )
-
-
 def parse_cost(text: str) -> int:
     """Cost caps accept plain integers or power notation like 2^20."""
     text = text.strip()
@@ -72,6 +49,12 @@ def parse_cost(text: str) -> int:
     if value < 1:
         raise ValueError(f"max cost must be >= 1, got {value}")
     return value
+
+
+def _max_cost(flag: str | None) -> int:
+    """``--max-cost``, else a nonempty ``$DIGITSUM_MAX_COST``, else the default."""
+    text = flag if flag is not None else os.environ.get(ENV_MAX_COST) or None
+    return DEFAULT_MAX_COST if text is None else parse_cost(text)
 
 
 def parse_seed(text: str) -> int:
@@ -150,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
         p.add_argument(
-            "--seed", type=str, default=str(DEFAULT_SEED), help="seed for randomized inputs"
-        )
-        p.add_argument(
             "--max-cost",
             type=str,
             default=None,
@@ -181,6 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--draws", type=int, default=3, help="random draws per configuration")
     p_verify.add_argument(
         "--timings", action="store_true", help="include wall-clock timings in the output"
+    )
+    p_verify.add_argument(
+        "--seed", type=str, default=str(DEFAULT_SEED), help="seed for randomized inputs"
     )
     common(p_verify, "json")
 
@@ -225,6 +208,18 @@ def _emit(text: str, output_path: str | None) -> None:
             handle.write(text)
 
 
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header: list, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -254,14 +249,11 @@ def _single_identity_reports(args, rng: random.Random, max_cost: int) -> list[Id
 
 def _format_reports(reports: list[IdentityReport], fmt: str, timings: bool) -> str:
     if fmt == "json":
-        payload = [report_to_dict(rep, include_timing=timings) for rep in reports]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json([report_to_dict(rep, include_timing=timings) for rep in reports])
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["identity", "params", "lhs", "rhs", "equal"])
-        for rep in reports:
-            writer.writerow(
+        return _csv(
+            ["identity", "params", "lhs", "rhs", "equal"],
+            (
                 [
                     rep.identity,
                     json.dumps({k: scalar_to_json(v) for k, v in rep.params.items()}, sort_keys=True),
@@ -269,8 +261,9 @@ def _format_reports(reports: list[IdentityReport], fmt: str, timings: bool) -> s
                     json.dumps(scalar_to_json(rep.rhs)),
                     rep.equal,
                 ]
-            )
-        return buffer.getvalue()
+                for rep in reports
+            ),
+        )
     lines = []
     for rep in reports:
         bits = " ".join(f"{k}={scalar_to_json(v)}" for k, v in rep.params.items())
@@ -283,59 +276,43 @@ def _format_reports(reports: list[IdentityReport], fmt: str, timings: bool) -> s
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args, max_cost: int) -> tuple[int, str]:
+    seed = parse_seed(args.seed)
     if args.all:
-        reports = identities.run_suite(seed=config.seed, max_cost=config.max_cost)
+        reports = identities.run_suite(seed=seed, max_cost=max_cost)
     else:
-        rng = random.Random(config.seed)
-        reports = _single_identity_reports(args, rng, config.max_cost)
+        reports = _single_identity_reports(args, random.Random(seed), max_cost)
         for rep in reports:
-            rep.params.setdefault("seed", config.seed)
-    _emit(_format_reports(reports, config.output_format, args.timings), config.output_path)
-    return 0 if all(rep.equal for rep in reports) else 1
+            rep.params.setdefault("seed", seed)
+    code = 0 if all(rep.equal for rep in reports) else 1
+    return code, _format_reports(reports, args.format, args.timings)
 
 
 # ---------------------------------------------------------------------------
 # weights
 
 
-def _cmd_weights(args, config: RunConfig) -> int:
+def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
     b, N, kind = args.base, args.order, args.kind
     if kind == "alpha" and b != 2:
         raise ValueError("alpha tables exist only for base 2")
     if N >= 0:  # a negative order is left to the builders' usage error
-        charge(b ** (N + 1) - N - 1, config.max_cost)
-    if config.output_format == "text":
+        charge(b ** (N + 1) - N - 1, max_cost)
+    if args.format == "text":
         table = alpha_table(N) if kind == "alpha" else beta_table(b, N)
         lines = [f"{kind} table b={b} N={N} ({len(table)} entries)"]
         for k, v in enumerate(table):
             lines.append(f"  {k}: {v}")
-        _emit("\n".join(lines) + "\n", config.output_path)
-        return 0
+        return 0, "\n".join(lines) + "\n"
     # Every entry has integer coordinates, and str(int) == str(Fraction(int)).
     if kind == "alpha":
         coeff_lists = [[str(v)] for v in alpha_table(N)]
     else:
         coeff_lists = [list(map(str, coords)) for coords in zip(*beta_columns(b, N))]
-    if config.output_format == "json":
-        payload = {
-            "b": b,
-            "N": N,
-            "kind": kind,
-            "phi_b": euler_phi(b),
-            "values": coeff_lists,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        phi = euler_phi(b)
-        writer.writerow(["k"] + [f"c{i}" for i in range(phi if kind == "beta" else 1)])
-        for k, coeffs in enumerate(coeff_lists):
-            writer.writerow([k] + coeffs)
-        text = buffer.getvalue()
-    _emit(text, config.output_path)
-    return 0
+    if args.format == "json":
+        return 0, _json({"b": b, "N": N, "kind": kind, "phi_b": euler_phi(b), "values": coeff_lists})
+    header = ["k"] + [f"c{i}" for i in range(euler_phi(b) if kind == "beta" else 1)]
+    return 0, _csv(header, ([k] + coeffs for k, coeffs in enumerate(coeff_lists)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +326,19 @@ def _class_lines(label: str, expanded: list[list[Fraction]]) -> list[str]:
     ]
 
 
-def _cmd_pte_show(args, config: RunConfig) -> int:
+def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
     kmax = args.kmax if args.kmax is not None else args.order - 1
     # Power-sum terms of one certificate; bad values are left to the usage errors.
     if args.base >= 2 and args.order >= 1 and kmax >= 0:
-        charge(args.base**args.order * (kmax + 1), config.max_cost)
-    partition = generalized_partition(args.base, args.order, args.x, args.y, config.max_cost)
+        charge(args.base**args.order * (kmax + 1), max_cost)
+    partition = generalized_partition(args.base, args.order, args.x, args.y, max_cost)
     certificate = verify_power_sums(partition, kmax)
     reduced = cancel_common(partition)
     reduced_certificate = verify_power_sums(reduced, kmax)
+    code = 0 if certificate.valid and reduced_certificate.valid else 1
 
-    if config.output_format == "json":
-        payload = {
+    if args.format == "json":
+        return code, _json({
             "b": partition.b,
             "N": partition.N,
             "x": str(partition.x),
@@ -374,46 +352,41 @@ def _cmd_pte_show(args, config: RunConfig) -> int:
                 "power_sums": [[str(v) for v in row] for row in reduced_certificate.power_sums],
                 "valid": reduced_certificate.valid,
             },
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif config.output_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["class", "values", "power_sums"])
-        for i, values in enumerate(partition.expanded()):
-            writer.writerow(
+        })
+    if args.format == "csv":
+        return code, _csv(
+            ["class", "values", "power_sums"],
+            (
                 [i, " ".join(map(str, values)), " ".join(map(str, certificate.power_sums[i]))]
-            )
-        text = buffer.getvalue()
-    else:
-        lines = [f"base={partition.b} order={partition.N} x={partition.x} y={partition.y}"]
-        lines += _class_lines("class", partition.expanded())
-        lines.append(f"power sums (k = 0..{kmax}):")
-        for k in range(kmax + 1):
-            row = " = ".join(str(certificate.power_sums[i][k]) for i in range(partition.b))
-            lines.append(f"  k={k}: {row}")
-        lines.append(f"certificate: {'VALID' if certificate.valid else 'INVALID'} (k <= {kmax})")
-        lines.append(f"reduced partition (size {reduced.reduced_size}):")
-        lines += _class_lines("reduced class", reduced.expanded())
-        text = "\n".join(lines) + "\n"
-    _emit(text, config.output_path)
-    return 0 if certificate.valid and reduced_certificate.valid else 1
+                for i, values in enumerate(partition.expanded())
+            ),
+        )
+    lines = [f"base={partition.b} order={partition.N} x={partition.x} y={partition.y}"]
+    lines += _class_lines("class", partition.expanded())
+    lines.append(f"power sums (k = 0..{kmax}):")
+    for k in range(kmax + 1):
+        row = " = ".join(str(certificate.power_sums[i][k]) for i in range(partition.b))
+        lines.append(f"  k={k}: {row}")
+    lines.append(f"certificate: {'VALID' if certificate.valid else 'INVALID'} (k <= {kmax})")
+    lines.append(f"reduced partition (size {reduced.reduced_size}):")
+    lines += _class_lines("reduced class", reduced.expanded())
+    return code, "\n".join(lines) + "\n"
 
 
-def _cmd_pte_search(args, config: RunConfig) -> int:
+def _cmd_pte_search(args, max_cost: int) -> tuple[int, str]:
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
     results = search_small_solutions(
         args.base,
         args.order,
-        parse_grid(args.x_grid, config.max_cost),
-        parse_grid(args.y_grid, config.max_cost),
+        parse_grid(args.x_grid, max_cost),
+        parse_grid(args.y_grid, max_cost),
         k_max=args.kmax,
         min_size=args.min_size,
-        max_cost=config.max_cost,
+        max_cost=max_cost,
     )[: args.top]
-    if config.output_format == "json":
-        payload = {
+    if args.format == "json":
+        return 0, _json({
             "b": args.base,
             "N": args.order,
             "solutions": [
@@ -426,54 +399,38 @@ def _cmd_pte_search(args, config: RunConfig) -> int:
                 }
                 for res in results
             ],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif config.output_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["x", "y", "reduced_size", "classes"])
-        for res in results:
-            writer.writerow(
+        })
+    if args.format == "csv":
+        return 0, _csv(
+            ["x", "y", "reduced_size", "classes"],
+            (
                 [
                     res.x,
                     res.y,
                     res.reduced.reduced_size,
                     " | ".join(" ".join(map(str, values)) for values in res.reduced.expanded()),
                 ]
-            )
-        text = buffer.getvalue()
-    else:
-        lines = [f"search base={args.base} order={args.order}: {len(results)} result(s)"]
-        for res in results:
-            classes = " | ".join(
-                "{" + ", ".join(map(str, values)) + "}" for values in res.reduced.expanded()
-            )
-            lines.append(f"  x={res.x} y={res.y} size={res.reduced.reduced_size}: {classes}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, config.output_path)
-    return 0
+                for res in results
+            ),
+        )
+    lines = [f"search base={args.base} order={args.order}: {len(results)} result(s)"]
+    for res in results:
+        classes = " | ".join("{" + ", ".join(map(str, values)) + "}" for values in res.reduced.expanded())
+        lines.append(f"  x={res.x} y={res.y} size={res.reduced.reduced_size}: {classes}")
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_bernoulli(args, config: RunConfig) -> int:
+def _cmd_bernoulli(args, max_cost: int) -> tuple[int, str]:
     d = args.degree
     if d >= 0:  # a negative degree is left to bernoulli_poly's usage error
-        charge((d + 1) * (d + 2) // 2, config.max_cost)  # Akiyama-Tanigawa steps
-    poly = bernoulli_poly(d)
-    coeffs = list(poly.coeffs) or [Fraction(0)]
-    if config.output_format == "json":
-        text = json.dumps({"degree": args.degree, "coeffs": [str(c) for c in coeffs]}) + "\n"
-    elif config.output_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["power", "coefficient"])
-        for i, c in enumerate(coeffs):
-            writer.writerow([i, c])
-        text = buffer.getvalue()
-    else:
-        terms = ", ".join(f"x^{i}: {c}" for i, c in enumerate(coeffs))
-        text = f"B_{args.degree}(x) coefficients (constant first): {terms}\n"
-    _emit(text, config.output_path)
-    return 0
+        charge((d + 1) * (d + 2) // 2, max_cost)  # Akiyama-Tanigawa steps
+    coeffs = list(bernoulli_poly(d).coeffs) or [Fraction(0)]
+    if args.format == "json":
+        return 0, json.dumps({"degree": d, "coeffs": [str(c) for c in coeffs]}) + "\n"
+    if args.format == "csv":
+        return 0, _csv(["power", "coefficient"], enumerate(coeffs))
+    terms = ", ".join(f"x^{i}: {c}" for i, c in enumerate(coeffs))
+    return 0, f"B_{d}(x) coefficients (constant first): {terms}\n"
 
 
 _COMMANDS = {
@@ -491,15 +448,25 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Exact output is the contract, so a result the cost cap allowed prints
+    # however many digits it has.  Python 3.10.0-3.10.6 have no such limit.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
-        config = RunConfig.from_args(args)
-        return _COMMANDS[args.subcommand](args, config)
+        code, text = _COMMANDS[args.subcommand](args, _max_cost(args.max_cost))
+        _emit(text, args.output)
+        return code
     except CostCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -1,9 +1,9 @@
 """Iterated forward differences in a scaled index, and the two sides of the
 digit-weighted summation identity they connect.
 
-The closed side differences samples of a polynomial, so it evaluates only
-deg + 1 of them on its last axis and rebuilds the rest of Delta^N from their
-Newton difference table (sampled_differences).
+The closed side differences samples of polynomials of degree <= deg f, so
+on every axis it computes only deg f + 1 of them and rebuilds the rest of
+Delta^N from their Newton difference table (sampled_differences).
 """
 
 from __future__ import annotations
@@ -34,22 +34,22 @@ def forward_differences(values: Sequence, N: int) -> list:
     return values
 
 
-def sampled_differences(g: list[int], start: int, step: int, count: int, N: int) -> list[int]:
-    """forward_differences(integer_samples(g, start, step, count), N), from
-    only the first deg g + 1 samples.
+def sampled_differences(samples: Sequence[int], count: int, N: int) -> list[int]:
+    """Delta^N of a count-term sequence from its first len(samples) <= count
+    terms, where the sequence is a polynomial in its index of degree
+    < len(samples), or has only those terms.
 
-    Package-internal.  With d = min(len(g), count) - 1, Delta^d of the
-    samples is constant (a single entry when count <= len(g)) and
-    Delta^(d+1) vanishes, so Newton's difference table of the first d + 1
-    samples gives the head of every Delta^t, and
-    Delta^t = accumulate(Delta^(t+1), initial=head_t) rebuilds Delta^N in
-    d - N running-sum passes down from the constant.
+    Package-internal.  With d = len(samples) - 1, Delta^d of the sequence is
+    constant (a single entry when count == len(samples)) and Delta^(d+1)
+    vanishes, so Newton's difference table of the samples gives the head of
+    every Delta^t, and Delta^t = accumulate(Delta^(t+1), initial=head_t)
+    rebuilds Delta^N in d - N running-sum passes down from the constant.
     """
-    d = min(len(g), count) - 1
+    d = len(samples) - 1
     if N > d:
         return [0] * max(count - N, 0)
     heads = []
-    values = integer_samples(g, start, step, d + 1)
+    values = samples
     while values:
         heads.append(values[0])
         values = [hi - lo for lo, hi in zip(values, values[1:])]
@@ -80,14 +80,16 @@ def _closed_numerators(g: list[int], b: int, axes: Sequence[tuple[int, int]], C:
     # beta_weighted_sum times its scale, as b integer residue buckets: bucket
     # r holds the coefficient of xi^r.  An entry of the sampled data is the
     # b-vector of the inner sums on an outer axis and a plain integer on the
-    # last one (a single column).
+    # last one (a single column).  Either way entry n is a polynomial in n of
+    # degree < len(g), so only the first len(g) entries are computed.
     (N, Y), rest = axes[0], axes[1:]
     count = b**N
+    sampled = min(len(g), count)
     if rest:
-        inner = [_closed_numerators(g, b, rest, C + n * Y) for n in range(count)]
-        columns = [forward_differences(col, N) for col in zip(*inner)]
+        inner = [_closed_numerators(g, b, rest, C + n * Y) for n in range(sampled)]
+        columns = [sampled_differences(col, count, N) for col in zip(*inner)]
     else:
-        columns = [sampled_differences(g, C, Y, count, N)]
+        columns = [sampled_differences(integer_samples(g, C, Y, sampled), count, N)]
     # sum_k beta_k * delta_k: column m of the table against column p of the
     # data lands on xi^(m+p).
     buckets = [0] * b

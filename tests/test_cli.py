@@ -465,6 +465,81 @@ class TestOutputFile:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["values"] == [["1"], ["1"]]
 
+    @pytest.mark.parametrize("argv,expected_code", [
+        ("verify --identity moment0 --seed 42 --format csv", 0),
+        ("weights --base 3 --order 2 --format text", 0),
+        ("pte-show --base 2 --order 3 --x 0 --y 1 --kmax 3", 1),
+        ("pte-search --base 2 --order 3 --x-grid=-2..2 --y-grid 1,1/2,2 --top 5", 0),
+        ("bernoulli --degree 4 --format json", 0),
+    ])
+    def test_file_gets_the_bytes_stdout_gets(self, capsys, tmp_path, argv, expected_code):
+        code, out, _ = invoke(capsys, *argv.split())
+        assert code == expected_code and out
+        target = tmp_path / "out"
+        code, empty, _ = invoke(capsys, *argv.split(), "--output", str(target))
+        assert code == expected_code and empty == ""
+        assert target.read_bytes() == out.encode()
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        "weights --base 2 --order 1",
+        "pte-show --base 2 --order 3 --x 1 --y 1",
+        "pte-search --base 2 --order 3 --x-grid 1 --y-grid 1",
+        "bernoulli --degree 2",
+    ])
+    def test_only_verify_takes_a_seed(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv.split(), "--seed", "3")
+        assert code == 2 and out == "" and "unrecognized arguments: --seed 3" in err
+
+    def test_verify_rejects_a_negative_seed(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--identity", "moment0", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be a 64-bit unsigned integer, got -1\n"
+
+
+class TestIntStringLimit:
+    def test_result_past_the_limit_prints_in_full(self, capsys):
+        # x = 10^3000 makes class 1 hold x + 1 and its square, 6001 digits,
+        # past Python's default 4300-digit int -> str limit.
+        x = "1" + "0" * 3000
+        x_plus_1 = "1" + "0" * 2999 + "1"
+        square = "1" + "0" * 2999 + "2" + "0" * 2999 + "1"
+        code, out, err = invoke(
+            capsys, "pte-show", "--base", "2", "--order", "1", "--x", x, "--y", "1", "--kmax", "2"
+        )
+        assert code == 1 and err == ""
+        assert out.splitlines() == [
+            f"base=2 order=1 x={x} y=1",
+            "class 0: 0",
+            f"class 1: {x_plus_1}",
+            "power sums (k = 0..2):",
+            "  k=0: 1 = 1",
+            f"  k=1: 0 = {x_plus_1}",
+            f"  k=2: 0 = {square}",
+            "certificate: INVALID (k <= 2)",
+            "reduced partition (size 2):",
+            "reduced class 0: 0",
+            f"reduced class 1: {x_plus_1}",
+        ]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str limit")
+    @pytest.mark.parametrize("argv,expected_code", [
+        ("bernoulli --degree 2", 0),
+        ("pte-show --base 2 --order 3 --x 0 --y 1 --kmax 3", 1),
+        ("weights --base 3 --order 1 --kind alpha", 2),
+        ("bernoulli --degree 3000 --max-cost 1", 3),
+    ])
+    def test_run_restores_the_limit(self, capsys, argv, expected_code):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            code, _, _ = invoke(capsys, *argv.split())
+            assert code == expected_code
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(previous)
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

@@ -175,4 +175,5 @@ class TestSampledDifferences:
     @example(g=[7, 0, 0, 0, 0, 0, 0, 0, 9], start=2, step=-5, count=40, N=2)
     def test_matches_differences_of_every_sample(self, g, start, step, count, N):
         expected = forward_differences(integer_samples(g, start, step, count), N)
-        assert sampled_differences(g, start, step, count, N) == expected
+        samples = integer_samples(g, start, step, min(len(g), count))
+        assert sampled_differences(samples, count, N) == expected

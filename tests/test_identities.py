@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from digitsum.arith import CycloNum, xi
 from digitsum.cost import CostCapExceeded
@@ -30,6 +32,7 @@ from digitsum.identities import (
     verify_multi_mixed_sum,
 )
 from digitsum.poly import RationalPoly
+from digitsum.weights import beta_moment0, beta_moment1
 
 
 def rand_fraction(rng, nonzero=False):
@@ -319,11 +322,34 @@ class TestHFamily:
         (3, 1, 1, 2, (-6, -36)),  # -6 - 36 xi
     ])
     def test_conjectured_constant_misses_by_a_pinned_amount(self, b, N, x1, x2, difference):
-        # The conjectured constant term is unresolved: it differs from the
-        # derived one, which brute force confirms, by exactly these amounts.
+        # The conjectured constant term differs from the derived one, which
+        # brute force confirms, by exactly these amounts.
         report = verify_joint_line_general(b, N, x1, x2)
         assert report.equal
         assert report.extras["constant_conjectured"] - report.rhs[0] == CycloNum(b, difference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        b=st.integers(2, 5),
+        N=st.integers(1, 3),
+        x1=st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+        x2=st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    )
+    def test_conjectured_minus_derived_constant(self, b, N, x1, x2):
+        # With X_i = x_i / (x2 - x1) and T4 the derived form's last bracket,
+        # conjectured - derived = (-1)^N N! [m0 x2^N X1 ((N+1) X2 + 1)/2
+        # + (xi - xi^2) T4]: the conjectured form puts (N+1)/2 X2^2 where the
+        # derived one has (N X2 + 1)/2, and weights T4 by xi^2 instead of xi.
+        assume(x1 != x2)
+        report = verify_joint_line_general(b, N, x1, x2)
+        assert report.equal
+        m0, m1 = beta_moment0(b, N), beta_moment1(b, N)
+        X1, X2 = x1 / (x2 - x1), x2 / (x2 - x1)
+        T4 = (m0 * (b**N * X1 + Fraction(1, 2) + Fraction(N, 2) * X2) + m1 * X2) * x2**N
+        root = xi(b)
+        gap = m0 * (x2**N * X1 * ((N + 1) * X2 + 1) / 2) + (root - root * root) * T4
+        expected = gap * ((-1) ** N * math.factorial(N))
+        assert report.extras["constant_conjectured"] - report.rhs[0] == expected
 
 
 class TestGeneralizedPte:
