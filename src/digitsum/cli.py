@@ -461,7 +461,7 @@ def run(argv: list[str] | None = None) -> int:
     except CostCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -5,7 +5,11 @@ The kernel (:func:`digit_weighted_sum`) reads only the digit-sum table
 below and ends in ``arith.combine_buckets``, the one place residue buckets
 become coordinates; it never touches weight tables, moments or Bernoulli
 code, so the brute-force side of each identity stays independent of its
-closed form.  It is package-internal, not exported.
+closed form.  It is package-internal, not exported.  It serves every
+brute-force sum but one: ``identities.joint_weight_polynomial`` keeps its
+own bucket loop over the same table, because its weight
+xi^s(i_1+...+i_m) is the digit sum of the index sum, not a product of
+per-axis weights.
 """
 
 from __future__ import annotations

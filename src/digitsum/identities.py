@@ -2,7 +2,8 @@
 
 Each ``verify_*`` function evaluates one identity both ways in exact
 arithmetic and returns an :class:`IdentityReport` whose ``equal`` flag means
-literal equality, never tolerance.  :data:`FAMILIES` is the one table of
+literal equality plus the identity's extra condition, never tolerance; it
+is decided once, in :func:`_report`.  :data:`FAMILIES` is the one table of
 how each identity's inputs are drawn: :func:`run_suite` walks its full
 deterministic schedule for ``digitsum verify --all``, and
 ``digitsum verify --identity`` runs one id from its default point.
@@ -76,7 +77,7 @@ __all__ = [
 DEFAULT_SEED = 42
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityReport:
     """Outcome of one exact identity check."""
 
@@ -115,20 +116,28 @@ class MultiIndexConfig:
     def total_order(self) -> int:
         return sum(self.N_list)
 
+    def params(self) -> dict:
+        """Report params: base, orders, whichever offsets are set, scales."""
+        out = {"b": self.b, "N_list": list(self.N_list)}
+        if self.x_list is not None:
+            out["x_list"] = list(self.x_list)
+        if self.x is not None:
+            out["x"] = self.x
+        out["y_list"] = list(self.y_list)
+        return out
 
-def _exact_equal(a, b) -> bool:
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_exact_equal(u, v) for u, v in zip(a, b))
-    return a == b
 
-
-def _report(identity: str, params: dict, lhs, rhs, start: float, extras=None) -> IdentityReport:
+def _report(
+    identity: str, params: dict, lhs, rhs, start: float, extras=None, also: bool = True
+) -> IdentityReport:
+    """The one place a verdict is decided: the two sides are literally equal
+    (lists element by element) and the identity's extra condition holds."""
     return IdentityReport(
         identity=identity,
         params=params,
         lhs=lhs,
         rhs=rhs,
-        equal=_exact_equal(lhs, rhs),
+        equal=(lhs == rhs) and also,
         elapsed_ms=(time.perf_counter() - start) * 1e3,
         extras=extras or {},
     )
@@ -166,16 +175,12 @@ def verify_power_sum(
     y = Fraction(y)
     p = N if which == "N" else N + 1
     lhs = lhs_sum(RationalPoly.monomial(p), x, y, b, N, max_cost)
-    base = beta_moment0(b, N) * (y**N * math.factorial(N))
-    if N % 2:
-        base = -base
+    scale = math.factorial(N) * (-y) ** N
+    m0 = beta_moment0(b, N)
     if which == "N":
-        rhs = base
+        rhs = m0 * scale
     else:
-        root = xi(b)
-        growth = Fraction(b**N - 1, b - 1)
-        bracket = x + (Fraction(b, 2) + root / (CycloNum.one(b) - root)) * (y * growth)
-        rhs = base * (N + 1) * bracket
+        rhs = (m0 * x + (beta_moment1(b, N) + m0 * Fraction(N, 2)) * y) * (scale * (N + 1))
     params = {"b": b, "N": N, "x": x, "y": y, "which": which}
     return _report(f"power-sum-{'n' if which == 'N' else 'n1'}", params, lhs, rhs, start)
 
@@ -274,15 +279,7 @@ def verify_multisum(
 
     # The closed side samples f itself rather than reusing the brute sum.
     rhs = beta_weighted_sum(f, b, list(zip(config.N_list, config.y_list)), config.x)
-
-    params = {
-        "b": b,
-        "N_list": list(config.N_list),
-        "x": config.x,
-        "y_list": list(config.y_list),
-        "f": list(f.coeffs),
-    }
-    return _report("multisum", params, lhs, rhs, start)
+    return _report("multisum", {**config.params(), "f": list(f.coeffs)}, lhs, rhs, start)
 
 
 def verify_multi_power_sum(config: MultiIndexConfig, max_cost: int | None = None) -> IdentityReport:
@@ -292,42 +289,25 @@ def verify_multi_power_sum(config: MultiIndexConfig, max_cost: int | None = None
         raise ValueError("config.x is required")
     start = time.perf_counter()
     b = config.b
-    sizes = _axis_ranges(config)
-    charge(math.prod(sizes), max_cost)
+    charge(math.prod(_axis_ranges(config)), max_cost)
     total_N = config.total_order
+    axes = [(N, 0, yj) for N, yj in zip(config.N_list, config.y_list)]
+    lhs = digit_weighted_sum(RationalPoly.monomial(total_N), b, axes, config.x)
 
-    lhs = digit_weighted_sum(
-        RationalPoly.monomial(total_N),
-        b,
-        [(N, 0, yj) for N, yj in zip(config.N_list, config.y_list)],
-        config.x,
-    )
-
-    root = xi(b)
     scale = Fraction(b) ** sum(N * (N + 1) // 2 for N in config.N_list)
-    yprod = math.prod(
-        (yj**N for yj, N in zip(config.y_list, config.N_list)), start=Fraction(1)
-    )
-    rhs = (root - 1) ** (-total_N) * (scale * yprod * math.factorial(total_N))
+    yprod = math.prod((yj**N for yj, N in zip(config.y_list, config.N_list)), start=Fraction(1))
+    rhs = (xi(b) - 1) ** (-total_N) * (scale * yprod * math.factorial(total_N))
 
     extras = {}
-    equal = _exact_equal(lhs, rhs)
+    also = True
     if b == 2:
         base2 = Fraction(2) ** sum(N * (N - 1) // 2 for N in config.N_list)
         base2 *= yprod * math.factorial(total_N)
         if total_N % 2:
             base2 = -base2
         extras["base2_form"] = base2
-        equal = equal and rhs == base2
-    params = {
-        "b": b,
-        "N_list": list(config.N_list),
-        "x": config.x,
-        "y_list": list(config.y_list),
-    }
-    report = _report("multi-power-sum", params, lhs, rhs, start, extras)
-    report.equal = equal
-    return report
+        also = rhs == base2
+    return _report("multi-power-sum", config.params(), lhs, rhs, start, extras, also)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +323,14 @@ def mixed_power_sum(b: int, N: int, l: int, x, y, max_cost: int | None = None) -
         raise ValueError(f"need N >= 0 and l >= 0, got N={N}, l={l}")
     charge(b**N, max_cost)
     return digit_weighted_sum(RationalPoly.monomial(l), b, [(N, x, y)])
+
+
+def _mixed_closed_form(b: int, axes) -> CycloNum:
+    """(b/(xi-1))^T T! prod_j prod_{i<N_j} (x_j + b^i y_j) over the axes
+    (N_j, x_j, y_j), with T = sum N_j."""
+    total = sum(N for N, _, _ in axes)
+    prod = math.prod((xj + b**i * yj for N, xj, yj in axes for i in range(N)), start=Fraction(1))
+    return (xi(b) - 1) ** (-total) * (Fraction(b) ** total * math.factorial(total) * prod)
 
 
 def verify_mixed_vanishing(b: int, N: int, l: int, x, y, max_cost: int | None = None) -> IdentityReport:
@@ -365,9 +353,7 @@ def verify_mixed_closed_form(b: int, N: int, x, y, max_cost: int | None = None) 
     x = Fraction(x)
     y = Fraction(y)
     lhs = mixed_power_sum(b, N, N, x, y, max_cost)
-    root = xi(b)
-    prod = math.prod((x + b**l * y for l in range(N)), start=Fraction(1))
-    rhs = (root - 1) ** (-N) * (Fraction(b) ** N * math.factorial(N) * prod)
+    rhs = _mixed_closed_form(b, [(N, x, y)])
     return _report("mixed-sum-closed-form", {"b": b, "N": N, "x": x, "y": y}, lhs, rhs, start)
 
 
@@ -397,32 +383,11 @@ def verify_multi_mixed_sum(config: MultiIndexConfig, max_cost: int | None = None
     if config.x_list is None:
         raise ValueError("config.x_list is required")
     start = time.perf_counter()
-    b = config.b
-    sizes = _axis_ranges(config)
-    charge(math.prod(sizes), max_cost)
-    total_N = config.total_order
-
-    lhs = digit_weighted_sum(
-        RationalPoly.monomial(total_N),
-        b,
-        list(zip(config.N_list, config.x_list, config.y_list)),
-    )
-
-    root = xi(b)
-    prod = Fraction(1)
-    for xj, yj, N in zip(config.x_list, config.y_list, config.N_list):
-        for i in range(N):
-            prod *= xj + b**i * yj
-    rhs = (root - 1) ** (-total_N) * (
-        Fraction(b) ** total_N * math.factorial(total_N) * prod
-    )
-    params = {
-        "b": b,
-        "N_list": list(config.N_list),
-        "x_list": list(config.x_list),
-        "y_list": list(config.y_list),
-    }
-    return _report("multi-mixed-sum", params, lhs, rhs, start)
+    charge(math.prod(_axis_ranges(config)), max_cost)
+    axes = list(zip(config.N_list, config.x_list, config.y_list))
+    lhs = digit_weighted_sum(RationalPoly.monomial(config.total_order), config.b, axes)
+    rhs = _mixed_closed_form(config.b, axes)
+    return _report("multi-mixed-sum", config.params(), lhs, rhs, start)
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +486,9 @@ def verify_joint_line_base2(N: int, x1, x2, t, max_cost: int | None = None) -> I
     lhs = sum((c * t**q for q, c in enumerate(coeffs)), CycloNum.zero(2))
     rhs = slope * t + const
     extras = {"slope_brute": coeffs[1], "slope_closed": slope}
-    report = _report("joint-line-base2", {"N": N, "x1": x1, "x2": x2, "t": t}, lhs, rhs, start, extras)
-    report.equal = (
-        report.equal
-        and not any(coeffs[2:])
-        and coeffs[1] == slope
-        and coeffs[0] == const
-    )
-    return report
+    line = not any(coeffs[2:]) and coeffs[1] == slope and coeffs[0] == const
+    params = {"N": N, "x1": x1, "x2": x2, "t": t}
+    return _report("joint-line-base2", params, lhs, rhs, start, extras, line)
 
 
 def verify_joint_line_general(b: int, N: int, x1, x2, max_cost: int | None = None) -> IdentityReport:
@@ -585,11 +545,8 @@ def verify_joint_line_general(b: int, N: int, x1, x2, max_cost: int | None = Non
         "constant_conjectured": const_conjectured,
         "conjectured_matches_brute": coeffs[0] == const_conjectured,
     }
-    report = _report(
-        "joint-line-general", {"b": b, "N": N, "x1": x1, "x2": x2}, lhs, rhs, start, extras
-    )
-    report.equal = report.equal and not any(coeffs[2:])
-    return report
+    params = {"b": b, "N": N, "x1": x1, "x2": x2}
+    return _report("joint-line-general", params, lhs, rhs, start, extras, not any(coeffs[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +760,10 @@ def _faulhaber_case(rng, p, max_cost):
 
 
 def _delta_bernoulli_case(rng, p, max_cost):
+    # B_(N+1)'s recurrence steps, charged as `bernoulli --degree` charges
+    # them; a negative N is left to the verifier's usage error.
+    if p["N"] >= 0:
+        charge((p["N"] + 2) * (p["N"] + 3) // 2, max_cost)
     a, step = _xy(rng, p, nonzero_y=True)
     return [verify_delta_bernoulli(a, step, _given(p, "k", rng.randint(-3, 3)), p["N"])]
 

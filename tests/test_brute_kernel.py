@@ -8,17 +8,22 @@ over Fractions.  The kernel-backed functions must agree with them exactly.
 import ast
 import itertools
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digitsum
+from digitsum import identities
 from digitsum.arith import CycloNum, xi_power_table
 from digitsum.digits import combine_buckets, digit_sum, digit_weighted_sum
 from digitsum.findiff import lhs_sum
 from digitsum.identities import (
+    DEFAULT_SEED,
+    FAMILY_OF,
     MultiIndexConfig,
     joint_weight_polynomial,
     mixed_power_sum,
@@ -244,3 +249,44 @@ def test_brute_side_imports_nothing_from_the_closed_side():
                 continue
             for path in paths:
                 assert not closed & set(path.split(".")), (name, path)
+
+
+# Every name through which identities.py reaches a closed form.
+CLOSED_NAMES = (
+    "weighted_rhs", "beta_weighted_sum", "beta_columns", "beta_moment0", "beta_moment1",
+    "xi", "joint_line_coeffs_base2", "faulhaber_sum", "delta_n_bernoulli",
+)
+# Checks of the tables themselves: both sides come from the weights module.
+TABLE_IDS = {"moment0", "moment1", "alpha-moment0", "alpha-moment1", "beta-alpha-reduction"}
+# Ids whose brute side is the report's rhs; every other brute side is its lhs.
+BRUTE_RHS = {"betaconv-dual2", "faulhaber", "delta-bernoulli"}
+# Ids whose closed side reads none of CLOSED_NAMES: zero, or the recurrence's
+# own lower-order digit-weighted sums.
+CLOSED_UNREAD = {"mixed-sum-vanishing", "joint-vanishing", "generalized-pte", "mixed-sum-recurrence"}
+
+
+def bumped(value):
+    if isinstance(value, (tuple, list)):
+        return type(value)(bumped(v) for v in value)
+    return value + 1
+
+
+def default_report(name):
+    family = FAMILY_OF[name]
+    [report] = family.case(random.Random(DEFAULT_SEED), {**family.defaults[name], "id": name}, None)
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(set(FAMILY_OF) - TABLE_IDS))
+def test_brute_side_ignores_a_changed_closed_side(monkeypatch, name):
+    plain = default_report(name)
+    for attr in CLOSED_NAMES:
+        original = getattr(identities, attr)
+        monkeypatch.setattr(
+            identities, attr, lambda *args, original=original, **kwargs: bumped(original(*args, **kwargs))
+        )
+    changed = default_report(name)
+    side = "rhs" if name in BRUTE_RHS else "lhs"
+    assert getattr(changed, side) == getattr(plain, side)
+    assert plain.equal
+    assert changed.equal == (name in CLOSED_UNREAD)

@@ -401,6 +401,8 @@ class TestPteCommands:
             "pte-show --base 2 --order 3 --x 1 --y 1 --kmax 100000000",
             # 2^20 + 60 * 2^19 summands over the 61 mixed sums against the default cap of 2^20.
             "verify --identity mixed-sum-recurrence --base 2 --order 20 --l 60",
+            # (2000 + 2)(2000 + 3)/2 Bernoulli recurrence steps for B_2001 against the default cap.
+            "verify --identity delta-bernoulli --order 2000",
         ],
     )
     def test_work_is_charged_before_it_runs(self, argv):
@@ -455,6 +457,16 @@ class TestBernoulliCommand:
         assert time.perf_counter() - start < 5
 
 
+# One command per subcommand, with the exit code each ends in.
+OUTPUT_CASES = [
+    ("verify --identity moment0 --seed 42 --format csv", 0),
+    ("weights --base 3 --order 2 --format text", 0),
+    ("pte-show --base 2 --order 3 --x 0 --y 1 --kmax 3", 1),
+    ("pte-search --base 2 --order 3 --x-grid=-2..2 --y-grid 1,1/2,2 --top 5", 0),
+    ("bernoulli --degree 4 --format json", 0),
+]
+
+
 class TestOutputFile:
     def test_writes_to_path(self, capsys, tmp_path):
         target = tmp_path / "table.json"
@@ -465,13 +477,7 @@ class TestOutputFile:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["values"] == [["1"], ["1"]]
 
-    @pytest.mark.parametrize("argv,expected_code", [
-        ("verify --identity moment0 --seed 42 --format csv", 0),
-        ("weights --base 3 --order 2 --format text", 0),
-        ("pte-show --base 2 --order 3 --x 0 --y 1 --kmax 3", 1),
-        ("pte-search --base 2 --order 3 --x-grid=-2..2 --y-grid 1,1/2,2 --top 5", 0),
-        ("bernoulli --degree 4 --format json", 0),
-    ])
+    @pytest.mark.parametrize("argv,expected_code", OUTPUT_CASES)
     def test_file_gets_the_bytes_stdout_gets(self, capsys, tmp_path, argv, expected_code):
         code, out, _ = invoke(capsys, *argv.split())
         assert code == expected_code and out
@@ -479,6 +485,14 @@ class TestOutputFile:
         code, empty, _ = invoke(capsys, *argv.split(), "--output", str(target))
         assert code == expected_code and empty == ""
         assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in OUTPUT_CASES])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out"
+        code, out, err = invoke(capsys, *argv.split(), "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "No such file or directory" in err
+        assert not target.parent.exists()
 
 
 class TestSeedFlag:

@@ -126,6 +126,17 @@ class TestCancellation:
         partition = generalized_partition(2, 3, 1, 1)
         assert cancel_common(partition).reduced_size < 2**3
 
+    def test_partial_cancellation(self):
+        # -4 and -1 each appear once in class 0 and twice in class 1, so
+        # class 1 keeps one copy of each instead of losing them.
+        partition = generalized_partition(2, 4, -5, 1)
+        reduced = cancel_common(partition)
+        assert reduced == oracle_cancel(partition)
+        assert reduced.expanded() == [[-7, -5, -5, 0, 0, 2], [-8, -4, -3, -2, -1, 3]]
+        assert (reduced.reduced_size, partition.size) == (12, 16)
+        assert verify_power_sums(reduced, 3).valid
+        assert not verify_power_sums(reduced, 4).valid
+
 
 class TestSearch:
     def test_unit_offset_point_ranks_first(self):
