@@ -5,14 +5,21 @@ digit sum mod b yields b multisets whose k-th power sums all agree for
 k < N.  Values can repeat both inside a class and across classes; whatever
 appears in every class can be cancelled, which is how partitions smaller
 than the classical b^N arise.
+
+Everything runs on integers: each value is a numerator A over a common
+denominator L.  A partition the package builds keeps those per-class counts
+and turns them into sorted Fraction multisets only when ``classes`` or
+``expanded()`` is first read, so a search pays for Fractions only on the
+results a caller prints.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cost import charge
 from .digits import digit_sums
@@ -32,10 +39,16 @@ __all__ = [
 # A multiset of exact rationals: sorted (value, multiplicity) pairs.
 Multiset = tuple[tuple[Fraction, int], ...]
 
-# Internally a class is a dict from integer numerators A to multiplicities,
-# with one common denominator L > 0 for every class: the value is A / L.
-# Scaling by L keeps values in order and scales each k-th power sum by L^k
-# in every class alike, so integer comparisons decide the rational ones.
+
+class _IntegerForm(NamedTuple):
+    """Per class, a dict from integer numerators A to multiplicities, with
+    one common denominator L > 0 for every class: the value is A / L.
+    Scaling by L keeps values in order and scales each k-th power sum by
+    L^k in every class alike, so integer comparisons decide the rational
+    ones."""
+
+    L: int
+    counters: list[dict[int, int]]
 
 
 def _check_block(b: int, N: int) -> None:
@@ -84,8 +97,8 @@ def _class_counts(
     return counters
 
 
-def _integer_classes(classes: Sequence[Multiset]) -> tuple[int, list[dict[int, int]]]:
-    """Clear the denominators of all classes at once: (L, counters)."""
+def _integer_classes(classes: Sequence[Multiset]) -> _IntegerForm:
+    """Clear the denominators of all classes at once."""
     L = math.lcm(*(v.denominator for cls in classes for v, _ in cls))
     counters = []
     for cls in classes:
@@ -94,7 +107,17 @@ def _integer_classes(classes: Sequence[Multiset]) -> tuple[int, list[dict[int, i
             A = value.numerator * (L // value.denominator)
             counter[A] = counter.get(A, 0) + mult
         counters.append(counter)
-    return L, counters
+    return _IntegerForm(L, counters)
+
+
+def _integer_form(partition) -> _IntegerForm:
+    """The counts a package-built partition keeps, or those of its classes."""
+    form = getattr(partition, "_integer", None)
+    return form if form is not None else _integer_classes(partition.classes)
+
+
+def _size(counters: Iterable[dict[int, int]]) -> int:
+    return sum(sum(counter.values()) for counter in counters)
 
 
 def _cancel(counters: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -111,14 +134,16 @@ def _cancel(counters: list[dict[int, int]]) -> list[dict[int, int]]:
 
 
 def _power_rows(counters: Sequence[dict[int, int]], degree: int) -> list[list[int]]:
-    """Per class, sum m A^k for k = 0..degree by a running product."""
+    """Per class, sum m A^k for k = 0..degree, one column of terms m A^k per
+    power, each from the last by one multiplication per value."""
     rows = []
     for counter in counters:
-        row = [0] * (degree + 1)
-        for A, term in counter.items():
-            for k in range(degree + 1):
-                row[k] += term
-                term *= A
+        values = list(counter)
+        terms = list(counter.values())
+        row = [sum(terms)]
+        for _ in range(degree):
+            terms = list(map(operator.mul, terms, values))
+            row.append(sum(terms))
         rows.append(row)
     return rows
 
@@ -134,8 +159,29 @@ def _expand(multiset: Multiset) -> list[Fraction]:
     return out
 
 
-def _total_size(classes: Sequence[Multiset]) -> int:
-    return sum(m for cls in classes for _, m in cls)
+class _Classes:
+    """The ``classes`` field of both partition types.
+
+    Given a tuple of multisets it stores them.  Given an ``_IntegerForm`` it
+    keeps the counts under ``_integer`` and freezes them into multisets the
+    first time ``classes`` is read.  Both land in the instance ``__dict__``,
+    so ``==``, ``hash``, ``repr``, copies, pickles and ``dataclasses.replace``
+    see the same multisets either way.
+    """
+
+    def __get__(self, partition, owner=None):
+        if partition is None:
+            # Read on the class it raises, which dataclasses take as "no default".
+            raise AttributeError("classes")
+        state = partition.__dict__
+        if "classes" not in state:
+            L, counters = state["_integer"]
+            state["classes"] = tuple(_freeze(c, L) for c in counters)
+        return state["classes"]
+
+    def __set__(self, partition, value) -> None:
+        key = "_integer" if isinstance(value, _IntegerForm) else "classes"
+        partition.__dict__[key] = value
 
 
 @dataclass(frozen=True)
@@ -146,11 +192,11 @@ class PtePartition:
     N: int
     x: Fraction
     y: Fraction
-    classes: tuple[Multiset, ...]
+    classes: tuple[Multiset, ...] = _Classes()
 
     @property
     def size(self) -> int:
-        return _total_size(self.classes)
+        return _size(_integer_form(self).counters)
 
     def expanded(self) -> list[list[Fraction]]:
         """Classes as sorted value lists with repeats written out."""
@@ -165,7 +211,7 @@ class ReducedPartition:
     N: int
     x: Fraction
     y: Fraction
-    classes: tuple[Multiset, ...]
+    classes: tuple[Multiset, ...] = _Classes()
     reduced_size: int
 
     def expanded(self) -> list[list[Fraction]]:
@@ -190,7 +236,7 @@ def generalized_partition(b: int, N: int, x, y, max_cost: int | None = None) -> 
     y = Fraction(y)
     X, Y, L = _scaled(x, y)
     counters = _class_counts(_digit_classes(b, N), X, Y)
-    return PtePartition(b, N, x, y, tuple(_freeze(c, L) for c in counters))
+    return PtePartition(b, N, x, y, _IntegerForm(L, counters))
 
 
 def prouhet_partition(b: int, N: int, max_cost: int | None = None) -> PtePartition:
@@ -209,7 +255,7 @@ def _certificate(partition, rows: list[list[int]], max_degree: int, L: int) -> P
 def verify_power_sums(partition, max_degree: int) -> PteCertificate:
     """Exact per-class power sums up to max_degree; k = 0 counts multiplicity."""
     _check_degree(max_degree)
-    L, counters = _integer_classes(partition.classes)
+    L, counters = _integer_form(partition)
     return _certificate(partition, _power_rows(counters, max_degree), max_degree, L)
 
 
@@ -217,15 +263,16 @@ def cancel_common(partition: PtePartition) -> ReducedPartition:
     """Subtract from every class the minimum multiplicity each value attains
     across all classes.  Identical amounts leave every power sum difference
     unchanged, so validity is preserved."""
-    L, counters = _integer_classes(partition.classes)
-    classes = tuple(_freeze(c, L) for c in _cancel(counters))
+    L, counters = _integer_form(partition)
+    # _cancel works in place, and the partition's own counts must not change.
+    counters = _cancel([dict(counter) for counter in counters])
     return ReducedPartition(
         partition.b,
         partition.N,
         partition.x,
         partition.y,
-        classes,
-        _total_size(classes),
+        _IntegerForm(L, counters),
+        _size(counters),
     )
 
 
@@ -267,13 +314,13 @@ def search_small_solutions(
         for y in ys:
             X, Y, L = _scaled(x, y)
             counters = _cancel(_class_counts(digit_classes, X, Y))
-            size = sum(m for counter in counters for m in counter.values())
+            size = _size(counters)
             if size < min_size:
                 continue
             rows = _power_rows(counters, degree)
             if any(row != rows[0] for row in rows[1:]):
                 continue
-            reduced = ReducedPartition(b, N, x, y, tuple(_freeze(c, L) for c in counters), size)
+            reduced = ReducedPartition(b, N, x, y, _IntegerForm(L, counters), size)
             results.append(SearchResult(x, y, reduced, _certificate(reduced, rows, degree, L)))
     results.sort(
         key=lambda res: (

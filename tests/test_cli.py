@@ -73,7 +73,9 @@ WEIGHTS_SHA256 = {
 
 
 # sha256 of the README's `pte-show` and `pte-search` examples' stdout in each
-# format; pinned so the integer partition core keeps the output byte-identical.
+# format, and of a mid-size search whose best point cancels 27 of 81 values
+# (x/y = -2) and whose 63 points are cut to 8 by --top; pinned so the integer
+# partition core keeps the output byte-identical.
 PTE_SHA256 = {
     "pte-show --base 2 --order 3 --x 1 --y 1": {
         "json": "7b5eb736651102890bafde68572a5a9af1ce8fc6ece57c29e3bc702986bedb15",
@@ -84,6 +86,11 @@ PTE_SHA256 = {
         "json": "54145328c4d3d19d9a4ccde4c9229af84941b376e472067cdab02105cbd38289",
         "csv": "05fefa53f5ff31862d0cd78707a66b756e70ad4ed8e89835507d6904ad0c4a73",
         "text": "6e664b96d31c126ae91298632a999d4829d1d0a0c755c838ff8969ab6d4b080e",
+    },
+    "pte-search --base 3 --order 4 --x-grid=-3..3 --y-grid 1..5/1/2 --top 8": {
+        "json": "397e64fd49cd76c8e1f99f44ae5ae37299ee6d01346adc69a3934b68a589d649",
+        "csv": "6d883061b5bf092ce7f234f0b9cf75b77e244c24d155f5ce213fc517833f0838",
+        "text": "977eb22d7da77dd01e264e49510f81607f326b63d90f795815d56b9eba3f57ea",
     },
 }
 

@@ -1,6 +1,9 @@
 """Partitions, certificates, cancellation, and the grid search."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitsum import pte
 from digitsum.cost import CostCapExceeded
 from digitsum.digits import digit_sum
 from digitsum.pte import (
@@ -287,6 +291,66 @@ class TestAgainstFractionOracle:
             certificate = verify_power_sums(reduced, degree)
             assert certificate == oracle_power_sums(reduced, degree)
             assert certificate.valid
+
+
+# Ways to get a second partition from a package-built one whose classes have
+# not been read yet.
+TWINS = {
+    "self": lambda partition: partition,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda partition: pickle.loads(pickle.dumps(partition)),
+    "replace": dataclasses.replace,
+}
+
+
+class TestLazyClasses:
+    """Package-built partitions keep integer counts and build their Fraction
+    classes on first read; nothing outside may tell them from eager ones."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(block=blocks, x=grid_values, y=grid_values, twin=st.sampled_from(sorted(TWINS)))
+    def test_behaves_like_an_eager_partition(self, block, x, y, twin):
+        b, N = block
+        eager = oracle_partition(b, N, x, y)
+        eager_reduced = oracle_cancel(eager)
+        built = TWINS[twin](generalized_partition(b, N, x, y))
+        reduced = TWINS[twin](cancel_common(generalized_partition(b, N, x, y)))
+        for lazy, oracle in ((built, eager), (reduced, eager_reduced)):
+            assert repr(lazy) == repr(oracle)
+            assert lazy == oracle and oracle == lazy
+            assert hash(lazy) == hash(oracle)
+            assert lazy.expanded() == oracle.expanded()
+        assert built.size == eager.size
+
+    @settings(max_examples=25, deadline=None)
+    @given(block=blocks, x=grid_values, y=grid_values)
+    def test_cancel_leaves_its_input_alone(self, block, x, y):
+        b, N = block
+        partition = generalized_partition(b, N, x, y)
+        first = cancel_common(partition)
+        assert partition.classes == oracle_partition(b, N, x, y).classes
+        assert cancel_common(partition) == first
+        assert cancel_common(first) == first
+
+    def test_search_builds_fractions_only_when_read(self, monkeypatch):
+        calls = []
+        freeze = pte._freeze
+
+        def counted(counter, L):
+            calls.append(L)
+            return freeze(counter, L)
+
+        monkeypatch.setattr(pte, "_freeze", counted)
+        results = search_small_solutions(3, 3, range(4), range(1, 5))
+        assert len(results) == 16
+        assert all(res.certificate.valid for res in results)
+        assert all(res.reduced.reduced_size <= 3**3 for res in results)
+        assert calls == []
+        results[0].reduced.expanded()
+        assert len(calls) == 3
+        results[0].reduced.expanded()
+        assert len(calls) == 3
 
 
 class TestSearchCost:
