@@ -26,12 +26,7 @@ from . import identities
 from .arith import euler_phi
 from .bernoulli import bernoulli_poly
 from .cost import DEFAULT_MAX_COST, CostCapExceeded, charge
-from .identities import (
-    DEFAULT_SEED,
-    IdentityReport,
-    report_to_dict,
-    scalar_to_json,
-)
+from .identities import DEFAULT_SEED, IdentityReport, report_to_dict
 from .pte import cancel_common, generalized_partition, search_small_solutions, verify_power_sums
 from .weights import alpha_table, beta_columns, beta_table
 
@@ -84,9 +79,10 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 def parse_grid(spec: str, max_cost: int | None = None) -> tuple[Fraction, ...]:
     """Grid specs: an explicit comma list of rationals, or ``lo..hi/step``.
 
-    In range form the text after ``..`` is split on ``/``: one token is a
-    bare upper bound (step 1), two tokens are integer hi/step, three are
-    hi plus a rational step p/q, four are rational hi and step (p/q/p/q).
+    In range form the text after ``..`` is split on ``/``; the first half
+    of the tokens (at least one) is hi and the rest is the step.  So one
+    token is a bare upper bound (step 1), two are integer hi/step, three
+    are hi plus a rational step p/q, four are rational hi and step (p/q/p/q).
     Use a comma list when that is too rigid.  A range's point count is
     charged against ``max_cost`` before the grid is built.
     """
@@ -95,16 +91,11 @@ def parse_grid(spec: str, max_cost: int | None = None) -> tuple[Fraction, ...]:
         lo_text, rest = spec.split("..", 1)
         lo = parse_fraction(lo_text)
         parts = rest.split("/")
-        if len(parts) == 1:
-            hi, step = parse_fraction(parts[0]), Fraction(1)
-        elif len(parts) == 2:
-            hi, step = parse_fraction(parts[0]), parse_fraction(parts[1])
-        elif len(parts) == 3:
-            hi, step = parse_fraction(parts[0]), parse_fraction("/".join(parts[1:]))
-        elif len(parts) == 4:
-            hi, step = parse_fraction("/".join(parts[:2])), parse_fraction("/".join(parts[2:]))
-        else:
+        if len(parts) > 4:
             raise ValueError(f"cannot parse grid range {spec!r}")
+        cut = max(1, len(parts) // 2)
+        hi = parse_fraction("/".join(parts[:cut]))
+        step = parse_fraction("/".join(parts[cut:])) if len(parts) >= 2 else Fraction(1)
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
         charge(max(0, (hi - lo) // step + 1), max_cost)
@@ -248,31 +239,31 @@ def _single_identity_reports(args, rng: random.Random, max_cost: int) -> list[Id
 
 
 def _format_reports(reports: list[IdentityReport], fmt: str, timings: bool) -> str:
+    rows = [report_to_dict(rep, include_timing=timings) for rep in reports]
     if fmt == "json":
-        return _json([report_to_dict(rep, include_timing=timings) for rep in reports])
+        return _json(rows)
     if fmt == "csv":
         return _csv(
             ["identity", "params", "lhs", "rhs", "equal"],
             (
                 [
-                    rep.identity,
-                    json.dumps({k: scalar_to_json(v) for k, v in rep.params.items()}, sort_keys=True),
-                    json.dumps(scalar_to_json(rep.lhs)),
-                    json.dumps(scalar_to_json(rep.rhs)),
-                    rep.equal,
+                    row["identity"],
+                    json.dumps(row["params"], sort_keys=True),
+                    json.dumps(row["lhs"]),
+                    json.dumps(row["rhs"]),
+                    row["equal"],
                 ]
-                for rep in reports
+                for row in rows
             ),
         )
     lines = []
-    for rep in reports:
-        bits = " ".join(f"{k}={scalar_to_json(v)}" for k, v in rep.params.items())
-        status = "ok" if rep.equal else "MISMATCH"
-        suffix = f" [{rep.elapsed_ms:.1f} ms]" if timings and rep.elapsed_ms is not None else ""
-        lines.append(f"{rep.identity}: {status} ({bits}){suffix}")
-    total = len(reports)
-    good = sum(rep.equal for rep in reports)
-    lines.append(f"{good}/{total} identities verified")
+    for row in rows:
+        bits = " ".join(f"{k}={v}" for k, v in row["params"].items())
+        status = "ok" if row["equal"] else "MISMATCH"
+        suffix = f" [{row['elapsed_ms']:.1f} ms]" if row["elapsed_ms"] is not None else ""
+        lines.append(f"{row['identity']}: {status} ({bits}){suffix}")
+    good = sum(row["equal"] for row in rows)
+    lines.append(f"{good}/{len(rows)} identities verified")
     return "\n".join(lines) + "\n"
 
 

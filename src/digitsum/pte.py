@@ -110,12 +110,6 @@ def _integer_classes(classes: Sequence[Multiset]) -> _IntegerForm:
     return _IntegerForm(L, counters)
 
 
-def _integer_form(partition) -> _IntegerForm:
-    """The counts a package-built partition keeps, or those of its classes."""
-    form = getattr(partition, "_integer", None)
-    return form if form is not None else _integer_classes(partition.classes)
-
-
 def _size(counters: Iterable[dict[int, int]]) -> int:
     return sum(sum(counter.values()) for counter in counters)
 
@@ -162,11 +156,12 @@ def _expand(multiset: Multiset) -> list[Fraction]:
 class _Classes:
     """The ``classes`` field of both partition types.
 
-    Given a tuple of multisets it stores them.  Given an ``_IntegerForm`` it
-    keeps the counts under ``_integer`` and freezes them into multisets the
-    first time ``classes`` is read.  Both land in the instance ``__dict__``,
-    so ``==``, ``hash``, ``repr``, copies, pickles and ``dataclasses.replace``
-    see the same multisets either way.
+    Every partition keeps its counts under ``_integer``.  Given an
+    ``_IntegerForm`` it keeps just that and freezes the counts into
+    multisets the first time ``classes`` is read; given a tuple of
+    multisets it stores them and their counts.  Both land in the instance
+    ``__dict__``, so ``==``, ``hash``, ``repr``, copies, pickles and
+    ``dataclasses.replace`` see the same multisets either way.
     """
 
     def __get__(self, partition, owner=None):
@@ -180,8 +175,10 @@ class _Classes:
         return state["classes"]
 
     def __set__(self, partition, value) -> None:
-        key = "_integer" if isinstance(value, _IntegerForm) else "classes"
-        partition.__dict__[key] = value
+        if not isinstance(value, _IntegerForm):
+            partition.__dict__["classes"] = value
+            value = _integer_classes(value)
+        partition.__dict__["_integer"] = value
 
 
 @dataclass(frozen=True)
@@ -196,7 +193,7 @@ class PtePartition:
 
     @property
     def size(self) -> int:
-        return _size(_integer_form(self).counters)
+        return _size(self._integer.counters)
 
     def expanded(self) -> list[list[Fraction]]:
         """Classes as sorted value lists with repeats written out."""
@@ -255,7 +252,7 @@ def _certificate(partition, rows: list[list[int]], max_degree: int, L: int) -> P
 def verify_power_sums(partition, max_degree: int) -> PteCertificate:
     """Exact per-class power sums up to max_degree; k = 0 counts multiplicity."""
     _check_degree(max_degree)
-    L, counters = _integer_form(partition)
+    L, counters = partition._integer
     return _certificate(partition, _power_rows(counters, max_degree), max_degree, L)
 
 
@@ -263,7 +260,7 @@ def cancel_common(partition: PtePartition) -> ReducedPartition:
     """Subtract from every class the minimum multiplicity each value attains
     across all classes.  Identical amounts leave every power sum difference
     unchanged, so validity is preserved."""
-    L, counters = _integer_form(partition)
+    L, counters = partition._integer
     # _cancel works in place, and the partition's own counts must not change.
     counters = _cancel([dict(counter) for counter in counters])
     return ReducedPartition(

@@ -7,11 +7,13 @@ import shlex
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import digitsum
 from digitsum.cli import parse_cost, parse_grid, parse_seed, run
 from digitsum.identities import FAMILY_OF, verify_betaconv_dual2
 
@@ -43,6 +45,14 @@ IDENTITY_SEED42_SHA256 = {
     "faulhaber": "7df0dedcb289fdced7fbca0226216ab686b994b1dddb8386e8e83f1b8e5b1a4a",
     "delta-bernoulli": "7064fb038f9e31d03989cd7e7a472d121ef9c6199ee8ab9915ca55e4895892bb",
     "generalized-pte": "bfc7c85267adf14bb9d0ab69090e7994200da7f0670432745455d6a76cfaa28b",
+}
+
+# sha256 of `digitsum verify --all --seed 42 --format <fmt>` stdout; the json
+# digest is tests/test_acceptance.py's SUITE_SEED42_SHA256.  All three formats
+# are built from the same report_to_dict rows.
+SUITE_SEED42_SHA256 = {
+    "csv": "6447e2da001285a2c4c1b7d090cbdd243ada6b041ff46bd555a89ee3fb13b6e0",
+    "text": "a998cf592b4b52ef60a21b6b6910e8ff25d4980484fe0801fd49191a3ad66b88",
 }
 
 
@@ -116,11 +126,25 @@ def test_readme_cli_examples_exit_zero(capsys, argv):
     assert code == 0, err
 
 
+def readme_library_example() -> str:
+    text = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_library_example_runs():
     """The README's library example is the public contract; run it as written."""
-    text = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
-    code = text.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(code, "README.md", "exec"), {})
+    exec(compile(readme_library_example(), "README.md", "exec"), {})
+
+
+def test_package_root_exports_exactly_the_readme_names():
+    """The root re-exports only what the library example imports; every other
+    public name has one import path, its own module."""
+    imported = re.search(r"from digitsum import \((.*?)\)", readme_library_example(), re.S).group(1)
+    names = sorted(name.strip() for name in imported.split(",") if name.strip())
+    assert sorted(digitsum.__all__) == names
+    public = {name for name in dir(digitsum) if not name.startswith("_")}
+    extra = {name for name in public - set(names) if not isinstance(getattr(digitsum, name), types.ModuleType)}
+    assert extra == set()
 
 
 class TestParsers:
@@ -145,6 +169,12 @@ class TestParsers:
         assert parse_grid("-2..2/2") == (-2, 0, 2)
         assert parse_grid("0..1/1/2") == (0, Fraction(1, 2), 1)
         assert parse_grid("0..3/2/1/2") == (0, Fraction(1, 2), 1, Fraction(3, 2))
+
+    def test_grid_rejects_too_many_or_empty_tokens(self):
+        with pytest.raises(ValueError, match="cannot parse grid range"):
+            parse_grid("0..1/2/3/4/5")
+        with pytest.raises(ValueError):
+            parse_grid("0..3/")
 
     def test_grid_rejects_bad_step(self):
         with pytest.raises(ValueError):
@@ -269,6 +299,12 @@ class TestVerifyCommand:
         assert code == 0
         assert all(rep["equal"] for rep in json.loads(out))
         assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_SEED42_SHA256[identity]
+
+    @pytest.mark.parametrize("fmt", list(SUITE_SEED42_SHA256))
+    def test_suite_output_is_pinned(self, capsys, fmt):
+        code, out, _ = invoke(capsys, "verify", "--all", "--seed", "42", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SEED42_SHA256[fmt]
 
     def test_readme_lists_every_identity_and_the_repeated_ones(self):
         text = README.read_text(encoding="utf-8")
