@@ -47,9 +47,18 @@ def parse_cost(text: str) -> int:
 
 
 def _max_cost(flag: str | None) -> int:
-    """``--max-cost``, else a nonempty ``$DIGITSUM_MAX_COST``, else the default."""
-    text = flag if flag is not None else os.environ.get(ENV_MAX_COST) or None
-    return DEFAULT_MAX_COST if text is None else parse_cost(text)
+    """``--max-cost``, else a nonempty ``$DIGITSUM_MAX_COST``, else the default;
+    a malformed value is a usage error that names where it came from."""
+    if flag is not None:
+        source, text = "--max-cost", flag
+    else:
+        source, text = f"${ENV_MAX_COST}", os.environ.get(ENV_MAX_COST) or None
+    if text is None:
+        return DEFAULT_MAX_COST
+    try:
+        return parse_cost(text)
+    except ValueError as exc:
+        raise ValueError(f"{source} {text!r}: {exc}") from None
 
 
 def parse_seed(text: str) -> int:
@@ -106,6 +115,14 @@ def parse_grid(spec: str, max_cost: int | None = None) -> tuple[Fraction, ...]:
             current += step
         return tuple(values)
     return parse_fraction_list(spec)
+
+
+def _grid_flag(flag: str, spec: str, max_cost: int) -> tuple[Fraction, ...]:
+    """``parse_grid`` with the flag and its spec in front of any usage error."""
+    try:
+        return parse_grid(spec, max_cost)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {spec!r}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,8 +387,8 @@ def _cmd_pte_search(args, max_cost: int) -> tuple[int, str]:
     results = search_small_solutions(
         args.base,
         args.order,
-        parse_grid(args.x_grid, max_cost),
-        parse_grid(args.y_grid, max_cost),
+        _grid_flag("--x-grid", args.x_grid, max_cost),
+        _grid_flag("--y-grid", args.y_grid, max_cost),
         k_max=args.kmax,
         min_size=args.min_size,
         max_cost=max_cost,

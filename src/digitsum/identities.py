@@ -41,7 +41,6 @@ from .weights import (
 __all__ = [
     "DEFAULT_SEED",
     "IdentityReport",
-    "MultiIndexConfig",
     "verify_difference_identity",
     "verify_power_sum",
     "verify_moment",
@@ -90,43 +89,6 @@ class IdentityReport:
     extras: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class MultiIndexConfig:
-    """Parameters of an r-fold summation: orders, scales, and offsets."""
-
-    b: int
-    N_list: tuple[int, ...]
-    y_list: tuple[Fraction, ...]
-    x_list: tuple[Fraction, ...] | None = None
-    x: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if self.b < 2:
-            raise ValueError(f"base must be >= 2, got {self.b}")
-        if not self.N_list:
-            raise ValueError("need at least one summation index")
-        if any(N < 1 for N in self.N_list):
-            raise ValueError("all orders must be >= 1")
-        if len(self.y_list) != len(self.N_list):
-            raise ValueError("y_list length must match N_list")
-        if self.x_list is not None and len(self.x_list) != len(self.N_list):
-            raise ValueError("x_list length must match N_list")
-
-    @property
-    def total_order(self) -> int:
-        return sum(self.N_list)
-
-    def params(self) -> dict:
-        """Report params: base, orders, whichever offsets are set, scales."""
-        out = {"b": self.b, "N_list": list(self.N_list)}
-        if self.x_list is not None:
-            out["x_list"] = list(self.x_list)
-        if self.x is not None:
-            out["x"] = self.x
-        out["y_list"] = list(self.y_list)
-        return out
-
-
 def _report(
     identity: str, params: dict, lhs, rhs, start: float, extras=None, also: bool = True
 ) -> IdentityReport:
@@ -162,6 +124,12 @@ def verify_difference_identity(
     return _report("difference-identity", params, lhs, rhs, start)
 
 
+def _moment_bracket(m0, m1, N: int, shift, X):
+    """m0 (N/2 X + shift) + m1 X: the first-moment bracket of the order-(N+1)
+    power sum and of the two-variable line's constant term."""
+    return m0 * (Fraction(N, 2) * X + shift) + m1 * X
+
+
 def verify_power_sum(
     b: int, N: int, x, y, which: str = "N", max_cost: int | None = None
 ) -> IdentityReport:
@@ -180,7 +148,7 @@ def verify_power_sum(
     if which == "N":
         rhs = m0 * scale
     else:
-        rhs = (m0 * x + (beta_moment1(b, N) + m0 * Fraction(N, 2)) * y) * (scale * (N + 1))
+        rhs = _moment_bracket(m0, beta_moment1(b, N), N, x, y) * (scale * (N + 1))
     params = {"b": b, "N": N, "x": x, "y": y, "which": which}
     return _report(f"power-sum-{'n' if which == 'N' else 'n1'}", params, lhs, rhs, start)
 
@@ -208,6 +176,8 @@ def verify_moment(b: int, N: int, order: int, max_cost: int | None = None) -> Id
 def verify_betaconv_dual1(b: int, N: int, max_cost: int | None = None) -> IdentityReport:
     """Binomial-convolution route to the first b^N beta weights."""
     start = time.perf_counter()
+    if N >= 0:  # the order-N table; a negative order is left to the builders' usage error
+        charge(b ** (N + 1) - N - 1, max_cost)
     lhs = list(beta_from_convolution(b, N, max_cost))
     rhs = list(from_columns(b, [col[: b**N] for col in beta_columns(b, N)]))
     return _report("betaconv-dual1", {"b": b, "N": N}, lhs, rhs, start)
@@ -255,59 +225,53 @@ def verify_alpha_moment(N: int, order: int, max_cost: int | None = None) -> Iden
 # Multi-index sums
 
 
-def _axis_ranges(config: MultiIndexConfig) -> list[int]:
-    return [config.b**N for N in config.N_list]
+def _check_axes(b: int, N_list, y_list, x_list=None) -> None:
+    """The r-fold sums' usage check: at least one axis, each with an order >= 1 and a scale."""
+    if b < 2:
+        raise ValueError(f"base must be >= 2, got {b}")
+    if not N_list:
+        raise ValueError("need at least one summation index")
+    if any(N < 1 for N in N_list):
+        raise ValueError("all orders must be >= 1")
+    if len(y_list) != len(N_list):
+        raise ValueError("y_list length must match N_list")
+    if x_list is not None and len(x_list) != len(N_list):
+        raise ValueError("x_list length must match N_list")
 
 
 def verify_multisum(
-    config: MultiIndexConfig, f: RationalPoly, max_cost: int | None = None
+    b: int, N_list, f: RationalPoly, x, y_list, max_cost: int | None = None
 ) -> IdentityReport:
-    """r-fold digit-weighted sum of f versus the weighted difference tensor."""
-    if config.x is None:
-        raise ValueError("config.x is required")
+    """r-fold digit-weighted sum of f versus its beta-weighted difference form."""
+    _check_axes(b, N_list, y_list)
     start = time.perf_counter()
-    b = config.b
-    sizes = _axis_ranges(config)
-    kranges = [size - N for size, N in zip(sizes, config.N_list)]
-    grid = math.prod(sizes)
-    inner = math.prod(N + 1 for N in config.N_list)
-    charge(2 * grid + math.prod(kranges) * inner, max_cost)
-
-    lhs = digit_weighted_sum(
-        f, b, [(N, 0, yj) for N, yj in zip(config.N_list, config.y_list)], config.x
-    )
-
+    charge(b ** sum(N_list), max_cost)
+    lhs = digit_weighted_sum(f, b, [(N, 0, y) for N, y in zip(N_list, y_list)], x)
     # The closed side samples f itself rather than reusing the brute sum.
-    rhs = beta_weighted_sum(f, b, list(zip(config.N_list, config.y_list)), config.x)
-    return _report("multisum", {**config.params(), "f": list(f.coeffs)}, lhs, rhs, start)
+    rhs = beta_weighted_sum(f, b, list(zip(N_list, y_list)), x)
+    params = {"b": b, "N_list": list(N_list), "x": x, "y_list": list(y_list), "f": list(f.coeffs)}
+    return _report("multisum", params, lhs, rhs, start)
 
 
-def verify_multi_power_sum(config: MultiIndexConfig, max_cost: int | None = None) -> IdentityReport:
-    """r-fold power sum versus the product closed form; at base 2 the
-    sign/exponent rewriting of that closed form is checked for consistency."""
-    if config.x is None:
-        raise ValueError("config.x is required")
+def verify_multi_power_sum(b: int, N_list, x, y_list, max_cost: int | None = None) -> IdentityReport:
+    """r-fold power sum versus the mixed closed form with every x_j = 0; at
+    base 2 the sign/exponent rewriting of that closed form is checked for
+    consistency."""
+    _check_axes(b, N_list, y_list)
     start = time.perf_counter()
-    b = config.b
-    charge(math.prod(_axis_ranges(config)), max_cost)
-    total_N = config.total_order
-    axes = [(N, 0, yj) for N, yj in zip(config.N_list, config.y_list)]
-    lhs = digit_weighted_sum(RationalPoly.monomial(total_N), b, axes, config.x)
-
-    scale = Fraction(b) ** sum(N * (N + 1) // 2 for N in config.N_list)
-    yprod = math.prod((yj**N for yj, N in zip(config.y_list, config.N_list)), start=Fraction(1))
-    rhs = (xi(b) - 1) ** (-total_N) * (scale * yprod * math.factorial(total_N))
-
+    charge(b ** sum(N_list), max_cost)
+    total = sum(N_list)
+    axes = [(N, 0, y) for N, y in zip(N_list, y_list)]
+    lhs = digit_weighted_sum(RationalPoly.monomial(total), b, axes, x)
+    rhs = _mixed_closed_form(b, axes)
     extras = {}
-    also = True
     if b == 2:
-        base2 = Fraction(2) ** sum(N * (N - 1) // 2 for N in config.N_list)
-        base2 *= yprod * math.factorial(total_N)
-        if total_N % 2:
-            base2 = -base2
-        extras["base2_form"] = base2
-        also = rhs == base2
-    return _report("multi-power-sum", config.params(), lhs, rhs, start, extras, also)
+        yprod = math.prod((y**N for N, y in zip(N_list, y_list)), start=Fraction(1))
+        base2 = Fraction(2) ** sum(N * (N - 1) // 2 for N in N_list) * yprod * math.factorial(total)
+        extras["base2_form"] = -base2 if total % 2 else base2
+    also = b != 2 or rhs == extras["base2_form"]
+    params = {"b": b, "N_list": list(N_list), "x": x, "y_list": list(y_list)}
+    return _report("multi-power-sum", params, lhs, rhs, start, extras, also)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +342,16 @@ def verify_mixed_recurrence(b: int, N: int, l: int, x, y, max_cost: int | None =
     return _report("mixed-sum-recurrence", {"b": b, "N": N, "l": l, "x": x, "y": y}, lhs, rhs, start)
 
 
-def verify_multi_mixed_sum(config: MultiIndexConfig, max_cost: int | None = None) -> IdentityReport:
+def verify_multi_mixed_sum(b: int, N_list, x_list, y_list, max_cost: int | None = None) -> IdentityReport:
     """r-fold mixed power sum versus (b/(xi-1))^sum(N) sum(N)! prod(x_j + b^i y_j)."""
-    if config.x_list is None:
-        raise ValueError("config.x_list is required")
+    _check_axes(b, N_list, y_list, x_list)
     start = time.perf_counter()
-    charge(math.prod(_axis_ranges(config)), max_cost)
-    axes = list(zip(config.N_list, config.x_list, config.y_list))
-    lhs = digit_weighted_sum(RationalPoly.monomial(config.total_order), config.b, axes)
-    rhs = _mixed_closed_form(config.b, axes)
-    return _report("multi-mixed-sum", config.params(), lhs, rhs, start)
+    charge(b ** sum(N_list), max_cost)
+    axes = list(zip(N_list, x_list, y_list))
+    lhs = digit_weighted_sum(RationalPoly.monomial(sum(N_list)), b, axes)
+    rhs = _mixed_closed_form(b, axes)
+    params = {"b": b, "N_list": list(N_list), "x_list": list(x_list), "y_list": list(y_list)}
+    return _report("multi-mixed-sum", params, lhs, rhs, start)
 
 
 # ---------------------------------------------------------------------------
@@ -519,25 +483,17 @@ def verify_joint_line_general(b: int, N: int, x1, x2, max_cost: int | None = Non
     big_x1 = x1 / (x2 - x1)
     big_x2 = x2 / (x2 - x1)
     half = Fraction(1, 2)
-    halfN = Fraction(N, 2)
-    const_derived = (
-        (m0 * (halfN * big_x2 + half) + m1 * big_x2) * x2**N
-        - (m0 * (halfN * big_x1 - half) + m1 * big_x1) * x1**N
-        + root * ((m0 * (b**N * big_x2 + halfN * big_x1 - half) + m1 * big_x1) * x1**N)
-        - root * ((m0 * (b**N * big_x1 + halfN * big_x2 + half) + m1 * big_x2) * x2**N)
-    ) * fact
+    # Three brackets both constants share; `top` is the README's T4.
+    low = _moment_bracket(m0, m1, N, -half, big_x1) * x1**N
+    mid = _moment_bracket(m0, m1, N, b**N * big_x2 - half, big_x1) * x1**N
+    top = _moment_bracket(m0, m1, N, b**N * big_x1 + half, big_x2) * x2**N
+    derived_lead = _moment_bracket(m0, m1, N, half, big_x2) * x2**N
+    const_derived = (derived_lead - low + root * mid - root * top) * fact
 
     # Conjectured alternative form of the constant term, evaluated for the
     # record only; it does not gate equality.
-    const_conjectured = (
-        (m0 * ((half + halfN) * big_x2) + m1) * (x2**N * big_x2)
-        - (m0 * (halfN * big_x1 - half) + m1 * big_x1) * x1**N
-        + root
-        * (
-            (m0 * (b**N * big_x2 + halfN * big_x1 - half) + m1 * big_x1) * x1**N
-            - root * ((m0 * (b**N * big_x1 + half + halfN * big_x2) + m1 * big_x2) * x2**N)
-        )
-    ) * fact
+    conjectured_lead = (m0 * ((half + Fraction(N, 2)) * big_x2) + m1) * (x2**N * big_x2)
+    const_conjectured = (conjectured_lead - low + root * (mid - root * top)) * fact
 
     lhs = [coeffs[0], coeffs[1]]
     rhs = [const_derived, slope_closed]
@@ -689,15 +645,22 @@ def _alpha_moment_case(rng, p, max_cost):
     return [verify_alpha_moment(p["N"], k, max_cost) for k in (0, 1) if _wants(p, f"alpha-moment{k}")]
 
 
-def _multi_config(rng, p) -> MultiIndexConfig:
+def _x_ys(rng: random.Random, p: dict) -> tuple:
     x = _given(p, "x", random_fraction(rng))
-    ys = _given(p, "y_list", tuple(random_fraction(rng, nonzero=True) for _ in p["N_list"]))
-    return MultiIndexConfig(b=p["b"], N_list=p["N_list"], y_list=ys, x=x)
+    return x, _given(p, "y_list", tuple(random_fraction(rng, nonzero=True) for _ in p["N_list"]))
+
+
+def _multi_power_case(rng, p, max_cost):
+    return [verify_multi_power_sum(p["b"], p["N_list"], *_x_ys(rng, p), max_cost)]
 
 
 def _multisum_case(rng, p, max_cost):
-    config = _multi_config(rng, p)
-    return [verify_multisum(config, random_poly(rng, config.total_order), max_cost)]
+    x, ys = _x_ys(rng, p)
+    # Checked and charged before f, whose degree is the total order, is drawn.
+    _check_axes(p["b"], p["N_list"], ys)
+    charge(p["b"] ** sum(p["N_list"]), max_cost)
+    f = random_poly(rng, sum(p["N_list"]))
+    return [verify_multisum(p["b"], p["N_list"], f, x, ys, max_cost)]
 
 
 def _mixed_case(rng, p, max_cost):
@@ -722,8 +685,7 @@ def _recurrence_case(rng, p, max_cost):
 def _multi_mixed_case(rng, p, max_cost):
     xs = _given(p, "x_list", tuple(random_fraction(rng) for _ in p["N_list"]))
     ys = _given(p, "y_list", tuple(random_fraction(rng, nonzero=True) for _ in p["N_list"]))
-    config = MultiIndexConfig(b=p["b"], N_list=p["N_list"], y_list=ys, x_list=xs)
-    return [verify_multi_mixed_sum(config, max_cost)]
+    return [verify_multi_mixed_sum(p["b"], p["N_list"], xs, ys, max_cost)]
 
 
 def _joint_vanishing_case(rng, p, max_cost):
@@ -793,7 +755,7 @@ FAMILIES: tuple[IdentityFamily, ...] = (
                    {"beta-alpha-reduction": {"N": 3}}),
     IdentityFamily(_alpha_moment_case, _grid(N=(1, 2, 3, 4, 5)), 1,
                    {"alpha-moment0": {"N": 2}, "alpha-moment1": {"N": 2}}),
-    IdentityFamily(lambda rng, p, max_cost: [verify_multi_power_sum(_multi_config(rng, p), max_cost)],
+    IdentityFamily(_multi_power_case,
                    _grid(b=(2, 3), N_list=((2,), (4,), (1, 2), (2, 3), (1, 1, 1), (2, 2, 2))), 2,
                    {"multi-power-sum": _MULTI}),
     IdentityFamily(_multisum_case, _grid(b=(2, 3), N_list=((1, 1), (1, 2))), 1, {"multisum": _MULTI}),

@@ -171,9 +171,7 @@ def beta_from_convolution(b: int, N: int, max_cost: int | None = None) -> tuple[
     if b < 2 or N < 0:
         raise ValueError(f"need base >= 2 and order >= 0, got b={b}, N={N}")
     count = b**N
-    # More than the passes cost, but also the only bound on the uncharged
-    # b^(N+1)-entry beta_columns(b, N) that verify_betaconv_dual1 builds.
-    charge(count * (count + 1) // 2, max_cost)
+    charge((N + 1) * count, max_cost)
     powers = xi_power_coords(b)
     columns = zip(*(powers[s % b] for s in digit_sums(b, count)))
     for _ in range(N + 1):

@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from digitsum.identities import (
-    MultiIndexConfig,
     verify_betaconv_dual1,
     verify_betaconv_dual2,
     verify_multi_power_sum,
@@ -158,13 +157,8 @@ def test_criterion_06_multi_index_power_sums():
             for r, order_lists in schedule.items():
                 for N_list in order_lists:
                     assert sum(N_list) <= 6 and len(N_list) == r
-                    config = MultiIndexConfig(
-                        b=b,
-                        N_list=N_list,
-                        y_list=tuple(rand_fraction(rng, True) for _ in N_list),
-                        x=rand_fraction(rng),
-                    )
-                    assert verify_multi_power_sum(config).equal, (b, N_list)
+                    ys = tuple(rand_fraction(rng, True) for _ in N_list)
+                    assert verify_multi_power_sum(b, N_list, rand_fraction(rng), ys).equal, (b, N_list)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s, budget is 60s"
 
@@ -184,13 +178,9 @@ def test_criterion_07_mixed_sums():
                     x, y = rand_fraction(rng), rand_fraction(rng)
                     assert verify_mixed_recurrence(b, N, l, x, y).equal, (b, N, l)
         for b in (2, 3):
-            config = MultiIndexConfig(
-                b=b,
-                N_list=(1, 2),
-                y_list=(rand_fraction(rng, True), rand_fraction(rng, True)),
-                x_list=(rand_fraction(rng), rand_fraction(rng)),
-            )
-            assert verify_multi_mixed_sum(config).equal, b
+            ys = (rand_fraction(rng, True), rand_fraction(rng, True))
+            xs = (rand_fraction(rng), rand_fraction(rng))
+            assert verify_multi_mixed_sum(b, (1, 2), xs, ys).equal, b
 
 
 def test_criterion_08_two_variable_family():

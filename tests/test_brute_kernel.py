@@ -24,7 +24,6 @@ from digitsum.findiff import lhs_sum
 from digitsum.identities import (
     DEFAULT_SEED,
     FAMILY_OF,
-    MultiIndexConfig,
     joint_weight_polynomial,
     mixed_power_sum,
     verify_generalized_pte,
@@ -71,31 +70,29 @@ def oracle_generalized_pte_lhs(b, N, f, x, y):
     return lhs
 
 
-def oracle_multi_lhs(config, f):
+def oracle_multi_lhs(b, N_list, x, y_list, f):
     # Shared by multisum and multi-power-sum: f(x + sum n_j y_j).
-    b = config.b
-    sizes = [b**N for N in config.N_list]
+    sizes = [b**N for N in N_list]
     sums = [[digit_sum(n, b) for n in range(size)] for size in sizes]
     powers = xi_power_table(b)
     lhs = CycloNum.zero(b)
     for tup in itertools.product(*(range(size) for size in sizes)):
-        arg = config.x + sum(n * yj for n, yj in zip(tup, config.y_list))
+        arg = x + sum(n * yj for n, yj in zip(tup, y_list))
         s = sum(ds[n] for ds, n in zip(sums, tup))
         lhs = lhs + powers[s % b] * f(arg)
     return lhs
 
 
-def oracle_multi_mixed_lhs(config):
-    b = config.b
-    sizes = [b**N for N in config.N_list]
-    total_N = sum(config.N_list)
+def oracle_multi_mixed_lhs(b, N_list, x_list, y_list):
+    sizes = [b**N for N in N_list]
+    total_N = sum(N_list)
     sums = [[digit_sum(n, b) for n in range(size)] for size in sizes]
     powers = xi_power_table(b)
     lhs = CycloNum.zero(b)
     for tup in itertools.product(*(range(size) for size in sizes)):
         arg = Fraction(0)
         s = 0
-        for n, ds, xj, yj in zip(tup, sums, config.x_list, config.y_list):
+        for n, ds, xj, yj in zip(tup, sums, x_list, y_list):
             arg += ds[n] * xj + n * yj
             s += ds[n]
         lhs = lhs + powers[s % b] * arg**total_N
@@ -143,7 +140,8 @@ def orders(draw, b, low=0, max_terms=343):
 
 @st.composite
 def multi_configs(draw, mixed):
-    # Up to three axes with at most 400 grid points in all.
+    # (b, N_list, x or the x list, y list): up to three axes with at most
+    # 400 grid points in all.
     b = draw(bases)
     budget = 400
     N_list = [draw(orders(b, 1, budget))]
@@ -152,10 +150,8 @@ def multi_configs(draw, mixed):
         N_list.append(draw(orders(b, 1, budget)))
         budget //= b ** N_list[-1]
     ys = tuple(draw(fractions) for _ in N_list)
-    if mixed:
-        xs = tuple(draw(fractions) for _ in N_list)
-        return MultiIndexConfig(b=b, N_list=tuple(N_list), y_list=ys, x_list=xs)
-    return MultiIndexConfig(b=b, N_list=tuple(N_list), y_list=ys, x=draw(fractions))
+    x = tuple(draw(fractions) for _ in N_list) if mixed else draw(fractions)
+    return b, tuple(N_list), x, ys
 
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -187,20 +183,22 @@ def test_generalized_pte_lhs_matches_oracle(data, b, x, y):
 @SETTINGS
 @given(multi_configs(mixed=False))
 def test_multi_power_sum_lhs_matches_oracle(config):
-    power = RationalPoly.monomial(sum(config.N_list))
-    assert verify_multi_power_sum(config).lhs == oracle_multi_lhs(config, power)
+    b, N_list, x, ys = config
+    power = RationalPoly.monomial(sum(N_list))
+    assert verify_multi_power_sum(b, N_list, x, ys).lhs == oracle_multi_lhs(b, N_list, x, ys, power)
 
 
 @SETTINGS
 @given(multi_configs(mixed=False), polys)
 def test_multisum_lhs_matches_oracle(config, f):
-    assert verify_multisum(config, f).lhs == oracle_multi_lhs(config, f)
+    b, N_list, x, ys = config
+    assert verify_multisum(b, N_list, f, x, ys).lhs == oracle_multi_lhs(*config, f)
 
 
 @SETTINGS
 @given(multi_configs(mixed=True))
 def test_multi_mixed_sum_lhs_matches_oracle(config):
-    assert verify_multi_mixed_sum(config).lhs == oracle_multi_mixed_lhs(config)
+    assert verify_multi_mixed_sum(*config).lhs == oracle_multi_mixed_lhs(*config)
 
 
 @SETTINGS
@@ -228,10 +226,8 @@ def test_kernel_edge_cases():
     assert digit_weighted_sum(f, 5, [(2, 0, 0)], Fraction(4, 9)).is_zero()
     assert digit_weighted_sum(f, 5, [(0, 0, 0)], Fraction(4, 9)) == f(Fraction(4, 9))
     # Three axes fold two of them before streaming the last.
-    config = MultiIndexConfig(
-        b=3, N_list=(1, 1, 2), y_list=(Fraction(1, 2), Fraction(-3), Fraction(5, 7)), x=Fraction(-1, 4)
-    )
-    assert verify_multisum(config, f).lhs == oracle_multi_lhs(config, f)
+    b, N_list, x, ys = 3, (1, 1, 2), Fraction(-1, 4), (Fraction(1, 2), Fraction(-3), Fraction(5, 7))
+    assert verify_multisum(b, N_list, f, x, ys).lhs == oracle_multi_lhs(b, N_list, x, ys, f)
 
 
 def test_brute_side_imports_nothing_from_the_closed_side():

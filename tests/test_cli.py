@@ -258,17 +258,45 @@ class TestVerifyCommand:
         )
         assert code == 3 and "cap" in err
 
-    @pytest.mark.parametrize("order", ["5000", "1000000"])
-    def test_huge_order_is_refused_at_once(self, capsys, order):
-        # b^N has more digits than int -> str allows, and the degree-(N+2) f
-        # is drawn only after the charge.
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("difference-identity", "--base", "10", "--order", "5000"), id="5000"),
+        pytest.param(("difference-identity", "--base", "10", "--order", "1000000"), id="1000000"),
+        pytest.param(("multisum", "--order", "3000000,1"), id="multisum-3000000,1"),
+    ])
+    def test_huge_order_is_refused_at_once(self, capsys, argv):
+        # b^N has more digits than int -> str allows, and f, whose degree
+        # grows with the order, is drawn only after the charge.
         start = time.perf_counter()
-        code, out, err = invoke(
-            capsys, "verify", "--identity", "difference-identity",
-            "--base", "10", "--order", order, "--max-cost", "10",
-        )
+        code, out, err = invoke(capsys, "verify", "--identity", *argv, "--max-cost", "10")
         assert code == 3 and err.startswith("error:") and "cap is 10" in err and out == ""
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("identity", ["multisum", "multi-power-sum", "multi-mixed-sum"])
+    def test_r_fold_usage_errors(self, capsys, identity):
+        cases = [
+            (("--base", "1"), "base must be >= 2, got 1"),
+            (("--order", ","), "need at least one summation index"),
+            (("--order", "0,1"), "all orders must be >= 1"),
+            (("--order", "1,2", "--y-list", "1"), "y_list length must match N_list"),
+        ]
+        if identity == "multi-mixed-sum":
+            cases.append((("--order", "1,2", "--x-list", "1"), "x_list length must match N_list"))
+        for argv, message in cases:
+            assert invoke(capsys, "verify", "--identity", identity, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("base,order,cost", [("7", "1", 47), ("2", "11", 24576)])
+    def test_betaconv_dual1_charges_its_table_and_passes(self, capsys, base, order, cost):
+        # The order-N table's b^(N+1) - N - 1 entries (47 at b=7, N=1), then
+        # the N+1 running-sum passes over b^N weights (24576 at b=2, N=11).
+        argv = ("verify", "--identity", "betaconv-dual1", "--base", base, "--order", order)
+        assert invoke(capsys, *argv, "--max-cost", str(cost - 1))[0] == 3
+        assert invoke(capsys, *argv, "--max-cost", str(cost))[0] == 0
+
+    def test_bad_cost_cap_names_its_source(self, capsys, monkeypatch):
+        expected = "'2^x': invalid literal for int() with base 10: 'x'\n"
+        assert invoke(capsys, "verify", "--all", "--max-cost", "2^x") == (2, "", "error: --max-cost " + expected)
+        monkeypatch.setenv("DIGITSUM_MAX_COST", "2^x")
+        assert invoke(capsys, "verify", "--all") == (2, "", "error: $DIGITSUM_MAX_COST " + expected)
 
     def test_env_cost_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("DIGITSUM_MAX_COST", "4")
@@ -369,6 +397,17 @@ class TestVerifyCommand:
 
 
 class TestPteCommands:
+    @pytest.mark.parametrize("flag", ["--x-grid", "--y-grid"])
+    @pytest.mark.parametrize("spec,message", [
+        pytest.param("0..3/", "Invalid literal for Fraction", id="empty-step"),
+        pytest.param("0..1/2/3/4/5", "cannot parse grid range '0..1/2/3/4/5'", id="five-tokens"),
+    ])
+    def test_bad_grid_names_its_flag(self, capsys, flag, spec, message):
+        grids = {"--x-grid": "0,1", "--y-grid": "1", flag: spec}
+        argv = [arg for item in grids.items() for arg in item]
+        code, out, err = invoke(capsys, "pte-search", "--base", "2", "--order", "3", *argv)
+        assert code == 2 and out == "" and err.startswith(f"error: {flag} {spec!r}: ") and message in err
+
     def test_show_text_contains_certificate(self, capsys):
         code, out, _ = invoke(
             capsys, "pte-show", "--base", "2", "--order", "3", "--x", "1", "--y", "1"

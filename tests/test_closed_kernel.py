@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from digitsum.arith import CycloNum
 from digitsum.findiff import beta_weighted_sum, forward_differences, weighted_rhs
-from digitsum.identities import MultiIndexConfig, verify_multisum
+from digitsum.identities import verify_multisum
 from digitsum.poly import RationalPoly
 from digitsum.weights import beta_table
 
@@ -112,8 +112,7 @@ def test_beta_weighted_sum_matches_tensor_loop(case, x):
     y_list = tuple(y for _, y in axes)
     expected = oracle_multisum_rhs(b, N_list, y_list, x, f)
     assert beta_weighted_sum(f, b, axes, x) == expected
-    config = MultiIndexConfig(b=b, N_list=N_list, y_list=y_list, x=x)
-    assert verify_multisum(config, f).rhs == expected
+    assert verify_multisum(b, N_list, f, x, y_list).rhs == expected
 
 
 @SETTINGS

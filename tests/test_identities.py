@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from digitsum.arith import CycloNum, xi
 from digitsum.cost import CostCapExceeded
 from digitsum.identities import (
-    MultiIndexConfig,
     joint_line_coeffs_base2,
     joint_weight_polynomial,
     report_to_dict,
@@ -94,41 +93,37 @@ class TestCorollary:
 class TestMultisum:
     def test_single_index_matches_plain_identity(self):
         f = RationalPoly.monomial(3)
-        config = MultiIndexConfig(b=2, N_list=(2,), y_list=(Fraction(1),), x=Fraction(0))
         single = verify_difference_identity(2, 2, f, 0, 1)
-        multi = verify_multisum(config, f)
+        multi = verify_multisum(2, (2,), f, Fraction(0), (Fraction(1),))
         assert multi.equal and multi.lhs == single.lhs
 
     def test_double_sum(self):
-        config = MultiIndexConfig(
-            b=2, N_list=(1, 1), y_list=(Fraction(1), Fraction(1)), x=Fraction(0)
-        )
-        report = verify_multisum(config, RationalPoly.monomial(2))
+        report = verify_multisum(2, (1, 1), RationalPoly.monomial(2), Fraction(0), (Fraction(1),) * 2)
         assert report.equal
 
     def test_mixed_orders_base_three(self):
         rng = random.Random(9)
-        config = MultiIndexConfig(
-            b=3,
-            N_list=(1, 2),
-            y_list=(rand_fraction(rng, True), rand_fraction(rng, True)),
-            x=rand_fraction(rng),
-        )
-        report = verify_multisum(config, rand_poly(rng, 3))
+        ys = (rand_fraction(rng, True), rand_fraction(rng, True))
+        x = rand_fraction(rng)
+        report = verify_multisum(3, (1, 2), rand_poly(rng, 3), x, ys)
         assert report.equal
 
     def test_size_cap_refusal(self):
-        config = MultiIndexConfig(
-            b=2, N_list=(5, 5), y_list=(Fraction(1), Fraction(2)), x=Fraction(0)
-        )
         with pytest.raises(CostCapExceeded):
-            verify_multisum(config, RationalPoly.monomial(10), max_cost=100)
+            verify_multisum(2, (5, 5), RationalPoly.monomial(10), 0, (1, 2), max_cost=100)
+
+    def test_grid_charge(self):
+        # The 8 x 8 grid, as the other r-fold sums charge it.
+        f = RationalPoly([1, Fraction(-1, 2), 0, 0, 0, 0, 3])
+        ys = (Fraction(1), Fraction(-2, 3))
+        assert verify_multisum(2, (3, 3), f, Fraction(1, 5), ys, max_cost=64).equal
+        with pytest.raises(CostCapExceeded):
+            verify_multisum(2, (3, 3), f, Fraction(1, 5), ys, max_cost=63)
 
 
 class TestMultiPowerSum:
     def test_hand_check_r1(self):
-        config = MultiIndexConfig(b=2, N_list=(1,), y_list=(Fraction(1),), x=Fraction(3))
-        report = verify_multi_power_sum(config)
+        report = verify_multi_power_sum(2, (1,), Fraction(3), (Fraction(1),))
         assert report.equal and report.lhs == -1
 
     def test_base_two_consistency_form(self):
@@ -147,13 +142,8 @@ class TestMultiPowerSum:
         rng = random.Random(3)
         for b in (2, 3):
             for N_list in ((1, 2), (1, 1, 1)):
-                config = MultiIndexConfig(
-                    b=b,
-                    N_list=N_list,
-                    y_list=tuple(rand_fraction(rng, True) for _ in N_list),
-                    x=rand_fraction(rng),
-                )
-                report = verify_multi_power_sum(config)
+                ys = tuple(rand_fraction(rng, True) for _ in N_list)
+                report = verify_multi_power_sum(b, N_list, rand_fraction(rng), ys)
                 assert report.equal
 
 
@@ -199,29 +189,19 @@ class TestSSums:
 
 class TestThm12:
     def test_hand_value(self):
-        config = MultiIndexConfig(
-            b=2, N_list=(3,), y_list=(Fraction(1),), x_list=(Fraction(1),)
-        )
-        report = verify_multi_mixed_sum(config)
+        report = verify_multi_mixed_sum(2, (3,), (Fraction(1),), (Fraction(1),))
         assert report.equal and report.lhs == -180
 
     def test_zero_offset_reduces_to_plain_power_sum(self):
-        config = MultiIndexConfig(
-            b=2, N_list=(1,), y_list=(Fraction(1),), x_list=(Fraction(0),)
-        )
-        report = verify_multi_mixed_sum(config)
+        report = verify_multi_mixed_sum(2, (1,), (Fraction(0),), (Fraction(1),))
         assert report.equal and report.lhs == -1
 
     def test_r2_mixed(self):
         rng = random.Random(77)
         for b in (2, 3):
-            config = MultiIndexConfig(
-                b=b,
-                N_list=(1, 2),
-                y_list=(rand_fraction(rng, True), rand_fraction(rng, True)),
-                x_list=(rand_fraction(rng), rand_fraction(rng)),
-            )
-            assert verify_multi_mixed_sum(config).equal
+            ys = (rand_fraction(rng, True), rand_fraction(rng, True))
+            xs = (rand_fraction(rng), rand_fraction(rng))
+            assert verify_multi_mixed_sum(b, (1, 2), xs, ys).equal
 
 
 class TestHFamily:
