@@ -33,14 +33,27 @@ from .weights import alpha_table, beta_columns, beta_table
 ENV_MAX_COST = "DIGITSUM_MAX_COST"
 
 
+# No loop of 2^64 steps ever finishes, so a larger cap guards nothing.
+COST_CEILING = 2**64
+
+
 def parse_cost(text: str) -> int:
-    """Cost caps accept plain integers or power notation like 2^20."""
+    """Cost caps accept plain integers or power notation like 2^20, from 1
+    to 2^64.  A larger cap is refused by its digit count or by its exponent
+    times the base's bit length, before the big int is built."""
     text = text.strip()
     if "^" in text:
         base, _, exp = text.partition("^")
-        value = int(base) ** int(exp)
+        base, exp = int(base), int(exp)
+        # |base|^exp >= 2^((bit length - 1) * exp)
+        huge = exp > 0 and (abs(base).bit_length() - 1) * exp > 64
+        value = None if huge else base**exp
     else:
-        value = int(text)
+        digits = text.replace("_", "").lstrip("+-").lstrip("0")
+        # 21 digits are at least 10^20 > 2^64.
+        value = None if digits.isdigit() and len(digits) > 20 else int(text)
+    if value is None or abs(value) > COST_CEILING:
+        raise ValueError("max cost must be between 1 and 2^64")
     if value < 1:
         raise ValueError(f"max cost must be >= 1, got {value}")
     return value

@@ -9,8 +9,9 @@ than the classical b^N arise.
 Everything runs on integers: each value is a numerator A over a common
 denominator L.  A partition the package builds keeps those per-class counts
 and turns them into sorted Fraction multisets only when ``classes`` or
-``expanded()`` is first read, so a search pays for Fractions only on the
-results a caller prints.
+``expanded()`` is first read, so a search pays for class Fractions only on
+the results a caller prints.  A certificate's power sums are Fractions
+from the start, so a search builds them for every point it certifies.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .cost import charge
@@ -63,16 +65,18 @@ def _check_degree(max_degree: int) -> None:
         raise ValueError(f"max degree must be >= 0, got {max_degree}")
 
 
-def _digit_classes(b: int, N: int) -> list[list[tuple[int, list[int]]]]:
+@lru_cache(maxsize=8)
+def _digit_classes(b: int, N: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
     """Per digit-sum class mod b, the pairs (s, ns): a digit sum s in the
-    class and the n < b^N whose digit sum is s."""
+    class and the n < b^N whose digit sum is s.  Every partition of a
+    block shares this one table, so it is built of tuples."""
     by_sum: dict[int, list[int]] = {}
     for n, s in enumerate(digit_sums(b, b**N)):
         by_sum.setdefault(s, []).append(n)
-    classes: list[list[tuple[int, list[int]]]] = [[] for _ in range(b)]
+    classes: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(b)]
     for s, ns in by_sum.items():
-        classes[s % b].append((s, ns))
-    return classes
+        classes[s % b].append((s, tuple(ns)))
+    return tuple(map(tuple, classes))
 
 
 def _scaled(x: Fraction, y: Fraction) -> tuple[int, int, int]:
@@ -82,7 +86,7 @@ def _scaled(x: Fraction, y: Fraction) -> tuple[int, int, int]:
 
 
 def _class_counts(
-    digit_classes: Sequence[Sequence[tuple[int, list[int]]]], X: int, Y: int
+    digit_classes: Sequence[Sequence[tuple[int, Sequence[int]]]], X: int, Y: int
 ) -> list[dict[int, int]]:
     """Multiplicity of each value s X + n Y within each class."""
     counters = []
@@ -154,7 +158,7 @@ def _expand(multiset: Multiset) -> list[Fraction]:
 
 
 class _Classes:
-    """The ``classes`` field of both partition types.
+    """The ``classes`` field of every partition type.
 
     Every partition keeps its counts under ``_integer``.  Given an
     ``_IntegerForm`` it keeps just that and freezes the counts into
@@ -201,25 +205,17 @@ class PtePartition:
 
 
 @dataclass(frozen=True)
-class ReducedPartition:
+class ReducedPartition(PtePartition):
     """A partition after cross-class cancellation of shared values."""
 
-    b: int
-    N: int
-    x: Fraction
-    y: Fraction
-    classes: tuple[Multiset, ...] = _Classes()
     reduced_size: int
-
-    def expanded(self) -> list[list[Fraction]]:
-        return [_expand(cls) for cls in self.classes]
 
 
 @dataclass(frozen=True)
 class PteCertificate:
     """Per-class power sums for k = 0..max_degree; valid iff they all agree."""
 
-    partition: object
+    partition: PtePartition
     max_degree: int
     power_sums: tuple[tuple[Fraction, ...], ...]
     valid: bool
@@ -241,19 +237,15 @@ def prouhet_partition(b: int, N: int, max_cost: int | None = None) -> PtePartiti
     return generalized_partition(b, N, 0, 1, max_cost)
 
 
-def _certificate(partition, rows: list[list[int]], max_degree: int, L: int) -> PteCertificate:
-    """Wrap integer power-sum rows of values scaled by L as rationals."""
+def verify_power_sums(partition: PtePartition, max_degree: int) -> PteCertificate:
+    """Exact per-class power sums up to max_degree; k = 0 counts multiplicity."""
+    _check_degree(max_degree)
+    L, counters = partition._integer
+    rows = _power_rows(counters, max_degree)
     scales = [L**k for k in range(max_degree + 1)]
     power_sums = tuple(tuple(Fraction(S, scale) for S, scale in zip(row, scales)) for row in rows)
     valid = all(row == rows[0] for row in rows[1:])
     return PteCertificate(partition, max_degree, power_sums, valid)
-
-
-def verify_power_sums(partition, max_degree: int) -> PteCertificate:
-    """Exact per-class power sums up to max_degree; k = 0 counts multiplicity."""
-    _check_degree(max_degree)
-    L, counters = partition._integer
-    return _certificate(partition, _power_rows(counters, max_degree), max_degree, L)
 
 
 def cancel_common(partition: PtePartition) -> ReducedPartition:
@@ -290,7 +282,8 @@ def search_small_solutions(
     min_size: int = 0,
     max_cost: int | None = None,
 ) -> list[SearchResult]:
-    """Scan a grid of (x, y), cancel shared values, keep valid certificates.
+    """Partition, cancel and, from ``min_size`` up, certify each grid point
+    (x, y) with the public functions; keep the valid certificates.
 
     Results are ranked by reduced size, then by denominator height and
     |x| + |y|, with (x, y) as the final deterministic tiebreak.  The whole
@@ -305,20 +298,15 @@ def search_small_solutions(
     _check_block(b, N)
     _check_degree(degree)
     charge(len(xs) * len(ys) * b**N * (degree + 1), max_cost)
-    digit_classes = _digit_classes(b, N)
     results = []
     for x in xs:
         for y in ys:
-            X, Y, L = _scaled(x, y)
-            counters = _cancel(_class_counts(digit_classes, X, Y))
-            size = _size(counters)
-            if size < min_size:
+            reduced = cancel_common(generalized_partition(b, N, x, y, max_cost))
+            if reduced.reduced_size < min_size:
                 continue
-            rows = _power_rows(counters, degree)
-            if any(row != rows[0] for row in rows[1:]):
-                continue
-            reduced = ReducedPartition(b, N, x, y, _IntegerForm(L, counters), size)
-            results.append(SearchResult(x, y, reduced, _certificate(reduced, rows, degree, L)))
+            certificate = verify_power_sums(reduced, degree)
+            if certificate.valid:
+                results.append(SearchResult(x, y, reduced, certificate))
     results.sort(
         key=lambda res: (
             res.reduced.reduced_size,

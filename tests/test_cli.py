@@ -154,6 +154,12 @@ class TestParsers:
         with pytest.raises(ValueError):
             parse_cost("0")
 
+    def test_cost_ceiling_is_2_to_the_64(self):
+        assert parse_cost("2^64") == parse_cost(str(2**64)) == 2**64
+        for text in ("2^65", str(2**64 + 1), "-7^3000001", "1" + "0" * 100000):
+            with pytest.raises(ValueError, match="between 1 and 2\\^64"):
+                parse_cost(text)
+
     def test_seed_range(self):
         assert parse_seed("42") == 42
         with pytest.raises(ValueError):
@@ -291,6 +297,19 @@ class TestVerifyCommand:
         argv = ("verify", "--identity", "betaconv-dual1", "--base", base, "--order", order)
         assert invoke(capsys, *argv, "--max-cost", str(cost - 1))[0] == 3
         assert invoke(capsys, *argv, "--max-cost", str(cost))[0] == 0
+
+    @pytest.mark.parametrize("flag,env", [("7^3000000", None), ("2^65", None), (None, str(2**64 + 1))])
+    def test_cost_cap_above_2_to_the_64_is_refused_at_once(self, capsys, monkeypatch, flag, env):
+        # 7^3000000 took 1.5 s to build before it was refused by its exponent.
+        if env is not None:
+            monkeypatch.setenv("DIGITSUM_MAX_COST", env)
+        argv = ("bernoulli", "--degree", "1") + (("--max-cost", flag) if flag else ())
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --max-cost " if flag else "error: $DIGITSUM_MAX_COST ")
+        assert invoke(capsys, "bernoulli", "--degree", "1", "--max-cost", "2^64")[0] == 0
 
     def test_bad_cost_cap_names_its_source(self, capsys, monkeypatch):
         expected = "'2^x': invalid literal for int() with base 10: 'x'\n"

@@ -322,6 +322,7 @@ class TestLazyClasses:
             assert hash(lazy) == hash(oracle)
             assert lazy.expanded() == oracle.expanded()
         assert built.size == eager.size
+        assert isinstance(reduced, PtePartition) and reduced.size == reduced.reduced_size
 
     @settings(max_examples=25, deadline=None)
     @given(block=blocks, x=grid_values, y=grid_values)
@@ -351,6 +352,41 @@ class TestLazyClasses:
         assert len(calls) == 3
         results[0].reduced.expanded()
         assert len(calls) == 3
+
+
+class TestSearchPipeline:
+    """Each grid point runs the public partition, cancel and certify steps, so
+    anything that wraps them as module attributes sees every point."""
+
+    def test_every_point_runs_the_public_steps(self, monkeypatch):
+        calls = {}
+        for name in ("generalized_partition", "cancel_common", "verify_power_sums"):
+            def counted(*args, name=name, step=getattr(pte, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return step(*args)
+
+            monkeypatch.setattr(pte, name, counted)
+        results = search_small_solutions(2, 3, range(3), range(1, 5))
+        assert len(results) == 12
+        assert calls == {"generalized_partition": 12, "cancel_common": 12, "verify_power_sums": 12}
+
+    def test_digit_sums_are_tabled_once_per_block(self, monkeypatch):
+        pte._digit_classes.cache_clear()
+        calls = []
+        digit_sums = pte.digit_sums
+
+        def counted(b, limit):
+            calls.append((b, limit))
+            return digit_sums(b, limit)
+
+        monkeypatch.setattr(pte, "digit_sums", counted)
+        first = search_small_solutions(3, 3, range(4), range(1, 5))
+        assert search_small_solutions(3, 3, range(4), range(1, 5)) == first
+        assert calls == [(3, 27)]
+        # The shared table is immutable all the way down.
+        table = pte._digit_classes(3, 3)
+        assert isinstance(table, tuple)
+        assert all(isinstance(cls, tuple) and isinstance(ns, tuple) for cls in table for _, ns in cls)
 
 
 class TestSearchCost:
