@@ -26,6 +26,7 @@ from . import identities
 from .arith import euler_phi
 from .bernoulli import bernoulli_poly
 from .cost import DEFAULT_MAX_COST, CostCapExceeded, charge
+from .digits import check_block
 from .identities import DEFAULT_SEED, IdentityReport, report_to_dict
 from .pte import cancel_common, generalized_partition, search_small_solutions, verify_power_sums
 from .weights import alpha_table, beta_columns, beta_table
@@ -39,14 +40,16 @@ COST_CEILING = 2**64
 
 def parse_cost(text: str) -> int:
     """Cost caps accept plain integers or power notation like 2^20, from 1
-    to 2^64.  A larger cap is refused by its digit count or by its exponent
-    times the base's bit length, before the big int is built."""
+    to 2^64.  A negative exponent, or a larger cap by its digit count or by
+    its exponent times the base's bit length, is refused before it is built."""
     text = text.strip()
     if "^" in text:
         base, _, exp = text.partition("^")
         base, exp = int(base), int(exp)
+        if exp < 0:
+            raise ValueError(f"exponent must be >= 0, got {exp}")
         # |base|^exp >= 2^((bit length - 1) * exp)
-        huge = exp > 0 and (abs(base).bit_length() - 1) * exp > 64
+        huge = (abs(base).bit_length() - 1) * exp > 64
         value = None if huge else base**exp
     else:
         digits = text.replace("_", "").lstrip("+-").lstrip("0")
@@ -317,8 +320,8 @@ def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
     b, N, kind = args.base, args.order, args.kind
     if kind == "alpha" and b != 2:
         raise ValueError("alpha tables exist only for base 2")
-    if N >= 0:  # a negative order is left to the builders' usage error
-        charge(b ** (N + 1) - N - 1, max_cost)
+    check_block(b, N)
+    charge(b ** (N + 1) - N - 1, max_cost)
     if args.format == "text":
         table = alpha_table(N) if kind == "alpha" else beta_table(b, N)
         lines = [f"{kind} table b={b} N={N} ({len(table)} entries)"]
@@ -349,9 +352,8 @@ def _class_lines(label: str, expanded: list[list[Fraction]]) -> list[str]:
 
 def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
     kmax = args.kmax if args.kmax is not None else args.order - 1
-    # Power-sum terms of one certificate; bad values are left to the usage errors.
-    if args.base >= 2 and args.order >= 1 and kmax >= 0:
-        charge(args.base**args.order * (kmax + 1), max_cost)
+    check_block(args.base, args.order, 1)
+    charge(args.base**args.order * (kmax + 1), max_cost)  # power-sum terms of one certificate
     partition = generalized_partition(args.base, args.order, args.x, args.y, max_cost)
     certificate = verify_power_sums(partition, kmax)
     reduced = cancel_common(partition)

@@ -10,6 +10,9 @@ brute-force sum but one: ``identities.joint_weight_polynomial`` keeps its
 own bucket loop over the same table, because its weight
 xi^s(i_1+...+i_m) is the digit sum of the index sum, not a product of
 per-axis weights.
+
+:func:`check_block` is the one place the block rule, b >= 2 and N >= a least
+order, is written; every entry point calls it before it charges the cap.
 """
 
 from __future__ import annotations
@@ -25,14 +28,17 @@ __all__ = [
 ]
 
 
-def _check_base(b: int) -> None:
+def check_block(b: int, N: int = 0, least: int = 0) -> None:
+    """Refuse a block of b^N integers unless b >= 2 and N >= least."""
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
+    if N < least:
+        raise ValueError(f"order must be >= {least}, got {N}")
 
 
 def digit_sum(n: int, b: int) -> int:
     """Sum of the base-b digits of n."""
-    _check_base(b)
+    check_block(b)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     total = 0
@@ -44,7 +50,7 @@ def digit_sum(n: int, b: int) -> int:
 
 def digit_sums(b: int, limit: int) -> list[int]:
     """Digit sums of 0 .. limit-1, one step per entry by s(n) = s(n // b) + n % b."""
-    _check_base(b)
+    check_block(b)
     sums = [0] * limit
     for n in range(1, limit):
         sums[n] = sums[n // b] + n % b

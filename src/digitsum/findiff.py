@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .arith import CycloNum, combine_buckets
 from .cost import charge
-from .digits import digit_weighted_sum
+from .digits import check_block, digit_weighted_sum
 from .poly import RationalPoly, clear_denominators, integer_samples
 from .weights import beta_columns
 
@@ -117,10 +117,7 @@ def lhs_sum(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = None) 
     kernel :func:`digitsum.digits.digit_weighted_sum`, which reads its
     coefficients rather than calling it.
     """
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    if N < 0:
-        raise ValueError(f"order must be >= 0, got {N}")
+    check_block(b, N)
     charge(b**N, max_cost)
     return digit_weighted_sum(f, b, [(N, 0, y)], x)
 
@@ -132,9 +129,6 @@ def weighted_rhs(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = N
     ``f`` must be a :class:`RationalPoly`, for the same reason as there: the
     sum is taken in integers from its coefficients.
     """
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(b, N, 1)
     charge(b**N, max_cost)
     return beta_weighted_sum(f, b, [(N, Fraction(y))], Fraction(x))

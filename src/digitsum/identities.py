@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 from .arith import CycloNum, a_constant, combine_buckets, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from .cost import charge
-from .digits import digit_sums, digit_weighted_sum
+from .digits import check_block, digit_sums, digit_weighted_sum
 from .findiff import beta_weighted_sum, forward_diff_n, forward_differences, lhs_sum, weighted_rhs
 from .poly import RationalPoly
 from .weights import (
@@ -113,8 +113,7 @@ def verify_difference_identity(
     b: int, N: int, f: RationalPoly, x, y, max_cost: int | None = None
 ) -> IdentityReport:
     """Digit-weighted sum of f versus its beta-weighted difference form."""
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(b, N, 1)
     start = time.perf_counter()
     x = Fraction(x)
     y = Fraction(y)
@@ -136,9 +135,9 @@ def verify_power_sum(
     """Power sums with exponent N or N+1 versus their moment closed forms."""
     if which not in ("N", "N+1"):
         raise ValueError(f"which must be 'N' or 'N+1', got {which!r}")
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(b, N, 1)
     start = time.perf_counter()
+    charge(b**N, max_cost)
     x = Fraction(x)
     y = Fraction(y)
     p = N if which == "N" else N + 1
@@ -161,8 +160,7 @@ def verify_moment(b: int, N: int, order: int, max_cost: int | None = None) -> Id
     """Closed-form moment of the order-(N-1) beta table versus the direct sum."""
     if order not in (0, 1):
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(b, N, 1)
     start = time.perf_counter()
     charge(b**N - N, max_cost)
     table = beta_columns(b, N - 1)
@@ -175,9 +173,9 @@ def verify_moment(b: int, N: int, order: int, max_cost: int | None = None) -> Id
 
 def verify_betaconv_dual1(b: int, N: int, max_cost: int | None = None) -> IdentityReport:
     """Binomial-convolution route to the first b^N beta weights."""
+    check_block(b, N)
     start = time.perf_counter()
-    if N >= 0:  # the order-N table; a negative order is left to the builders' usage error
-        charge(b ** (N + 1) - N - 1, max_cost)
+    charge(b ** (N + 1) - N - 1, max_cost)  # the order-N table
     lhs = list(beta_from_convolution(b, N, max_cost))
     rhs = list(from_columns(b, [col[: b**N] for col in beta_columns(b, N)]))
     return _report("betaconv-dual1", {"b": b, "N": N}, lhs, rhs, start)
@@ -186,8 +184,7 @@ def verify_betaconv_dual1(b: int, N: int, max_cost: int | None = None) -> Identi
 def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> IdentityReport:
     """Recovering the digit weights from the beta table: (1-z)^N times the
     order-(N-1) table, as N difference passes over the zero-padded table."""
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(b, N, 1)
     start = time.perf_counter()
     count = b**N
     charge(count * (N + 1), max_cost)
@@ -201,6 +198,7 @@ def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> Identi
 
 def verify_beta_alpha_reduction(N: int, max_cost: int | None = None) -> IdentityReport:
     """Base-2 beta table versus the integer alpha table, entrywise."""
+    check_block(2, N)
     start = time.perf_counter()
     charge(2 ** (N + 1) - N - 1, max_cost)
     lhs = list(beta_table(2, N))
@@ -212,8 +210,7 @@ def verify_alpha_moment(N: int, order: int, max_cost: int | None = None) -> Iden
     """Alpha-table moments versus their closed forms."""
     if order not in (0, 1):
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(2, N, 1)
     start = time.perf_counter()
     charge(2**N - N, max_cost)
     lhs = Fraction(sum(k**order * v for k, v in enumerate(alpha_table(N - 1))))
@@ -227,8 +224,7 @@ def verify_alpha_moment(N: int, order: int, max_cost: int | None = None) -> Iden
 
 def _check_axes(b: int, N_list, y_list, x_list=None) -> None:
     """The r-fold sums' usage check: at least one axis, each with an order >= 1 and a scale."""
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
+    check_block(b)
     if not N_list:
         raise ValueError("need at least one summation index")
     if any(N < 1 for N in N_list):
@@ -281,10 +277,9 @@ def verify_multi_power_sum(b: int, N_list, x, y_list, max_cost: int | None = Non
 def mixed_power_sum(b: int, N: int, l: int, x, y, max_cost: int | None = None) -> CycloNum:
     """Brute-force digit-weighted power sum with digit-scaled argument:
     sum over n < b^N of xi^s(n) * (s(n) x + n y)^l."""
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    if N < 0 or l < 0:
-        raise ValueError(f"need N >= 0 and l >= 0, got N={N}, l={l}")
+    check_block(b, N)
+    if l < 0:
+        raise ValueError(f"power must be >= 0, got {l}")
     charge(b**N, max_cost)
     return digit_weighted_sum(RationalPoly.monomial(l), b, [(N, x, y)])
 
@@ -311,8 +306,7 @@ def verify_mixed_vanishing(b: int, N: int, l: int, x, y, max_cost: int | None = 
 
 def verify_mixed_closed_form(b: int, N: int, x, y, max_cost: int | None = None) -> IdentityReport:
     """The critical mixed sum versus b^N N!/(xi-1)^N prod (x + b^l y)."""
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(b, N, 1)
     start = time.perf_counter()
     x = Fraction(x)
     y = Fraction(y)
@@ -323,8 +317,7 @@ def verify_mixed_closed_form(b: int, N: int, x, y, max_cost: int | None = None) 
 
 def verify_mixed_recurrence(b: int, N: int, l: int, x, y, max_cost: int | None = None) -> IdentityReport:
     """One step of the block recurrence relating order N to order N-1."""
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(b, N, 1)
     if l < 0:
         raise ValueError(f"power must be >= 0, got {l}")
     start = time.perf_counter()
@@ -365,8 +358,7 @@ def joint_weight_polynomial(
     exact polynomial in t: its p+1 coefficients, constant term first."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(b, N, 1)
     if p < 0:
         raise ValueError(f"power must be >= 0, got {p}")
     if len(x_list) != m:
@@ -437,8 +429,7 @@ def joint_line_coeffs_base2(N: int, x1, x2) -> tuple[Fraction, Fraction]:
 
 def verify_joint_line_base2(N: int, x1, x2, t, max_cost: int | None = None) -> IdentityReport:
     """Base-2 two-variable sum at p = N versus its explicit linear form."""
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(2, N, 1)
     x1 = Fraction(x1)
     x2 = Fraction(x2)
     t = Fraction(t)
@@ -463,8 +454,7 @@ def verify_joint_line_general(b: int, N: int, x1, x2, max_cost: int | None = Non
     evaluated and carried in ``extras`` for the record, but ``equal`` gates
     only on the engine's own derivation matching brute force.
     """
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(b, N, 1)
     x1 = Fraction(x1)
     x2 = Fraction(x2)
     if x1 == x2:
@@ -537,8 +527,7 @@ def verify_generalized_pte(
 ) -> IdentityReport:
     """The digit-weighted sum of f(s(n) x + n y) vanishes for deg f < N;
     this is the scalar identity behind the equal-power-sum partitions."""
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
+    check_block(b, N, 1)
     if f.degree >= N:
         raise ValueError(f"need deg f < N, got degree {f.degree}")
     start = time.perf_counter()
@@ -574,9 +563,11 @@ class IdentityFamily(NamedTuple):
     """Identities checked together from one draw of their free inputs.
 
     ``case(rng, point, max_cost)`` draws the free inputs for one point and
-    returns its reports.  A point is a dict of fixed parameters (``b``,
-    ``N`` or ``N_list``, ``l``, ...).  A free input the point sets to a value
-    replaces its draw; the draw is still made, so later draws do not shift.
+    returns its reports; it checks and charges the point's block before it
+    draws any input whose size the point sets, such as f.  A point is a
+    dict of fixed parameters (``b``, ``N`` or ``N_list``, ``l``, ...).  A
+    free input the point sets to a value replaces its draw; the draw is
+    still made, so later draws do not shift.
     A point whose ``"id"`` names one id gets only that id's reports.
     ``points`` and ``draws`` (per point) are the suite's schedule, in rng
     order.  ``defaults`` maps each id the family serves to its point for
@@ -612,8 +603,8 @@ def _xy(rng: random.Random, p: dict, nonzero_y: bool = False) -> tuple:
 
 
 def _difference_case(rng, p, max_cost):
-    if p["N"] >= 1:  # charged before f, whose degree grows with N, is drawn
-        charge(p["b"] ** p["N"], max_cost)
+    check_block(p["b"], p["N"], 1)
+    charge(p["b"] ** p["N"], max_cost)
     x, y = _xy(rng, p)
     f = random_poly(rng, p["N"] + 2)
     return [verify_difference_identity(p["b"], p["N"], f, x, y, max_cost)]
@@ -656,7 +647,6 @@ def _multi_power_case(rng, p, max_cost):
 
 def _multisum_case(rng, p, max_cost):
     x, ys = _x_ys(rng, p)
-    # Checked and charged before f, whose degree is the total order, is drawn.
     _check_axes(p["b"], p["N_list"], ys)
     charge(p["b"] ** sum(p["N_list"]), max_cost)
     f = random_poly(rng, sum(p["N_list"]))
@@ -731,6 +721,8 @@ def _delta_bernoulli_case(rng, p, max_cost):
 
 
 def _generalized_pte_case(rng, p, max_cost):
+    check_block(p["b"], p["N"], 1)
+    charge(p["b"] ** p["N"], max_cost)
     x, y = _xy(rng, p, nonzero_y=True)
     f = random_poly(rng, p["N"] - 1)
     return [verify_generalized_pte(p["b"], p["N"], f, x, y, max_cost)]

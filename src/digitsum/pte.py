@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .cost import charge
-from .digits import digit_sums
+from .digits import check_block, digit_sums
 
 __all__ = [
     "PtePartition",
@@ -51,13 +51,6 @@ class _IntegerForm(NamedTuple):
 
     L: int
     counters: list[dict[int, int]]
-
-
-def _check_block(b: int, N: int) -> None:
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
 
 
 def _check_degree(max_degree: int) -> None:
@@ -223,7 +216,7 @@ class PteCertificate:
 
 def generalized_partition(b: int, N: int, x, y, max_cost: int | None = None) -> PtePartition:
     """Split the values s(n) x + n y, n < b^N, by digit sum mod b."""
-    _check_block(b, N)
+    check_block(b, N, 1)
     charge(b**N, max_cost)
     x = Fraction(x)
     y = Fraction(y)
@@ -295,7 +288,7 @@ def search_small_solutions(
     ys = sorted({Fraction(v) for v in y_grid})
     if not xs or not ys:
         raise ValueError("grids must be nonempty")
-    _check_block(b, N)
+    check_block(b, N, 1)
     _check_degree(degree)
     charge(len(xs) * len(ys) * b**N * (degree + 1), max_cost)
     results = []

@@ -24,7 +24,7 @@ from itertools import accumulate
 
 from .arith import CycloNum, xi, xi_power_coords
 from .cost import charge
-from .digits import digit_sums
+from .digits import check_block, digit_sums
 
 __all__ = [
     "alpha_table",
@@ -40,8 +40,7 @@ __all__ = [
 @lru_cache(maxsize=None)
 def alpha_table(N: int) -> tuple[int, ...]:
     """Integer weights of order N from the base-2 generating product."""
-    if N < 0:
-        raise ValueError(f"order must be >= 0, got {N}")
+    check_block(2, N)
     coeffs = [1]
     for l in range(N):
         gap = 2**l
@@ -89,10 +88,7 @@ def beta_columns(b: int, N: int) -> tuple[tuple[int, ...], ...]:
     as the partial sums P_k col = P_(k-1) col + xi^k col, added in at
     offset k b^l, with xi^k col one shift-and-fold step from xi^(k-1) col.
     """
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    if N < 0:
-        raise ValueError(f"order must be >= 0, got {N}")
+    check_block(b, N)
     powers = xi_power_coords(b)
     fold = powers[len(powers[0])]
     columns = [[1]] + [[0]] * (len(fold) - 1)
@@ -129,22 +125,19 @@ def beta_table(b: int, N: int) -> tuple[CycloNum, ...]:
 
 def alpha_moment0(N: int) -> int:
     """Closed-form sum of the order-(N-1) alpha table: 2^(N(N-1)/2)."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+    check_block(2, N, 1)
     return 2 ** (N * (N - 1) // 2)
 
 
 def alpha_moment1(N: int) -> Fraction:
     """Closed-form first moment of the order-(N-1) alpha table."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+    check_block(2, N, 1)
     return alpha_moment0(N) * (Fraction(2) ** (N - 1) - Fraction(N + 1, 2))
 
 
 def beta_moment0(b: int, N: int) -> CycloNum:
     """Closed-form sum of the order-(N-1) beta table: b^(N(N+1)/2)/(1-xi)^N."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+    check_block(b, N, 1)
     root = xi(b)
     scale = Fraction(b) ** (N * (N + 1) // 2)
     return (CycloNum.one(b) - root) ** (-N) * scale
@@ -152,8 +145,7 @@ def beta_moment0(b: int, N: int) -> CycloNum:
 
 def beta_moment1(b: int, N: int) -> CycloNum:
     """Closed-form first moment of the order-(N-1) beta table."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+    check_block(b, N, 1)
     root = xi(b)
     growth = Fraction(b**N - 1, b - 1)
     bracket = (Fraction(b, 2) + root / (CycloNum.one(b) - root)) * growth - Fraction(N, 2)
@@ -168,8 +160,7 @@ def beta_from_convolution(b: int, N: int, max_cost: int | None = None) -> tuple[
     so it is computed as N+1 running-sum passes.  The identity covers only
     this prefix of the full table.
     """
-    if b < 2 or N < 0:
-        raise ValueError(f"need base >= 2 and order >= 0, got b={b}, N={N}")
+    check_block(b, N)
     count = b**N
     charge((N + 1) * count, max_cost)
     powers = xi_power_coords(b)

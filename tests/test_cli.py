@@ -277,6 +277,36 @@ class TestVerifyCommand:
         assert code == 3 and err.startswith("error:") and "cap is 10" in err and out == ""
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize(
+        "identity", [name for name, family in FAMILY_OF.items() if "b" in family.defaults[name]]
+    )
+    def test_base_one_is_usage_error_for_every_id(self, capsys, identity):
+        # The block is checked before it is charged, so b = 1 is refused as a
+        # usage error even when the cap would also refuse the work.
+        argv = ("verify", "--identity", identity, "--base", "1", "--order", "30", "--max-cost", "10")
+        assert invoke(capsys, *argv) == (2, "", "error: base must be >= 2, got 1\n")
+
+    @pytest.mark.parametrize("argv,code", [
+        # f, of degree N - 1, must be drawn only after the charge.
+        ("generalized-pte --order 3000000", 3),
+        # The degree-N monomial must be built only after the charge.
+        ("power-sum-n --order 3000000", 3),
+        # 1^N passes any charge, so the base must be checked before f is drawn.
+        ("difference-identity --base 1 --order 3000000", 2),
+    ])
+    def test_block_is_checked_and_charged_before_the_draw(self, argv, code):
+        # A child process, so that a hang fails at the timeout instead of
+        # stalling the suite.  A refusal takes well under 1 s; a draw or
+        # build before the charge takes 5 s or more.
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "digitsum", "verify", "--identity", *argv.split()],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert time.perf_counter() - start < 2.5
+        assert result.returncode == code and result.stdout == ""
+        assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("identity", ["multisum", "multi-power-sum", "multi-mixed-sum"])
     def test_r_fold_usage_errors(self, capsys, identity):
         cases = [
@@ -310,6 +340,16 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: --max-cost " if flag else "error: $DIGITSUM_MAX_COST ")
         assert invoke(capsys, "bernoulli", "--degree", "1", "--max-cost", "2^64")[0] == 0
+
+    @pytest.mark.parametrize("flag,env", [("0^-1", None), ("1^-1", None), ("2^-1", None), (None, "0^-1")])
+    def test_negative_cost_exponent_is_usage_error(self, capsys, monkeypatch, flag, env):
+        # The exponent is checked before the power is built, so none of these
+        # becomes a ZeroDivisionError, a float cap or a fractional cap.
+        if env is not None:
+            monkeypatch.setenv("DIGITSUM_MAX_COST", env)
+        argv = ("bernoulli", "--degree", "1") + (("--max-cost", flag) if flag else ())
+        source = f"--max-cost '{flag}'" if flag else f"$DIGITSUM_MAX_COST '{env}'"
+        assert invoke(capsys, *argv) == (2, "", f"error: {source}: exponent must be >= 0, got -1\n")
 
     def test_bad_cost_cap_names_its_source(self, capsys, monkeypatch):
         expected = "'2^x': invalid literal for int() with base 10: 'x'\n"

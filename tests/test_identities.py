@@ -154,6 +154,16 @@ class TestSSums:
             for N in (1, 2, 3):
                 assert mixed_power_sum(b, N, 0, 1, 1).is_zero()
 
+    @pytest.mark.parametrize("args,message", [
+        ((1, 2, 0), "base must be >= 2, got 1"),
+        ((2, -1, 0), "order must be >= 0, got -1"),
+        ((2, 2, -1), "power must be >= 0, got -1"),
+    ])
+    def test_usage_errors_name_the_bad_input(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            mixed_power_sum(*args, 1, 1)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("b", [2, 3, 4])
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_vanishing_below_order(self, b, N):

@@ -248,6 +248,21 @@ class TestMoments:
         with pytest.raises(ValueError):
             alpha_moment1(0)
 
+    @pytest.mark.parametrize("func,args,message", [
+        (alpha_moment0, (0,), "order must be >= 1, got 0"),
+        (alpha_moment1, (0,), "order must be >= 1, got 0"),
+        (beta_moment0, (3, 0), "order must be >= 1, got 0"),
+        (beta_moment1, (3, 0), "order must be >= 1, got 0"),
+        (beta_moment0, (1, 2), "base must be >= 2, got 1"),
+        (beta_moment1, (1, 2), "base must be >= 2, got 1"),
+        (beta_from_convolution, (1, 2), "base must be >= 2, got 1"),
+        (beta_from_convolution, (2, -1), "order must be >= 0, got -1"),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_block_errors_use_the_block_rule_messages(self, func, args, message):
+        with pytest.raises(ValueError) as exc:
+            func(*args)
+        assert str(exc.value) == message
+
 
 class TestConvolutionDuals:
     def test_single_term(self):
