@@ -23,13 +23,12 @@ import sys
 from fractions import Fraction
 
 from . import identities
-from .arith import euler_phi
 from .bernoulli import bernoulli_poly
 from .cost import DEFAULT_MAX_COST, CostCapExceeded, charge
 from .digits import check_block
 from .identities import DEFAULT_SEED, IdentityReport, report_to_dict
 from .pte import cancel_common, generalized_partition, search_small_solutions, verify_power_sums
-from .weights import alpha_table, beta_columns, beta_table
+from .weights import alpha_table, beta_columns, from_columns
 
 ENV_MAX_COST = "DIGITSUM_MAX_COST"
 
@@ -255,6 +254,8 @@ def _single_identity_reports(args, rng: random.Random, max_cost: int) -> list[Id
     family = identities.FAMILY_OF.get(name)
     if family is None:
         raise ValueError(f"unknown identity {name!r}")
+    if args.draws < 1:
+        raise ValueError(f"--draws must be >= 1, got {args.draws}")
     flags = {
         "b": args.base, "x": args.x, "y": args.y, "x1": args.x1, "x2": args.x2, "t": args.t,
         "l": args.l, "x_list": args.x_list, "y_list": args.y_list, "N_list": args.order,
@@ -266,7 +267,7 @@ def _single_identity_reports(args, rng: random.Random, max_cost: int) -> list[Id
         flags["N"] = args.order[0]
     point = {key: value if flags.get(key) is None else flags[key] for key, value in defaults.items()}
     point["id"] = name
-    draws = max(args.draws, 1) if family.draws > 1 else 1
+    draws = args.draws if family.draws > 1 else 1
     charge(draws, max_cost)
     return [rep for _ in range(draws) for rep in family.case(rng, point, max_cost)]
 
@@ -322,20 +323,19 @@ def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
         raise ValueError("alpha tables exist only for base 2")
     check_block(b, N)
     charge(b ** (N + 1) - N - 1, max_cost)
+    # The phi(b) integer power-basis columns of the table; base 2 has one.
+    columns = (alpha_table(N),) if kind == "alpha" else beta_columns(b, N)
     if args.format == "text":
-        table = alpha_table(N) if kind == "alpha" else beta_table(b, N)
+        table = from_columns(b, columns)
         lines = [f"{kind} table b={b} N={N} ({len(table)} entries)"]
         for k, v in enumerate(table):
             lines.append(f"  {k}: {v}")
         return 0, "\n".join(lines) + "\n"
     # Every entry has integer coordinates, and str(int) == str(Fraction(int)).
-    if kind == "alpha":
-        coeff_lists = [[str(v)] for v in alpha_table(N)]
-    else:
-        coeff_lists = [list(map(str, coords)) for coords in zip(*beta_columns(b, N))]
+    coeff_lists = [list(map(str, coords)) for coords in zip(*columns)]
     if args.format == "json":
-        return 0, _json({"b": b, "N": N, "kind": kind, "phi_b": euler_phi(b), "values": coeff_lists})
-    header = ["k"] + [f"c{i}" for i in range(euler_phi(b) if kind == "beta" else 1)]
+        return 0, _json({"b": b, "N": N, "kind": kind, "phi_b": len(columns), "values": coeff_lists})
+    header = ["k"] + [f"c{i}" for i in range(len(columns))]
     return 0, _csv(header, ([k] + coeffs for k, coeffs in enumerate(coeff_lists)))
 
 
@@ -353,6 +353,8 @@ def _class_lines(label: str, expanded: list[list[Fraction]]) -> list[str]:
 def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
     kmax = args.kmax if args.kmax is not None else args.order - 1
     check_block(args.base, args.order, 1)
+    if kmax < 0:
+        raise ValueError(f"--kmax must be >= 0, got {kmax}")
     charge(args.base**args.order * (kmax + 1), max_cost)  # power-sum terms of one certificate
     partition = generalized_partition(args.base, args.order, args.x, args.y, max_cost)
     certificate = verify_power_sums(partition, kmax)
@@ -399,6 +401,8 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
 def _cmd_pte_search(args, max_cost: int) -> tuple[int, str]:
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
+    if args.kmax is not None and args.kmax < 0:
+        raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
     results = search_small_solutions(
         args.base,
         args.order,

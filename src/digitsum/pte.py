@@ -10,8 +10,9 @@ Everything runs on integers: each value is a numerator A over a common
 denominator L.  A partition the package builds keeps those per-class counts
 and turns them into sorted Fraction multisets only when ``classes`` or
 ``expanded()`` is first read, so a search pays for class Fractions only on
-the results a caller prints.  A certificate's power sums are Fractions
-from the start, so a search builds them for every point it certifies.
+the results a caller prints.  A certificate decides ``valid`` on integer
+power sums and builds their Fractions, in the same way, only when
+``power_sums`` is first read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .cost import charge
@@ -210,8 +211,13 @@ class PteCertificate:
 
     partition: PtePartition
     max_degree: int
-    power_sums: tuple[tuple[Fraction, ...], ...]
     valid: bool
+
+    @cached_property
+    def power_sums(self) -> tuple[tuple[Fraction, ...], ...]:
+        L, counters = self.partition._integer
+        rows = _power_rows(counters, self.max_degree)
+        return tuple(tuple(Fraction(S, L**k) for k, S in enumerate(row)) for row in rows)
 
 
 def generalized_partition(b: int, N: int, x, y, max_cost: int | None = None) -> PtePartition:
@@ -233,12 +239,8 @@ def prouhet_partition(b: int, N: int, max_cost: int | None = None) -> PtePartiti
 def verify_power_sums(partition: PtePartition, max_degree: int) -> PteCertificate:
     """Exact per-class power sums up to max_degree; k = 0 counts multiplicity."""
     _check_degree(max_degree)
-    L, counters = partition._integer
-    rows = _power_rows(counters, max_degree)
-    scales = [L**k for k in range(max_degree + 1)]
-    power_sums = tuple(tuple(Fraction(S, scale) for S, scale in zip(row, scales)) for row in rows)
-    valid = all(row == rows[0] for row in rows[1:])
-    return PteCertificate(partition, max_degree, power_sums, valid)
+    rows = _power_rows(partition._integer.counters, max_degree)
+    return PteCertificate(partition, max_degree, all(row == rows[0] for row in rows[1:]))
 
 
 def cancel_common(partition: PtePartition) -> ReducedPartition:

@@ -14,6 +14,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from digitsum.identities import (
+    random_fraction,
+    random_poly,
     verify_betaconv_dual1,
     verify_betaconv_dual2,
     verify_multi_power_sum,
@@ -29,7 +31,6 @@ from digitsum.identities import (
     verify_difference_identity,
     verify_multi_mixed_sum,
 )
-from digitsum.poly import RationalPoly
 from digitsum.pte import cancel_common, generalized_partition, verify_power_sums
 from digitsum.weights import (
     alpha_moment0,
@@ -49,19 +50,6 @@ def criterion(number, name):
         print(f"[criterion {number:02d}] {name}: FAIL")
         raise
     print(f"[criterion {number:02d}] {name}: PASS")
-
-
-def rand_fraction(rng, nonzero=False):
-    num = rng.randint(-9, 9)
-    while nonzero and num == 0:
-        num = rng.randint(-9, 9)
-    return Fraction(num, rng.randint(1, 9))
-
-
-def rand_poly(rng, degree):
-    coeffs = [rand_fraction(rng) for _ in range(degree)]
-    coeffs.append(rand_fraction(rng, nonzero=True))
-    return RationalPoly(coeffs)
 
 
 def run_cli(*argv):
@@ -100,8 +88,8 @@ def test_criterion_02_difference_identity_suite():
                 if b**N > 4096:
                     continue
                 for _ in range(5):
-                    x, y = rand_fraction(rng), rand_fraction(rng)
-                    f = rand_poly(rng, N + 2)
+                    x, y = random_fraction(rng), random_fraction(rng)
+                    f = random_poly(rng, N + 2)
                     assert verify_difference_identity(b, N, f, x, y).equal, (b, N, x, y)
                     checked += 1
         elapsed = time.perf_counter() - start
@@ -157,8 +145,8 @@ def test_criterion_06_multi_index_power_sums():
             for r, order_lists in schedule.items():
                 for N_list in order_lists:
                     assert sum(N_list) <= 6 and len(N_list) == r
-                    ys = tuple(rand_fraction(rng, True) for _ in N_list)
-                    assert verify_multi_power_sum(b, N_list, rand_fraction(rng), ys).equal, (b, N_list)
+                    ys = tuple(random_fraction(rng, True) for _ in N_list)
+                    assert verify_multi_power_sum(b, N_list, random_fraction(rng), ys).equal, (b, N_list)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s, budget is 60s"
 
@@ -168,18 +156,18 @@ def test_criterion_07_mixed_sums():
         rng = random.Random(707)
         for b in (2, 3, 4):
             for N in (1, 2, 3, 4):
-                x, y = rand_fraction(rng), rand_fraction(rng)
+                x, y = random_fraction(rng), random_fraction(rng)
                 for l in range(N):
                     assert verify_mixed_vanishing(b, N, l, x, y).equal, (b, N, l)
                 assert verify_mixed_closed_form(b, N, x, y).equal, (b, N)
         for b in (2, 3):
             for N in (1, 2, 3):
                 for l in range(0, N + 2):
-                    x, y = rand_fraction(rng), rand_fraction(rng)
+                    x, y = random_fraction(rng), random_fraction(rng)
                     assert verify_mixed_recurrence(b, N, l, x, y).equal, (b, N, l)
         for b in (2, 3):
-            ys = (rand_fraction(rng, True), rand_fraction(rng, True))
-            xs = (rand_fraction(rng), rand_fraction(rng))
+            ys = (random_fraction(rng, True), random_fraction(rng, True))
+            xs = (random_fraction(rng), random_fraction(rng))
             assert verify_multi_mixed_sum(b, (1, 2), xs, ys).equal, b
 
 
@@ -191,11 +179,11 @@ def test_criterion_08_two_variable_family():
                 assert verify_joint_vanishing(N, p, 2, 2).equal, (N, p)
         for N in (1, 2, 3, 4):
             for _ in range(5):
-                x1 = rand_fraction(rng)
-                x2 = rand_fraction(rng)
+                x1 = random_fraction(rng)
+                x2 = random_fraction(rng)
                 while x2 == x1:
-                    x2 = rand_fraction(rng)
-                t = rand_fraction(rng)
+                    x2 = random_fraction(rng)
+                t = random_fraction(rng)
                 assert verify_joint_line_base2(N, x1, x2, t).equal, (N, x1, x2, t)
         for N in (1, 2):
             report = verify_joint_line_general(3, N, Fraction(1), Fraction(2))
@@ -210,14 +198,14 @@ def test_criterion_09_bernoulli_machinery():
     with criterion(9, "Faulhaber oracle and Bernoulli difference closed form"):
         rng = random.Random(909)
         for _ in range(200):
-            a = rand_fraction(rng)
-            step = rand_fraction(rng, nonzero=True)
+            a = random_fraction(rng)
+            step = random_fraction(rng, nonzero=True)
             lo = rng.randint(-8, 8)
             hi = lo + rng.randint(0, 15)
             assert verify_faulhaber(a, step, lo, hi, rng.randint(0, 7)).equal
         for N in range(7):
-            a = rand_fraction(rng)
-            step = rand_fraction(rng, nonzero=True)
+            a = random_fraction(rng)
+            step = random_fraction(rng, nonzero=True)
             assert verify_delta_bernoulli(a, step, rng.randint(-3, 3), N).equal, N
 
 
@@ -226,7 +214,7 @@ def test_criterion_10_partition_property():
         rng = random.Random(1010)
         for b, N in ((2, 2), (2, 3), (2, 4), (3, 2)):
             for _ in range(50):
-                x, y = rand_fraction(rng), rand_fraction(rng)
+                x, y = random_fraction(rng), random_fraction(rng)
                 partition = generalized_partition(b, N, x, y)
                 assert verify_power_sums(partition, N - 1).valid, (b, N, x, y)
                 reduced = cancel_common(partition)

@@ -12,14 +12,8 @@ from digitsum.bernoulli import (
     faulhaber_sum,
 )
 from digitsum.findiff import forward_diff_n
+from digitsum.identities import random_fraction
 from digitsum.poly import RationalPoly
-
-
-def rand_fraction(rng, nonzero=False):
-    num = rng.randint(-9, 9)
-    while nonzero and num == 0:
-        num = rng.randint(-9, 9)
-    return Fraction(num, rng.randint(1, 9))
 
 
 class TestBernoulliNumbers:
@@ -72,8 +66,8 @@ class TestFaulhaber:
     def test_two_hundred_random_instances(self):
         rng = random.Random(2024)
         for _ in range(200):
-            a = rand_fraction(rng)
-            step = rand_fraction(rng, nonzero=True)
+            a = random_fraction(rng)
+            step = random_fraction(rng, nonzero=True)
             lo = rng.randint(-8, 8)
             hi = lo + rng.randint(0, 15)
             p = rng.randint(0, 7)
@@ -95,8 +89,8 @@ class TestDeltaBernoulli:
     def test_matches_iterated_difference(self, N):
         rng = random.Random(N + 55)
         for _ in range(4):
-            a = rand_fraction(rng)
-            step = rand_fraction(rng, nonzero=True)
+            a = random_fraction(rng)
+            step = random_fraction(rng, nonzero=True)
             k = rng.randint(-3, 3)
             expected = forward_diff_n(bernoulli_poly(N + 1), a, step, k, N)
             assert delta_n_bernoulli(a, step, k, N) == expected

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import digitsum
+from digitsum import cli
 from digitsum.cli import parse_cost, parse_grid, parse_seed, run
 from digitsum.identities import FAMILY_OF, verify_betaconv_dual2
 
@@ -413,6 +414,12 @@ class TestVerifyCommand:
         code, _, err = invoke(capsys, "verify", "--identity", identity, "--order", "0")
         assert code == 2 and "order must be >= 1, got 0" in err
 
+    @pytest.mark.parametrize("draws", ["0", "-7"])
+    def test_draw_count_must_be_positive(self, capsys, draws):
+        code, out, err = invoke(capsys, "verify", "--identity", "faulhaber", "--draws", draws)
+        assert code == 2 and out == ""
+        assert err == f"error: --draws must be >= 1, got {draws}\n"
+
     def test_draw_count_is_charged(self, capsys):
         code, out, err = invoke(
             capsys, "verify", "--identity", "faulhaber", "--max-cost", "10", "--draws", "11"
@@ -561,6 +568,20 @@ class TestPteCommands:
         code, out, _ = invoke(capsys, *shlex.split(args), "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PTE_SHA256[args][fmt]
+
+    @pytest.mark.parametrize("argv", [
+        "pte-show --base 2 --order 18 --x 1 --y 1 --kmax -1",
+        "pte-search --base 2 --order 18 --x-grid 0..9 --y-grid 1 --kmax -1",
+    ])
+    def test_negative_kmax_is_refused_before_any_build(self, capsys, monkeypatch, argv):
+        def build(*args, **kwargs):
+            pytest.fail("built before --kmax was checked")
+
+        monkeypatch.setattr(cli, "generalized_partition", build)
+        monkeypatch.setattr(cli, "_grid_flag", build)
+        code, out, err = invoke(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err == "error: --kmax must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_search_top_must_be_positive(self, capsys, top):

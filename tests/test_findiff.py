@@ -17,20 +17,8 @@ from digitsum.findiff import (
     sampled_differences,
     weighted_rhs,
 )
+from digitsum.identities import random_fraction, random_poly
 from digitsum.poly import RationalPoly, clear_denominators, integer_samples
-
-
-def rand_fraction(rng, nonzero=False):
-    num = rng.randint(-9, 9)
-    while nonzero and num == 0:
-        num = rng.randint(-9, 9)
-    return Fraction(num, rng.randint(1, 9))
-
-
-def rand_poly(rng, degree):
-    coeffs = [rand_fraction(rng) for _ in range(degree)]
-    coeffs.append(rand_fraction(rng, nonzero=True))
-    return RationalPoly(coeffs)
 
 
 class TestForwardDiff:
@@ -44,7 +32,7 @@ class TestForwardDiff:
         rng = random.Random(N)
         f = RationalPoly.monomial(N)
         for _ in range(5):
-            x, y = rand_fraction(rng), rand_fraction(rng)
+            x, y = random_fraction(rng), random_fraction(rng)
             k = rng.randint(-4, 4)
             assert forward_diff_n(f, x, y, k, N) == math.factorial(N) * y**N
 
@@ -54,7 +42,7 @@ class TestForwardDiff:
         rng = random.Random(N + 100)
         f = RationalPoly.monomial(N + 1)
         for _ in range(5):
-            x, y = rand_fraction(rng), rand_fraction(rng)
+            x, y = random_fraction(rng), random_fraction(rng)
             k = rng.randint(-4, 4)
             expected = math.factorial(N + 1) * y**N * (x + Fraction(N, 2) * y + k * y)
             assert forward_diff_n(f, x, y, k, N) == expected
@@ -62,14 +50,14 @@ class TestForwardDiff:
     def test_annihilates_low_degree(self):
         rng = random.Random(7)
         for N in (1, 2, 3, 4):
-            f = rand_poly(rng, N - 1)
-            x, y = rand_fraction(rng), rand_fraction(rng, nonzero=True)
+            f = random_poly(rng, N - 1)
+            x, y = random_fraction(rng), random_fraction(rng, nonzero=True)
             assert forward_diff_n(f, x, y, 0, N) == 0
 
     def test_composition(self):
         rng = random.Random(11)
-        f = rand_poly(rng, 6)
-        x, y = rand_fraction(rng), rand_fraction(rng, nonzero=True)
+        f = random_poly(rng, 6)
+        x, y = random_fraction(rng), random_fraction(rng, nonzero=True)
         for n1, n2 in ((1, 1), (1, 2), (2, 3)):
             once = forward_diff_n(f, x, y, 0, n1 + n2)
             twice = sum(
@@ -104,23 +92,23 @@ class TestIdentity:
     def test_sides_agree_on_random_polynomials(self, b, N):
         rng = random.Random(1000 * b + N)
         for _ in range(3):
-            f = rand_poly(rng, N + 2)
-            x, y = rand_fraction(rng), rand_fraction(rng)
+            f = random_poly(rng, N + 2)
+            x, y = random_fraction(rng), random_fraction(rng)
             assert lhs_sum(f, x, y, b, N) == weighted_rhs(f, x, y, b, N)
 
     @pytest.mark.parametrize("b,N", [(2, 3), (3, 2), (5, 2)])
     def test_low_degree_annihilation(self, b, N):
         rng = random.Random(17 * b + N)
         for _ in range(3):
-            f = rand_poly(rng, N - 1)
-            x, y = rand_fraction(rng), rand_fraction(rng, nonzero=True)
+            f = random_poly(rng, N - 1)
+            x, y = random_fraction(rng), random_fraction(rng, nonzero=True)
             assert lhs_sum(f, x, y, b, N).is_zero()
             assert weighted_rhs(f, x, y, b, N).is_zero()
 
     def test_linearity_in_f(self):
         rng = random.Random(23)
-        f, g = rand_poly(rng, 4), rand_poly(rng, 4)
-        x, y = rand_fraction(rng), rand_fraction(rng, nonzero=True)
+        f, g = random_poly(rng, 4), random_poly(rng, 4)
+        x, y = random_fraction(rng), random_fraction(rng, nonzero=True)
         pairs = itertools.zip_longest(f.coeffs, g.coeffs, fillvalue=0)
         combined = RationalPoly(a + 3 * c for a, c in pairs)
         for side in (lhs_sum, weighted_rhs):
@@ -140,8 +128,8 @@ class TestIntegerForm:
         # the zero polynomial included.
         rng = random.Random(degree + 5)
         for _ in range(5):
-            f = rand_poly(rng, degree) if degree >= 0 else RationalPoly()
-            c, y = rand_fraction(rng), rand_fraction(rng)
+            f = random_poly(rng, degree) if degree >= 0 else RationalPoly()
+            c, y = random_fraction(rng), random_fraction(rng)
             g, scale, (C, Y) = clear_denominators(f, c, y)
             assert all(type(v) is int for v in (*g, scale, C, Y))
             values = [Fraction(v, scale) for v in integer_samples(g, C, Y, 7)]

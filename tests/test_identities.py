@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from digitsum.arith import CycloNum, xi
 from digitsum.cost import CostCapExceeded
 from digitsum.identities import (
+    random_fraction,
+    random_poly,
     joint_line_coeffs_base2,
     joint_weight_polynomial,
     report_to_dict,
@@ -34,22 +36,9 @@ from digitsum.poly import RationalPoly
 from digitsum.weights import beta_moment0, beta_moment1
 
 
-def rand_fraction(rng, nonzero=False):
-    num = rng.randint(-9, 9)
-    while nonzero and num == 0:
-        num = rng.randint(-9, 9)
-    return Fraction(num, rng.randint(1, 9))
-
-
 def evaluate(coeffs, t):
     """The polynomial with these coefficients, constant term first, at t."""
     return sum((c * t**q for q, c in enumerate(coeffs)), CycloNum.zero(coeffs[0].b))
-
-
-def rand_poly(rng, degree):
-    coeffs = [rand_fraction(rng) for _ in range(degree)]
-    coeffs.append(rand_fraction(rng, nonzero=True))
-    return RationalPoly(coeffs)
 
 
 class TestDifferenceIdentityReports:
@@ -64,7 +53,7 @@ class TestDifferenceIdentityReports:
 
     def test_random_base_three(self):
         rng = random.Random(5)
-        report = verify_difference_identity(3, 2, rand_poly(rng, 4), rand_fraction(rng), rand_fraction(rng))
+        report = verify_difference_identity(3, 2, random_poly(rng, 4), random_fraction(rng), random_fraction(rng))
         assert report.equal
 
 
@@ -103,9 +92,9 @@ class TestMultisum:
 
     def test_mixed_orders_base_three(self):
         rng = random.Random(9)
-        ys = (rand_fraction(rng, True), rand_fraction(rng, True))
-        x = rand_fraction(rng)
-        report = verify_multisum(3, (1, 2), rand_poly(rng, 3), x, ys)
+        ys = (random_fraction(rng, True), random_fraction(rng, True))
+        x = random_fraction(rng)
+        report = verify_multisum(3, (1, 2), random_poly(rng, 3), x, ys)
         assert report.equal
 
     def test_size_cap_refusal(self):
@@ -142,8 +131,8 @@ class TestMultiPowerSum:
         rng = random.Random(3)
         for b in (2, 3):
             for N_list in ((1, 2), (1, 1, 1)):
-                ys = tuple(rand_fraction(rng, True) for _ in N_list)
-                report = verify_multi_power_sum(b, N_list, rand_fraction(rng), ys)
+                ys = tuple(random_fraction(rng, True) for _ in N_list)
+                report = verify_multi_power_sum(b, N_list, random_fraction(rng), ys)
                 assert report.equal
 
 
@@ -168,7 +157,7 @@ class TestSSums:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_vanishing_below_order(self, b, N):
         rng = random.Random(100 * b + N)
-        x, y = rand_fraction(rng), rand_fraction(rng)
+        x, y = random_fraction(rng), random_fraction(rng)
         for l in range(N):
             assert verify_mixed_vanishing(b, N, l, x, y).equal
 
@@ -180,7 +169,7 @@ class TestSSums:
     @pytest.mark.parametrize("b,N", [(2, 2), (3, 2), (4, 2), (3, 3)])
     def test_closed_form_random(self, b, N):
         rng = random.Random(b * 31 + N)
-        report = verify_mixed_closed_form(b, N, rand_fraction(rng), rand_fraction(rng))
+        report = verify_mixed_closed_form(b, N, random_fraction(rng), random_fraction(rng))
         assert report.equal
 
     def test_recurrence(self):
@@ -209,8 +198,8 @@ class TestThm12:
     def test_r2_mixed(self):
         rng = random.Random(77)
         for b in (2, 3):
-            ys = (rand_fraction(rng, True), rand_fraction(rng, True))
-            xs = (rand_fraction(rng), rand_fraction(rng))
+            ys = (random_fraction(rng, True), random_fraction(rng, True))
+            xs = (random_fraction(rng), random_fraction(rng))
             assert verify_multi_mixed_sum(b, (1, 2), xs, ys).equal
 
 
@@ -346,8 +335,8 @@ class TestGeneralizedPte:
     def test_vanishes_for_low_degree(self):
         rng = random.Random(8)
         for b, N in ((2, 2), (2, 3), (3, 2)):
-            f = rand_poly(rng, N - 1)
-            report = verify_generalized_pte(b, N, f, rand_fraction(rng), rand_fraction(rng, True))
+            f = random_poly(rng, N - 1)
+            report = verify_generalized_pte(b, N, f, random_fraction(rng), random_fraction(rng, True))
             assert report.equal
 
     def test_degree_precondition(self):

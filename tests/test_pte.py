@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from digitsum import pte
 from digitsum.cost import CostCapExceeded
 from digitsum.digits import digit_sum
+from digitsum.identities import random_fraction
 from digitsum.pte import (
     PteCertificate,
     PtePartition,
@@ -25,13 +26,6 @@ from digitsum.pte import (
     search_small_solutions,
     verify_power_sums,
 )
-
-
-def rand_fraction(rng, nonzero=False):
-    num = rng.randint(-9, 9)
-    while nonzero and num == 0:
-        num = rng.randint(-9, 9)
-    return Fraction(num, rng.randint(1, 9))
 
 
 class TestClassicalPartition:
@@ -73,7 +67,7 @@ class TestGeneralizedPartition:
     def test_random_rationals_always_valid(self, b, N):
         rng = random.Random(b * 100 + N)
         for _ in range(10):
-            x, y = rand_fraction(rng), rand_fraction(rng)
+            x, y = random_fraction(rng), random_fraction(rng)
             partition = generalized_partition(b, N, x, y)
             assert verify_power_sums(partition, N - 1).valid
 
@@ -120,7 +114,7 @@ class TestCancellation:
     def test_preserves_validity(self, b, N):
         rng = random.Random(b * 7 + N)
         for _ in range(10):
-            x, y = rand_fraction(rng), rand_fraction(rng)
+            x, y = random_fraction(rng), random_fraction(rng)
             partition = generalized_partition(b, N, x, y)
             reduced = cancel_common(partition)
             assert verify_power_sums(reduced, N - 1).valid
@@ -199,6 +193,7 @@ def oracle_partition(b, N, x, y):
 
 
 def oracle_power_sums(partition, max_degree):
+    """The certificate and, since its ``==`` does not compare them, its power sums."""
     sums = []
     for cls in partition.classes:
         sums.append(
@@ -208,7 +203,7 @@ def oracle_power_sums(partition, max_degree):
             )
         )
     valid = all(row == sums[0] for row in sums[1:])
-    return PteCertificate(partition, max_degree, tuple(sums), valid)
+    return PteCertificate(partition, max_degree, valid), tuple(sums)
 
 
 def oracle_cancel(partition):
@@ -227,21 +222,22 @@ def oracle_cancel(partition):
 
 
 def oracle_search(b, N, x_grid, y_grid, k_max=None, min_size=0):
+    """The ranked results, each with its certificate's power sums."""
     degree = N - 1 if k_max is None else k_max
     results = []
     for x in sorted({Fraction(v) for v in x_grid}):
         for y in sorted({Fraction(v) for v in y_grid}):
             reduced = oracle_cancel(oracle_partition(b, N, x, y))
-            certificate = oracle_power_sums(reduced, degree)
+            certificate, sums = oracle_power_sums(reduced, degree)
             if certificate.valid and reduced.reduced_size >= min_size:
-                results.append(SearchResult(x, y, reduced, certificate))
+                results.append((SearchResult(x, y, reduced, certificate), sums))
     results.sort(
-        key=lambda res: (
-            res.reduced.reduced_size,
-            math.lcm(res.x.denominator, res.y.denominator),
-            abs(res.x) + abs(res.y),
-            res.x,
-            res.y,
+        key=lambda pair: (
+            pair[0].reduced.reduced_size,
+            math.lcm(pair[0].x.denominator, pair[0].y.denominator),
+            abs(pair[0].x) + abs(pair[0].y),
+            pair[0].x,
+            pair[0].y,
         )
     )
     return results
@@ -266,9 +262,10 @@ class TestAgainstFractionOracle:
         xs, ys = data.draw(grids), data.draw(grids)
         k_max = data.draw(st.sampled_from([None, 0, N - 1, N, N + 1]))
         min_size = data.draw(st.sampled_from([0, 1, 5]))
-        assert search_small_solutions(b, N, xs, ys, k_max, min_size) == oracle_search(
-            b, N, xs, ys, k_max, min_size
-        )
+        results = search_small_solutions(b, N, xs, ys, k_max, min_size)
+        expected = oracle_search(b, N, xs, ys, k_max, min_size)
+        assert results == [res for res, _ in expected]
+        assert [res.certificate.power_sums for res in results] == [sums for _, sums in expected]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -280,8 +277,9 @@ class TestAgainstFractionOracle:
         reduced = cancel_common(partition)
         assert reduced == oracle_cancel(partition)
         for degree in (0, N - 1, N + 1):
-            assert verify_power_sums(partition, degree) == oracle_power_sums(partition, degree)
-            assert verify_power_sums(reduced, degree) == oracle_power_sums(reduced, degree)
+            for part in (partition, reduced):
+                certificate = verify_power_sums(part, degree)
+                assert (certificate, certificate.power_sums) == oracle_power_sums(part, degree)
 
     @pytest.mark.parametrize("b,N", [(2, 3), (3, 2), (4, 2)])
     def test_collapsed_partition_matches_oracle(self, b, N):
@@ -289,7 +287,7 @@ class TestAgainstFractionOracle:
         assert reduced.reduced_size == 0
         for degree in (0, N - 1, N + 1):
             certificate = verify_power_sums(reduced, degree)
-            assert certificate == oracle_power_sums(reduced, degree)
+            assert (certificate, certificate.power_sums) == oracle_power_sums(reduced, degree)
             assert certificate.valid
 
 
@@ -352,6 +350,40 @@ class TestLazyClasses:
         assert len(calls) == 3
         results[0].reduced.expanded()
         assert len(calls) == 3
+
+
+class TestLazyPowerSums:
+    """Certificates decide ``valid`` on integers and build their Fraction
+    power sums on first read."""
+
+    def test_certifying_builds_no_fraction(self, monkeypatch):
+        partition = generalized_partition(3, 2, Fraction(1, 2), 1)
+
+        def refuse(*args):
+            raise AssertionError("verify_power_sums built a Fraction")
+
+        monkeypatch.setattr(pte, "Fraction", refuse)
+        assert verify_power_sums(partition, 1).valid
+        assert not verify_power_sums(partition, 2).valid
+
+    def test_search_builds_power_sums_only_when_read(self, monkeypatch):
+        results = search_small_solutions(3, 3, range(4), range(1, 5))
+        assert results and all("power_sums" not in vars(res.certificate) for res in results)
+        calls = []
+        power_rows = pte._power_rows
+
+        def counted(counters, degree):
+            calls.append(degree)
+            return power_rows(counters, degree)
+
+        monkeypatch.setattr(pte, "_power_rows", counted)
+        certificate = results[0].certificate
+        sums = certificate.power_sums
+        assert certificate.power_sums is sums and calls == [2]
+        assert oracle_power_sums(certificate.partition, 2) == (certificate, sums)
+        assert [field.name for field in dataclasses.fields(PteCertificate)] == [
+            "partition", "max_degree", "valid"
+        ]
 
 
 class TestSearchPipeline:
