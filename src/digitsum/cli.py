@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -133,9 +132,13 @@ def parse_grid(spec: str, max_cost: int | None = None) -> tuple[Fraction, ...]:
 
 
 def _grid_flag(flag: str, spec: str, max_cost: int) -> tuple[Fraction, ...]:
-    """``parse_grid`` with the flag and its spec in front of any usage error."""
+    """``parse_grid`` with the flag and its spec in front of any usage error,
+    an empty grid among them."""
     try:
-        return parse_grid(spec, max_cost)
+        grid = parse_grid(spec, max_cost)
+        if not grid:
+            raise ValueError("grid is empty")
+        return grid
     except ValueError as exc:
         raise ValueError(f"{flag} {spec!r}: {exc}") from None
 
@@ -169,9 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--identity", help="run one identity by id: " + ", ".join(identities.FAMILY_OF)
     )
-    p_verify.add_argument("--base", type=int, default=None)
+    # Single-id flags land under their point keys, ready for run_identity.
+    p_verify.add_argument("--base", dest="b", metavar="BASE", type=int, default=None)
     p_verify.add_argument(
-        "--order", type=parse_int_list, default=None, help="order N, or comma list for multi-index sums"
+        "--order", dest="N_list", metavar="ORDER", type=parse_int_list, default=None,
+        help="order N, or comma list for multi-index sums",
     )
     p_verify.add_argument("--x", type=parse_fraction, default=None)
     p_verify.add_argument("--y", type=parse_fraction, default=None)
@@ -247,31 +252,6 @@ def _csv(header: list, rows) -> str:
 # verify
 
 
-def _single_identity_reports(args, rng: random.Random, max_cost: int) -> list[IdentityReport]:
-    """The id's default point with the given flags laid over it, run once,
-    or ``--draws`` times when the suite draws that family more than once."""
-    name = args.identity
-    family = identities.FAMILY_OF.get(name)
-    if family is None:
-        raise ValueError(f"unknown identity {name!r}")
-    if args.draws < 1:
-        raise ValueError(f"--draws must be >= 1, got {args.draws}")
-    flags = {
-        "b": args.base, "x": args.x, "y": args.y, "x1": args.x1, "x2": args.x2, "t": args.t,
-        "l": args.l, "x_list": args.x_list, "y_list": args.y_list, "N_list": args.order,
-    }
-    defaults = family.defaults[name]
-    if args.order is not None and "N" in defaults:
-        if len(args.order) != 1:
-            raise ValueError(f"{name} takes one order, got --order {','.join(map(str, args.order))}")
-        flags["N"] = args.order[0]
-    point = {key: value if flags.get(key) is None else flags[key] for key, value in defaults.items()}
-    point["id"] = name
-    draws = args.draws if family.draws > 1 else 1
-    charge(draws, max_cost)
-    return [rep for _ in range(draws) for rep in family.case(rng, point, max_cost)]
-
-
 def _format_reports(reports: list[IdentityReport], fmt: str, timings: bool) -> str:
     rows = [report_to_dict(rep, include_timing=timings) for rep in reports]
     if fmt == "json":
@@ -306,9 +286,7 @@ def _cmd_verify(args, max_cost: int) -> tuple[int, str]:
     if args.all:
         reports = identities.run_suite(seed=seed, max_cost=max_cost)
     else:
-        reports = _single_identity_reports(args, random.Random(seed), max_cost)
-        for rep in reports:
-            rep.params.setdefault("seed", seed)
+        reports = identities.run_identity(args.identity, vars(args), args.draws, seed, max_cost)
     code = 0 if all(rep.equal for rep in reports) else 1
     return code, _format_reports(reports, args.format, args.timings)
 

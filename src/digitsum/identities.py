@@ -6,7 +6,8 @@ literal equality plus the identity's extra condition, never tolerance; it
 is decided once, in :func:`_report`.  :data:`FAMILIES` is the one table of
 how each identity's inputs are drawn: :func:`run_suite` walks its full
 deterministic schedule for ``digitsum verify --all``, and
-``digitsum verify --identity`` runs one id from its default point.
+:func:`run_identity` runs one id from its default point for
+``digitsum verify --identity``.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ __all__ = [
     "FAMILIES",
     "FAMILY_OF",
     "run_suite",
+    "run_identity",
     "report_to_dict",
     "scalar_to_json",
 ]
@@ -571,7 +573,7 @@ class IdentityFamily(NamedTuple):
     A point whose ``"id"`` names one id gets only that id's reports.
     ``points`` and ``draws`` (per point) are the suite's schedule, in rng
     order.  ``defaults`` maps each id the family serves to its point for
-    ``verify --identity``; that point's keys are the inputs the id accepts.
+    :func:`run_identity`; that point's keys are the inputs the id accepts.
 
     Cases call the ``verify_*`` functions by module-global name, never
     through a stored reference, so replacing a module attribute (as a
@@ -792,6 +794,36 @@ def run_suite(seed: int = DEFAULT_SEED, max_cost: int | None = None) -> list[Ide
                         rep.params["draw"] = draw
                     reports.append(rep)
     reports.sort(key=lambda rep: rep.identity)
+    return reports
+
+
+def run_identity(
+    name: str, given: dict | None = None, draws: int = 1, seed: int = DEFAULT_SEED, max_cost: int | None = None
+) -> list[IdentityReport]:
+    """Run one id from its default point with the non-None ``given`` values
+    laid over it; keys the id does not take are ignored.  An ``N_list`` of
+    one order sets ``N`` for an id of order N.  The point runs ``draws``
+    times when the suite draws its family more than once, else once; the
+    count is charged first.  Usage errors name the CLI flags."""
+    family = FAMILY_OF.get(name)
+    if family is None:
+        raise ValueError(f"unknown identity {name!r}")
+    if draws < 1:
+        raise ValueError(f"--draws must be >= 1, got {draws}")
+    defaults = family.defaults[name]
+    given = {key: value for key, value in (given or {}).items() if value is not None}
+    if "N" in defaults and "N_list" in given:
+        orders = given.pop("N_list")
+        if len(orders) != 1:
+            raise ValueError(f"{name} takes one order, got --order {','.join(map(str, orders))}")
+        given["N"] = orders[0]
+    point = {key: given.get(key, value) for key, value in defaults.items()} | {"id": name}
+    draws = draws if family.draws > 1 else 1
+    charge(draws, max_cost)
+    rng = random.Random(seed)
+    reports = [rep for _ in range(draws) for rep in family.case(rng, point, max_cost)]
+    for rep in reports:
+        rep.params["seed"] = seed
     return reports
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -73,26 +74,11 @@ def _digit_classes(b: int, N: int) -> tuple[tuple[tuple[int, tuple[int, ...]], .
     return tuple(map(tuple, classes))
 
 
-def _scaled(x: Fraction, y: Fraction) -> tuple[int, int, int]:
-    """(X, Y, L) with x = X / L and y = Y / L for L = lcm(den x, den y)."""
-    L = math.lcm(x.denominator, y.denominator)
-    return x.numerator * (L // x.denominator), y.numerator * (L // y.denominator), L
-
-
 def _class_counts(
     digit_classes: Sequence[Sequence[tuple[int, Sequence[int]]]], X: int, Y: int
-) -> list[dict[int, int]]:
+) -> list[Counter[int]]:
     """Multiplicity of each value s X + n Y within each class."""
-    counters = []
-    for groups in digit_classes:
-        counter: dict[int, int] = {}
-        for s, ns in groups:
-            sX = s * X
-            for n in ns:
-                A = sX + n * Y
-                counter[A] = counter.get(A, 0) + 1
-        counters.append(counter)
-    return counters
+    return [Counter(s * X + n * Y for s, ns in groups for n in ns) for groups in digit_classes]
 
 
 def _integer_classes(classes: Sequence[Multiset]) -> _IntegerForm:
@@ -226,7 +212,9 @@ def generalized_partition(b: int, N: int, x, y, max_cost: int | None = None) -> 
     charge(b**N, max_cost)
     x = Fraction(x)
     y = Fraction(y)
-    X, Y, L = _scaled(x, y)
+    # x = X / L and y = Y / L for L = lcm(den x, den y).
+    L = math.lcm(x.denominator, y.denominator)
+    X, Y = x.numerator * (L // x.denominator), y.numerator * (L // y.denominator)
     counters = _class_counts(_digit_classes(b, N), X, Y)
     return PtePartition(b, N, x, y, _IntegerForm(L, counters))
 

@@ -8,7 +8,6 @@ over Fractions.  The kernel-backed functions must agree with them exactly.
 import ast
 import itertools
 import math
-import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,10 +21,10 @@ from digitsum.arith import CycloNum, xi_power_table
 from digitsum.digits import combine_buckets, digit_sum, digit_weighted_sum
 from digitsum.findiff import lhs_sum
 from digitsum.identities import (
-    DEFAULT_SEED,
     FAMILY_OF,
     joint_weight_polynomial,
     mixed_power_sum,
+    run_identity,
     verify_generalized_pte,
     verify_multi_mixed_sum,
     verify_multi_power_sum,
@@ -268,8 +267,7 @@ def bumped(value):
 
 
 def default_report(name):
-    family = FAMILY_OF[name]
-    [report] = family.case(random.Random(DEFAULT_SEED), {**family.defaults[name], "id": name}, None)
+    [report] = run_identity(name)
     return report
 
 

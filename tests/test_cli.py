@@ -242,6 +242,24 @@ class TestWeightsCommand:
         assert code == 3 and err.startswith("error:") and out == ""
 
 
+# Per id, flags that make `verify --identity` a usage error, with the message.
+R_FOLD_USAGE_ERRORS = [
+    (("--base", "1"), "base must be >= 2, got 1"),
+    (("--order", ","), "need at least one summation index"),
+    (("--order", "0,1"), "all orders must be >= 1"),
+    (("--order", "1,2", "--y-list", "1"), "y_list length must match N_list"),
+]
+VERIFY_USAGE_ERRORS = {
+    "multisum": R_FOLD_USAGE_ERRORS,
+    "multi-power-sum": R_FOLD_USAGE_ERRORS,
+    "multi-mixed-sum": [
+        *R_FOLD_USAGE_ERRORS, (("--order", "1,2", "--x-list", "1"), "x_list length must match N_list")
+    ],
+    "mixed-sum-vanishing": [(("--order", "2", "--l", "5"), "need 0 <= l < N, got l=5, N=2")],
+    "joint-vanishing": [(("--order", "1"), "need 0 <= p <= N-2, got p=-1, N=1")],
+}
+
+
 class TestVerifyCommand:
     def test_single_identity_json(self, capsys):
         code, out, _ = invoke(
@@ -308,17 +326,9 @@ class TestVerifyCommand:
         assert result.returncode == code and result.stdout == ""
         assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("identity", ["multisum", "multi-power-sum", "multi-mixed-sum"])
-    def test_r_fold_usage_errors(self, capsys, identity):
-        cases = [
-            (("--base", "1"), "base must be >= 2, got 1"),
-            (("--order", ","), "need at least one summation index"),
-            (("--order", "0,1"), "all orders must be >= 1"),
-            (("--order", "1,2", "--y-list", "1"), "y_list length must match N_list"),
-        ]
-        if identity == "multi-mixed-sum":
-            cases.append((("--order", "1,2", "--x-list", "1"), "x_list length must match N_list"))
-        for argv, message in cases:
+    @pytest.mark.parametrize("identity", list(VERIFY_USAGE_ERRORS))
+    def test_usage_errors_name_the_bad_input(self, capsys, identity):
+        for argv, message in VERIFY_USAGE_ERRORS[identity]:
             assert invoke(capsys, "verify", "--identity", identity, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("base,order,cost", [("7", "1", 47), ("2", "11", 24576)])
@@ -467,6 +477,8 @@ class TestPteCommands:
     @pytest.mark.parametrize("spec,message", [
         pytest.param("0..3/", "Invalid literal for Fraction", id="empty-step"),
         pytest.param("0..1/2/3/4/5", "cannot parse grid range '0..1/2/3/4/5'", id="five-tokens"),
+        pytest.param("3..1", "grid is empty", id="empty-range"),
+        pytest.param(",", "grid is empty", id="empty-list"),
     ])
     def test_bad_grid_names_its_flag(self, capsys, flag, spec, message):
         grids = {"--x-grid": "0,1", "--y-grid": "1", flag: spec}

@@ -1,6 +1,7 @@
 """The verifier: hand-checked example values, vanishing laws, and report plumbing."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from digitsum.arith import CycloNum, xi
+from digitsum.arith import CycloNum, a_constant, xi
+from digitsum.bernoulli import bernoulli_numbers, bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from digitsum.cost import CostCapExceeded
+from digitsum.findiff import forward_diff_n
 from digitsum.identities import (
     random_fraction,
     random_poly,
@@ -31,6 +34,8 @@ from digitsum.identities import (
     verify_mixed_vanishing,
     verify_difference_identity,
     verify_multi_mixed_sum,
+    verify_moment,
+    verify_alpha_moment,
 )
 from digitsum.poly import RationalPoly
 from digitsum.weights import beta_moment0, beta_moment1
@@ -143,14 +148,35 @@ class TestSSums:
             for N in (1, 2, 3):
                 assert mixed_power_sum(b, N, 0, 1, 1).is_zero()
 
+    # Each call is a function and its arguments; past the mixed sums, these
+    # are the library's usage errors that no CLI test reaches.
     @pytest.mark.parametrize("args,message", [
-        ((1, 2, 0), "base must be >= 2, got 1"),
-        ((2, -1, 0), "order must be >= 0, got -1"),
-        ((2, 2, -1), "power must be >= 0, got -1"),
+        ((mixed_power_sum, 1, 2, 0, 1, 1), "base must be >= 2, got 1"),
+        ((mixed_power_sum, 2, -1, 0, 1, 1), "order must be >= 0, got -1"),
+        ((mixed_power_sum, 2, 2, -1, 1, 1), "power must be >= 0, got -1"),
+        ((verify_power_sum, 2, 2, 0, 1, "x"), "which must be 'N' or 'N+1', got 'x'"),
+        ((verify_moment, 2, 2, 2), "only moments 0 and 1 have closed forms, got 2"),
+        ((verify_alpha_moment, 2, 2), "only moments 0 and 1 have closed forms, got 2"),
+        ((verify_mixed_vanishing, 2, 2, 2, 0, 1), "need 0 <= l < N, got l=2, N=2"),
+        ((verify_mixed_recurrence, 2, 2, -1, 0, 1), "power must be >= 0, got -1"),
+        ((joint_weight_polynomial, 0, 2, 1, ()), "need m >= 1, got 0"),
+        ((joint_weight_polynomial, 2, 2, -1, (1, 2)), "power must be >= 0, got -1"),
+        ((joint_weight_polynomial, 2, 2, 1, (1,)), "need 2 scale values, got 1"),
+        ((verify_joint_vanishing, 3, 2), "need 0 <= p <= N-2, got p=2, N=3"),
+        ((bernoulli_numbers, -1), "index must be >= 0, got -1"),
+        ((bernoulli_poly, -1), "degree must be >= 0, got -1"),
+        ((faulhaber_sum, 0, 1, 0, 1, -1), "power must be >= 0, got -1"),
+        ((delta_n_bernoulli, 0, 1, 0, -1), "order must be >= 0, got -1"),
+        ((forward_diff_n, RationalPoly.monomial(1), 0, 1, 0, -1), "order must be >= 0, got -1"),
+        ((RationalPoly.monomial, -1), "degree must be >= 0"),
+        ((a_constant, 3, -1), "power must be >= 0"),
+        ((CycloNum, 3, (1,)), "order 3 needs exactly 2 coordinates, got 1"),
+        ((operator.truediv, CycloNum.one(3), 0), "division by zero"),
     ])
     def test_usage_errors_name_the_bad_input(self, args, message):
-        with pytest.raises(ValueError) as exc:
-            mixed_power_sum(*args, 1, 1)
+        func, *rest = args
+        with pytest.raises((ValueError, ZeroDivisionError)) as exc:
+            func(*rest)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("b", [2, 3, 4])
