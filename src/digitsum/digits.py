@@ -1,15 +1,16 @@
 """Base-b digit sums, the root-of-unity weights built on them, and the
 integer residue-bucket kernel behind every brute-force digit-weighted sum.
 
-The kernel (:func:`digit_weighted_sum`) reads only the digit-sum table
-below and ends in ``arith.combine_buckets``, the one place residue buckets
-become coordinates; it never touches weight tables, moments or Bernoulli
-code, so the brute-force side of each identity stays independent of its
-closed form.  It is package-internal, not exported.  It serves every
-brute-force sum but one: ``identities.joint_weight_polynomial`` keeps its
-own bucket loop over the same table, because its weight
-xi^s(i_1+...+i_m) is the digit sum of the index sum, not a product of
-per-axis weights.
+The kernel (:func:`digit_weighted_sum`) rests on s(qb + d) = s(q) + d: over
+the base-b digits d_k of n, s(n) x + n y = sum_k d_k (x + b^k y), so it
+builds its arguments one digit position at a time and reads no digit-sum table.
+It ends in ``arith.combine_buckets``, the one place residue buckets become
+coordinates; it never touches weight tables, moments or Bernoulli code, so
+the brute-force side of each identity stays independent of its closed form.
+It is package-internal, not exported.  It serves every brute-force sum but
+one: ``identities.joint_weight_polynomial`` keeps its own bucket loop over
+:func:`digit_sums`, because its weight xi^s(i_1+...+i_m) is the digit sum of
+the index sum, not a product of per-axis weights.
 
 :func:`check_block` is the one place the block rule, b >= 2 and N >= a least
 order, is written; every entry point calls it before it charges the cap.
@@ -17,6 +18,7 @@ order, is written; every entry point calls it before it charges the cap.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 from .arith import CycloNum, combine_buckets
@@ -63,38 +65,30 @@ def digit_weighted_sum(
     """Sum of xi^(s(n_1)+...+s(n_r)) f(c + sum_j (s(n_j) x_j + n_j y_j)) over
     n_j < b^N_j, one (N_j, x_j, y_j) per axis; s is the base-b digit sum.
 
-    Denominators are cleared once, so each term is one Horner evaluation of
-    an integer polynomial added into the bucket of its digit sum mod b; the
-    b buckets become one CycloNum at the end.  Exactly equal to summing
-    ``xi^s * f(arg)`` term by term in Q(xi).
+    With denominators cleared once, s(n) X + n Y = sum_k d_k (X + b^k Y) over
+    the digits d_k of n, so the integer arguments are built one digit position
+    at a time in b lists, one per digit sum mod b; no digit-sum table is read.
+    Each list is summed through f's integer form and the b sums become one
+    CycloNum: exactly the term-by-term sum of ``xi^s * f(arg)`` in Q(xi).
     """
     g, scale, (C, *scaled) = clear_denominators(f, c, *(v for _, x, y in axes for v in (x, y)))
-    d = len(g) - 1
+    # Digit d moves an argument from list r - d (wrapping mod b) to list r.
+    lists = [[C]] + [[] for _ in range(b - 1)]
+    for (N, _, _), X, Y in zip(axes, scaled[::2], scaled[1::2]):
+        for k in range(N):
+            shifts = [d * (X + b**k * Y) for d in range(b)]
+            lists = [[a + shift for d, shift in enumerate(shifts) for a in lists[r - d]] for r in range(b)]
     top, rest = g[-1], g[-2::-1]
-    monomial = not any(rest)
-
-    axes = [(Nj, X, Y) for (Nj, _, _), X, Y in zip(axes, scaled[::2], scaled[1::2])]
-    *outer_axes, (N, X, Y) = axes
-    # Fold every axis but the last into (argument, residue) pairs.
-    outer = [(C, 0)]
-    for Nj, Xj, Yj in outer_axes:
-        sums = digit_sums(b, b**Nj)
-        outer = [(a + s * Xj + n * Yj, (r + s) % b) for a, r in outer for n, s in enumerate(sums)]
-    last = digit_sums(b, b**N)
-
+    if not any(rest):
+        deg = len(g) - 1
+        return combine_buckets(b, [top * sum(map(pow, args, repeat(deg))) for args in lists], scale)
     # The Horner loop is written out here rather than calling
     # poly.integer_samples: its arguments are no arithmetic progression.
     buckets = [0] * b
-    for a0, r0 in outer:
-        for n, s in enumerate(last):
-            A = a0 + s * X + n * Y
-            if monomial:
-                v = A**d
-            else:
-                v = top
-                for p in rest:
-                    v = v * A + p
-            buckets[(r0 + s) % b] += v
-    if monomial:
-        buckets = [top * v for v in buckets]
+    for r, args in enumerate(lists):
+        for A in args:
+            v = top
+            for p in rest:
+                v = v * A + p
+            buckets[r] += v
     return combine_buckets(b, buckets, scale)

@@ -217,6 +217,21 @@ def test_combine_buckets_is_the_weighted_sum(b, buckets, den):
     assert combine_buckets(b, buckets, den) == expected
 
 
+# Folds deeper than orders() reaches: the deepest block of at most 1024
+# terms in each base, with the large heights throughout.
+DEEP_BLOCKS = [(2, 10), (3, 6), (4, 5)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data(), st.sampled_from(DEEP_BLOCKS), large_fractions, large_fractions)
+def test_deep_folds_match_oracle(data, block, x, y):
+    b, N = block
+    f = RationalPoly(data.draw(st.lists(large_fractions, min_size=N + 1, max_size=N + 1)))
+    l = data.draw(st.integers(0, N))
+    assert digit_weighted_sum(f, b, [(N, x, y)]) == oracle_generalized_pte_lhs(b, N, f, x, y)
+    assert mixed_power_sum(b, N, l, x, y) == oracle_mixed_power_sum(b, N, l, x, y)
+
+
 def test_kernel_edge_cases():
     zero = RationalPoly()
     assert digit_weighted_sum(zero, 3, [(2, 1, 1)]).is_zero()
@@ -224,7 +239,20 @@ def test_kernel_edge_cases():
     f = RationalPoly([Fraction(-7, 3), 2, Fraction(1, 10**12)])
     assert digit_weighted_sum(f, 5, [(2, 0, 0)], Fraction(4, 9)).is_zero()
     assert digit_weighted_sum(f, 5, [(0, 0, 0)], Fraction(4, 9)) == f(Fraction(4, 9))
-    # Three axes fold two of them before streaming the last.
+    # Every axis of order 0 leaves the one argument c.
+    axes = [(0, Fraction(2, 3), -5), (0, 7, Fraction(-1, 8))]
+    assert digit_weighted_sum(f, 3, axes, Fraction(4, 9)) == f(Fraction(4, 9))
+    # An order-0 axis adds no digit position, first or last.
+    x0, y0, x1, y1 = Fraction(3, 5), Fraction(-2), Fraction(-1, 6), Fraction(9, 4)
+    square = RationalPoly.monomial(2)
+    for N_list, xs, ys in (((0, 2), (x0, x1), (y0, y1)), ((2, 0), (x1, x0), (y1, y0))):
+        axes = list(zip(N_list, xs, ys))
+        assert digit_weighted_sum(square, 3, axes) == oracle_multi_mixed_lhs(3, N_list, xs, ys)
+    # x = -y makes the units digit's weight x + y zero: equal arguments land
+    # in different residues.
+    x = Fraction(5, 7)
+    assert digit_weighted_sum(f, 4, [(2, x, -x)]) == oracle_generalized_pte_lhs(4, 2, f, x, -x)
+    # Three axes fold every digit position of all three in turn.
     b, N_list, x, ys = 3, (1, 1, 2), Fraction(-1, 4), (Fraction(1, 2), Fraction(-3), Fraction(5, 7))
     assert verify_multisum(b, N_list, f, x, ys).lhs == oracle_multi_lhs(b, N_list, x, ys, f)
 

@@ -83,6 +83,16 @@ class TestCorollary:
             report = verify_power_sum(b, N, Fraction(1, 3), Fraction(2), "N+1")
             assert report.equal
 
+    @pytest.mark.parametrize("which", ["N", "N+1"])
+    def test_charges_its_block_once(self, monkeypatch, which):
+        charges = []
+        record = lambda cost, max_cost=None: charges.append(cost)  # noqa: E731
+        monkeypatch.setattr("digitsum.identities.charge", record)
+        monkeypatch.setattr("digitsum.findiff.charge", record)
+        b, N = 3, 2
+        assert verify_power_sum(b, N, 1, Fraction(1, 2), which).equal
+        assert charges == [b**N]
+
 
 class TestMultisum:
     def test_single_index_matches_plain_identity(self):
