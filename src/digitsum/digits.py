@@ -7,10 +7,12 @@ builds its arguments one digit position at a time and reads no digit-sum table.
 It ends in ``arith.combine_buckets``, the one place residue buckets become
 coordinates; it never touches weight tables, moments or Bernoulli code, so
 the brute-force side of each identity stays independent of its closed form.
-It is package-internal, not exported.  It serves every brute-force sum but
-one: ``identities.joint_weight_polynomial`` keeps its own bucket loop over
-:func:`digit_sums`, because its weight xi^s(i_1+...+i_m) is the digit sum of
-the index sum, not a product of per-axis weights.
+It is package-internal, not exported, and samples any f but a monomial by
+``poly.integer_samples``, the integer Horner the closed side uses.  It
+serves every brute-force sum but one: ``identities.joint_weight_polynomial``
+classes its arguments over :func:`digit_sums`, as its weight
+xi^s(i_1+...+i_m) is no product of per-axis weights, and sums their powers
+in :func:`power_rows`, the per-class power-sum loop of the PTE certificates.
 
 :func:`check_block` is the one place the block rule, b >= 2 and N >= a least
 order, is written; every entry point calls it before it charges the cap.
@@ -18,11 +20,12 @@ order, is written; every entry point calls it before it charges the cap.
 
 from __future__ import annotations
 
+import operator
 from itertools import repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .arith import CycloNum, combine_buckets
-from .poly import RationalPoly, clear_denominators
+from .poly import RationalPoly, clear_denominators, integer_samples
 
 __all__ = [
     "digit_sum",
@@ -59,6 +62,22 @@ def digit_sums(b: int, limit: int) -> list[int]:
     return sums
 
 
+def power_rows(counters: Iterable[dict[int, int]], degree: int) -> list[list[int]]:
+    """Per class, sum m A^k for k = 0..degree over the values A of multiplicity
+    m in its counter, one column of terms m A^k per power, each from the last
+    by one multiplication per value.  Package-internal."""
+    rows = []
+    for counter in counters:
+        values = list(counter)
+        terms = list(counter.values())
+        row = [sum(terms)]
+        for _ in range(degree):
+            terms = list(map(operator.mul, terms, values))
+            row.append(sum(terms))
+        rows.append(row)
+    return rows
+
+
 def digit_weighted_sum(
     f: RationalPoly, b: int, axes: Sequence[tuple[int, object, object]], c=0
 ) -> CycloNum:
@@ -82,13 +101,4 @@ def digit_weighted_sum(
     if not any(rest):
         deg = len(g) - 1
         return combine_buckets(b, [top * sum(map(pow, args, repeat(deg))) for args in lists], scale)
-    # The Horner loop is written out here rather than calling
-    # poly.integer_samples: its arguments are no arithmetic progression.
-    buckets = [0] * b
-    for r, args in enumerate(lists):
-        for A in args:
-            v = top
-            for p in rest:
-                v = v * A + p
-            buckets[r] += v
-    return combine_buckets(b, buckets, scale)
+    return combine_buckets(b, [sum(integer_samples(g, args)) for args in lists], scale)

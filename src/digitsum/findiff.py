@@ -89,7 +89,8 @@ def _closed_numerators(g: list[int], b: int, axes: Sequence[tuple[int, int]], C:
         inner = [_closed_numerators(g, b, rest, C + n * Y) for n in range(sampled)]
         columns = [sampled_differences(col, count, N) for col in zip(*inner)]
     else:
-        columns = [sampled_differences(integer_samples(g, C, Y, sampled), count, N)]
+        samples = integer_samples(g, [C + n * Y for n in range(sampled)])
+        columns = [sampled_differences(samples, count, N)]
     # sum_k beta_k * delta_k: column m of the table against column p of the
     # data lands on xi^(m+p).
     buckets = [0] * b

@@ -17,6 +17,7 @@ import math
 import operator
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 from .arith import CycloNum, a_constant, combine_buckets, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from .cost import charge
-from .digits import check_block, digit_sums, digit_weighted_sum
+from .digits import check_block, digit_sums, digit_weighted_sum, power_rows
 from .findiff import beta_weighted_sum, forward_diff_n, forward_differences, lhs_sum, weighted_rhs
 from .poly import RationalPoly
 from .weights import (
@@ -297,6 +298,7 @@ def _mixed_closed_form(b: int, axes) -> CycloNum:
 
 def verify_mixed_vanishing(b: int, N: int, l: int, x, y, max_cost: int | None = None) -> IdentityReport:
     """The mixed sum vanishes whenever the power is below the order."""
+    check_block(b, N, 1)
     if not 0 <= l < N:
         raise ValueError(f"need 0 <= l < N, got l={l}, N={N}")
     start = time.perf_counter()
@@ -358,7 +360,8 @@ def joint_weight_polynomial(
     m: int, N: int, p: int, x_list: Sequence, b: int = 2, max_cost: int | None = None
 ) -> tuple[CycloNum, ...]:
     """Expand the m-fold sum of xi^s(i_1+...+i_m) (t + sum i_j x_j)^p as an
-    exact polynomial in t: its p+1 coefficients, constant term first."""
+    exact polynomial in t: its p+1 coefficients, constant term first, from
+    each residue class's power sums in ``digits.power_rows``."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     check_block(b, N, 1)
@@ -371,31 +374,28 @@ def joint_weight_polynomial(
     charge(size**m * (p + 1), max_cost)
     sums = digit_sums(b, m * (size - 1) + 1)
     # With base = sum i_j x_j = B / den for an integer B, the coefficient of
-    # t^q is C(p, q) sum xi^s(i_1+...+i_m) B^(p-q) / den^(p-q): bucket B^k
-    # by residue for every k, then combine once per power of t.
+    # t^q is C(p, q) sum xi^s(i_1+...+i_m) B^(p-q) / den^(p-q): class B by
+    # residue, take each class's power sums, then combine once per power of t.
     den = math.lcm(*(v.denominator for v in xs))
     scales = [v.numerator * (den // v.denominator) for v in xs]
     outer = [(0, 0)]
     for scale in scales[:-1]:
         outer = [(B + i * scale, total + i) for B, total in outer for i in range(size)]
     last = scales[-1]
-    buckets = [[0] * b for _ in range(p + 1)]
+    classes = [[] for _ in range(b)]
     for B0, total0 in outer:
         for i in range(size):
-            B = B0 + i * last
-            r = sums[total0 + i] % b
-            v = 1
-            for row in buckets:
-                row[r] += v
-                v *= B
+            classes[sums[total0 + i] % b].append(B0 + i * last)
+    rows = power_rows(map(Counter, classes), p)
     return tuple(
-        combine_buckets(b, [math.comb(p, q) * v for v in buckets[p - q]], den ** (p - q))
+        combine_buckets(b, [math.comb(p, q) * row[p - q] for row in rows], den ** (p - q))
         for q in range(p + 1)
     )
 
 
 def verify_joint_vanishing(N: int, p: int, m: int = 2, b: int = 2, max_cost: int | None = None) -> IdentityReport:
     """All coefficients vanish when the power is at most N-2."""
+    check_block(b, N, 2)
     if not 0 <= p <= N - 2:
         raise ValueError(f"need 0 <= p <= N-2, got p={p}, N={N}")
     start = time.perf_counter()

@@ -75,12 +75,13 @@ def clear_denominators(f: RationalPoly, *points) -> tuple[list[int], int, list[i
     return g, lcm * den**d, [v.numerator * (den // v.denominator) for v in points]
 
 
-def integer_samples(g: list[int], start: int, step: int, count: int) -> list[int]:
-    """g(start + n * step) for n < count, by integer Horner."""
+def integer_samples(g: list[int], args: Iterable[int]) -> list[int]:
+    """g(A) for each integer A in args, by integer Horner.  Package-internal:
+    both sides of an identity sample f here, the closed one on a progression,
+    the brute-force kernel on each of its residue lists."""
     top, rest = g[-1], g[-2::-1]
     out = []
-    for n in range(count):
-        A = start + n * step
+    for A in args:
         v = top
         for p in rest:
             v = v * A + p

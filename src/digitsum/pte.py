@@ -10,15 +10,14 @@ Everything runs on integers: each value is a numerator A over a common
 denominator L.  A partition the package builds keeps those per-class counts
 and turns them into sorted Fraction multisets only when ``classes`` or
 ``expanded()`` is first read, so a search pays for class Fractions only on
-the results a caller prints.  A certificate decides ``valid`` on integer
-power sums and builds their Fractions, in the same way, only when
-``power_sums`` is first read.
+the results a caller prints.  A certificate decides ``valid`` on the
+integer power sums of ``digits.power_rows`` and builds their Fractions, in
+the same way, only when ``power_sums`` is first read.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .cost import charge
-from .digits import check_block, digit_sums
+from .digits import check_block, digit_sums, power_rows
 
 __all__ = [
     "PtePartition",
@@ -111,21 +110,6 @@ def _cancel(counters: list[dict[int, int]]) -> list[dict[int, int]]:
     return counters
 
 
-def _power_rows(counters: Sequence[dict[int, int]], degree: int) -> list[list[int]]:
-    """Per class, sum m A^k for k = 0..degree, one column of terms m A^k per
-    power, each from the last by one multiplication per value."""
-    rows = []
-    for counter in counters:
-        values = list(counter)
-        terms = list(counter.values())
-        row = [sum(terms)]
-        for _ in range(degree):
-            terms = list(map(operator.mul, terms, values))
-            row.append(sum(terms))
-        rows.append(row)
-    return rows
-
-
 def _freeze(counter: dict[int, int], L: int) -> Multiset:
     return tuple((Fraction(A, L), m) for A, m in sorted(counter.items()) if m)
 
@@ -202,7 +186,7 @@ class PteCertificate:
     @cached_property
     def power_sums(self) -> tuple[tuple[Fraction, ...], ...]:
         L, counters = self.partition._integer
-        rows = _power_rows(counters, self.max_degree)
+        rows = power_rows(counters, self.max_degree)
         return tuple(tuple(Fraction(S, L**k) for k, S in enumerate(row)) for row in rows)
 
 
@@ -227,7 +211,7 @@ def prouhet_partition(b: int, N: int, max_cost: int | None = None) -> PtePartiti
 def verify_power_sums(partition: PtePartition, max_degree: int) -> PteCertificate:
     """Exact per-class power sums up to max_degree; k = 0 counts multiplicity."""
     _check_degree(max_degree)
-    rows = _power_rows(partition._integer.counters, max_degree)
+    rows = power_rows(partition._integer.counters, max_degree)
     return PteCertificate(partition, max_degree, all(row == rows[0] for row in rows[1:]))
 
 

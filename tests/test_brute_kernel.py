@@ -258,11 +258,12 @@ def test_kernel_edge_cases():
 
 
 def test_brute_side_imports_nothing_from_the_closed_side():
-    # The brute kernel ends in arith.combine_buckets, so neither module may
-    # reach weight tables, differences, Bernoulli code or the identities.
+    # The brute kernel samples f through poly.integer_samples and ends in
+    # arith.combine_buckets, so none of the three modules may reach weight
+    # tables, differences, Bernoulli code or the identities.
     closed = {"weights", "findiff", "bernoulli", "identities"}
     package = Path(digitsum.__file__).parent
-    for name in ("digits.py", "arith.py"):
+    for name in ("digits.py", "arith.py", "poly.py"):
         for node in ast.walk(ast.parse((package / name).read_text())):
             if isinstance(node, ast.Import):
                 paths = [alias.name for alias in node.names]

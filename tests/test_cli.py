@@ -255,8 +255,11 @@ VERIFY_USAGE_ERRORS = {
     "multi-mixed-sum": [
         *R_FOLD_USAGE_ERRORS, (("--order", "1,2", "--x-list", "1"), "x_list length must match N_list")
     ],
-    "mixed-sum-vanishing": [(("--order", "2", "--l", "5"), "need 0 <= l < N, got l=5, N=2")],
-    "joint-vanishing": [(("--order", "1"), "need 0 <= p <= N-2, got p=-1, N=1")],
+    "mixed-sum-vanishing": [
+        (("--order", "2", "--l", "5"), "need 0 <= l < N, got l=5, N=2"),
+        (("--order", "0"), "order must be >= 1, got 0"),
+    ],
+    "joint-vanishing": [(("--order", "1"), "order must be >= 2, got 1")],
 }
 
 

@@ -1,7 +1,7 @@
 """Digit sums, residue classes, and the digit-sum table."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from digitsum.digits import (
@@ -9,6 +9,7 @@ from digitsum.digits import (
     digit_sum,
     digit_sums,
     digit_weighted_sum,
+    power_rows,
 )
 from digitsum.arith import xi
 from digitsum.poly import RationalPoly
@@ -103,3 +104,23 @@ class TestXiDigitWeight:
         for b in (2, 3, 5):
             for n in range(40):
                 assert self.weight(n, b) == xi(b) ** digit_sum(n, b)
+
+
+class TestPowerRows:
+    # The per-class power sums behind the PTE certificates and the joint
+    # weight polynomial: row k of a class is sum m A^k over its values A of
+    # multiplicity m.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        classes=st.lists(
+            st.dictionaries(st.integers(-10**6, 10**6), st.integers(0, 5), max_size=8), max_size=4
+        ),
+        degree=st.integers(0, 6),
+    )
+    @example(classes=[{}, {-3: 2, 0: 1}], degree=0)
+    @example(classes=[{}, {}], degree=3)
+    def test_matches_term_by_term_sums(self, classes, degree):
+        expected = [
+            [sum(m * A**k for A, m in counter.items()) for k in range(degree + 1)] for counter in classes
+        ]
+        assert power_rows(iter(classes), degree) == expected

@@ -125,20 +125,23 @@ class TestIntegerForm:
     @pytest.mark.parametrize("degree", [-1, 0, 1, 2, 5])
     def test_samples_match_rational_evaluation(self, degree):
         # f(A / den) = g(A) / scale at every point of the cleared lattice,
-        # the zero polynomial included.
+        # the zero polynomial included, whether the points form a
+        # progression, come shuffled with repeats and negative indices, or
+        # are none at all.
         rng = random.Random(degree + 5)
         for _ in range(5):
             f = random_poly(rng, degree) if degree >= 0 else RationalPoly()
             c, y = random_fraction(rng), random_fraction(rng)
             g, scale, (C, Y) = clear_denominators(f, c, y)
             assert all(type(v) is int for v in (*g, scale, C, Y))
-            values = [Fraction(v, scale) for v in integer_samples(g, C, Y, 7)]
-            assert values == [f(c + n * y) for n in range(7)]
+            for ns in (range(7), [3, -2, 0, 5, -2, 3, -7], []):
+                values = [Fraction(v, scale) for v in integer_samples(g, [C + n * Y for n in ns])]
+                assert values == [f(c + n * y) for n in ns]
 
     def test_monomial(self):
         f = RationalPoly.monomial(3, Fraction(2, 3))
         g, scale, (C, Y) = clear_denominators(f, Fraction(1, 2), Fraction(-1, 4))
-        values = [Fraction(v, scale) for v in integer_samples(g, C, Y, 5)]
+        values = [Fraction(v, scale) for v in integer_samples(g, [C + n * Y for n in range(5)])]
         assert values == [f(Fraction(1, 2) - Fraction(n, 4)) for n in range(5)]
 
 
@@ -162,6 +165,7 @@ class TestSampledDifferences:
     @example(g=[1, 2], start=1, step=1, count=5, N=8)
     @example(g=[7, 0, 0, 0, 0, 0, 0, 0, 9], start=2, step=-5, count=40, N=2)
     def test_matches_differences_of_every_sample(self, g, start, step, count, N):
-        expected = forward_differences(integer_samples(g, start, step, count), N)
-        samples = integer_samples(g, start, step, min(len(g), count))
+        args = [start + n * step for n in range(count)]
+        expected = forward_differences(integer_samples(g, args), N)
+        samples = integer_samples(g, args[: len(g)])
         assert sampled_differences(samples, count, N) == expected

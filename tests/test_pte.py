@@ -370,13 +370,13 @@ class TestLazyPowerSums:
         results = search_small_solutions(3, 3, range(4), range(1, 5))
         assert results and all("power_sums" not in vars(res.certificate) for res in results)
         calls = []
-        power_rows = pte._power_rows
+        power_rows = pte.power_rows
 
         def counted(counters, degree):
             calls.append(degree)
             return power_rows(counters, degree)
 
-        monkeypatch.setattr(pte, "_power_rows", counted)
+        monkeypatch.setattr(pte, "power_rows", counted)
         certificate = results[0].certificate
         sums = certificate.power_sums
         assert certificate.power_sums is sums and calls == [2]
