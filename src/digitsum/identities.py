@@ -834,14 +834,22 @@ def run_identity(
 
 def scalar_to_json(value):
     """JSON-ready form: rationals as 'p/q' strings, CycloNums as coefficient
-    lists with their root order, sequences elementwise."""
-    if isinstance(value, CycloNum):
-        return {"b": value.b, "coeffs": [str(c) for c in value.coeffs]}
-    if isinstance(value, Fraction):
+    lists with their root order, sequences elementwise, anything else as its
+    str."""
+    kind = type(value)
+    if kind is Fraction:
         return str(value)
-    if isinstance(value, (bool, int)) or value is None:
+    if kind is int or kind is bool or value is None:
         return value
-    if isinstance(value, (list, tuple)):
+    if kind is CycloNum:
+        # Each coordinate as str(Fraction(n, den)) gives it, without the Fraction.
+        den = value.den
+        coeffs = []
+        for n in value.nums:
+            g = math.gcd(n, den)
+            coeffs.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return {"b": value.b, "coeffs": coeffs}
+    if kind is list or kind is tuple:
         return [scalar_to_json(v) for v in value]
     return str(value)
 

@@ -1,6 +1,8 @@
 """CLI surface: formats, exit codes, grids, and the stable JSON shapes."""
 
+import csv
 import hashlib
+import io
 import json
 import re
 import shlex
@@ -12,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import digitsum
 from digitsum import cli
@@ -186,6 +190,50 @@ class TestParsers:
     def test_grid_rejects_bad_step(self):
         with pytest.raises(ValueError):
             parse_grid("0..1/0")
+
+
+# Keys and strings lean on what JSON must escape: quotes, backslashes,
+# control characters and non-ASCII, lone surrogates among them.
+json_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7fé€\U0001f600\ud800'), st.characters()))
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200)
+    | st.floats(allow_nan=False, allow_infinity=False) | json_text
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(json_text, max_size=4)
+        | st.dictionaries(json_text, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees)
+    def test_matches_json_dumps(self, payload):
+        assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), [{}, [], ()], {"": {"a": [[]]}}, ["x", ["y", ("z",)]], [1.5e300, -0.0, 2**200],
+    ])
+    def test_empty_and_nested_containers(self, payload):
+        assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {1: "a"}, {"a": {None: 1}}, [Fraction(1, 2)], {"a": {1, 2}}, b"bytes", [object()],
+    ], ids=repr)
+    def test_unsupported_input_is_a_type_error(self, payload):
+        with pytest.raises(TypeError):
+            cli._json(payload)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_is_a_value_error(self, value):
+        with pytest.raises(ValueError):
+            cli._json([value])
 
 
 class TestWeightsCommand:
@@ -385,6 +433,16 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(out)[0]["elapsed_ms"] > 0
+
+    def test_timings_add_a_csv_column(self, capsys):
+        argv = ("verify", "--identity", "moment0", "--format", "csv")
+        _, plain, _ = invoke(capsys, *argv)
+        code, out, _ = invoke(capsys, *argv, "--timings")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["identity", "params", "lhs", "rhs", "equal", "elapsed_ms"]
+        assert plain.splitlines()[0] == ",".join(header[:-1])
+        assert rows and all(float(row[-1]) > 0 for row in rows)
 
     def test_text_format_summary(self, capsys):
         code, out, _ = invoke(

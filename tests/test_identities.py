@@ -1,5 +1,6 @@
 """The verifier: hand-checked example values, vanishing laws, and report plumbing."""
 
+import json
 import math
 import operator
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from digitsum.arith import CycloNum, a_constant, xi
+from digitsum.arith import CycloNum, a_constant, euler_phi, xi
 from digitsum.bernoulli import bernoulli_numbers, bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from digitsum.cost import CostCapExceeded
 from digitsum.findiff import forward_diff_n
@@ -405,6 +406,45 @@ class TestSerialization:
         assert scalar_to_json(True) is True
         assert scalar_to_json(xi(3)) == {"b": 3, "coeffs": ["0", "1"]}
         assert scalar_to_json([Fraction(1, 2), 3]) == ["1/2", 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_cyclo_coordinates_print_as_fractions(self, data):
+        b = data.draw(st.integers(2, 12))
+        nums = data.draw(st.lists(st.integers(-50, 50), min_size=euler_phi(b), max_size=euler_phi(b)))
+        den = data.draw(st.integers(1, 60))
+        value = CycloNum.from_integers(b, nums, den)
+        assert scalar_to_json(value) == {"b": b, "coeffs": [str(c) for c in value.coeffs]}
+
+    @pytest.mark.parametrize("value,coeffs", [
+        (CycloNum.from_integers(6, [2, 3], 6), ["1/3", "1/2"]),
+        (CycloNum.from_integers(5, [-4, 0, 6, 3], 6), ["-2/3", "0", "1", "1/2"]),
+        (CycloNum.zero(7), ["0"] * 6),
+    ])
+    def test_cyclo_coordinates_reduce_one_by_one(self, value, coeffs):
+        assert scalar_to_json(value)["coeffs"] == coeffs
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+        | st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99)),
+        lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple),
+        max_leaves=20,
+    ))
+    def test_nested_scalars_keep_their_forms(self, value):
+        def reference(v):
+            if isinstance(v, Fraction):
+                return str(v)
+            if isinstance(v, (bool, int)) or v is None:
+                return v
+            return [reference(item) for item in v]
+
+        # json.dumps tells True from 1, which == does not.
+        assert json.dumps(scalar_to_json(value)) == json.dumps(reference(value))
+
+    @pytest.mark.parametrize("value", [RationalPoly([1, Fraction(-1, 2)]), "N", 1.5, {"a": 1}], ids=repr)
+    def test_other_values_print_as_str(self, value):
+        assert scalar_to_json(value) == str(value)
 
     def test_timing_suppressed_by_default(self):
         report = verify_power_sum(2, 1, 0, 1, "N")
