@@ -494,7 +494,7 @@ def _cmd_bernoulli(args, max_cost: int) -> tuple[int, str]:
         charge((d + 1) * (d + 2) // 2, max_cost)  # Akiyama-Tanigawa steps
     coeffs = list(bernoulli_poly(d).coeffs) or [Fraction(0)]
     if args.format == "json":
-        return 0, json.dumps({"degree": d, "coeffs": [str(c) for c in coeffs]}) + "\n"
+        return 0, _json({"degree": d, "coeffs": [str(c) for c in coeffs]})
     if args.format == "csv":
         return 0, _csv(["power", "coefficient"], enumerate(coeffs))
     terms = ", ".join(f"x^{i}: {c}" for i, c in enumerate(coeffs))

@@ -8,10 +8,20 @@ whose coefficients are the partial sums 1, 1+xi, 1+xi+xi^2, ... placed at
 multiples of b^l.  The top partial sum vanishes, which is what pins the
 table length to b^(N+1) - N - 1.
 
-Beta tables are expanded on integer power-basis columns.  The partial sums
-follow P_k = P_(k-1) + xi^k, and each xi^k comes from xi^(k-1) by one
+Beta tables are expanded on integer power-basis columns, and each level
+l (gap g = b^l) is written one g-long block at a time.  The geometric
+factor gives a window W = lo + z^g hi with lo and hi g long, so block j of
+W times the bracket is V_j = P_j lo + P_(j-1) hi.  The partial sums follow
+P_k = P_(k-1) + xi^k, hence V_0 = lo and V_j = V_(j-1) + xi^(j-1) U with
+U = xi lo + hi; each xi^(j-1) U comes from the one before by one
 multiplication by xi: a shift of the coordinates and one fold through
-xi^phi(b).  The builder never reads a digit sum; the convolution duals
+xi^phi(b).
+
+The steps xi^(j-1) U are the blocks of W times the level's digit factor
+sum_k xi^k z^(k g), but they are summed straight back into W times the
+bracket, and W keeps its factor (1 - z^g)/(1 - z) uncancelled.  So the
+builder never forms the digit-weight series times 1/(1-z)^(N+1), which is
+the convolution route, and never reads a digit sum; the convolution duals
 check the tables against them.
 """
 
@@ -85,8 +95,13 @@ def beta_columns(b: int, N: int) -> tuple[tuple[int, ...], ...]:
 
     Package-internal.  Every entry lies in Z[xi], so the generating product
     runs on plain ints: the geometric factor per column, then the bracket
-    as the partial sums P_k col = P_(k-1) col + xi^k col, added in at
-    offset k b^l, with xi^k col one shift-and-fold step from xi^(k-1) col.
+    sum_k P_k z^(k g), g = b^l, one g-long output block at a time.  The
+    window W splits as lo + z^g hi, so block j is V_j = P_j lo + P_(j-1) hi,
+    and P_j = P_(j-1) + xi^j gives V_0 = lo and V_j = V_(j-1) + xi^(j-1) U
+    with U = xi lo + hi.  Each xi^(j-1) U is one shift-and-fold step from
+    the one before.  U is not the convolution route: its steps are summed
+    back into W times the bracket at once, and W keeps the level's
+    (1 - z^g)/(1 - z), so no digit-weight series is formed.
     """
     check_block(b, N)
     powers = xi_power_coords(b)
@@ -95,17 +110,22 @@ def beta_columns(b: int, N: int) -> tuple[tuple[int, ...], ...]:
     for l in range(N + 1):
         gap = b**l
         columns = [_mul_all_ones(col, gap) for col in columns]
-        n = len(columns[0])
-        out = [[0] * (n + (b - 2) * gap) for _ in columns]
-        power = partial = columns
-        # P_(b-1) vanishes, so k stops at b - 2.
-        for k in range(b - 1):
-            if k:
-                power = _times_xi(power, fold)
-                partial = [list(map(operator.add, p, q)) for p, q in zip(partial, power)]
-            off = k * gap
-            for acc, col in zip(out, partial):
-                acc[off : off + n] = map(operator.add, acc[off : off + n], col)
+        lo = [col[:gap] for col in columns]
+        # W is shorter than 2 gap, so hi is padded with zeros up to one block.
+        hi = [col[gap:] + [0] * (2 * gap - len(col)) for col in columns]
+        step = [list(map(operator.add, p, q)) for p, q in zip(_times_xi(lo, fold), hi)]
+        # out grows from V_0 = lo block by block; every V_j is a new list, so
+        # lo is read as V_0 before it grows.
+        block = out = lo
+        for j in range(1, b):
+            if j > 1:
+                step = _times_xi(step, fold)
+            block = [list(map(operator.add, v, u)) for v, u in zip(block, step)]
+            for acc, col in zip(out, block):
+                acc += col
+        # The last block is P_(b-2) hi, whose final l + 1 entries are padding.
+        for acc in out:
+            del acc[b * gap - l - 1 :]
         columns = out
     expected = b ** (N + 1) - N - 1
     assert len(columns[0]) == expected, (b, N, len(columns[0]), expected)

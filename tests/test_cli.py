@@ -62,7 +62,8 @@ SUITE_SEED42_SHA256 = {
 
 
 # sha256 of `digitsum weights <args> --format <fmt>` stdout; pinned so the
-# table builder's output stays byte-identical.
+# table builder's output stays byte-identical.  Bases 2 and 3 are the ones
+# where a level has the fewest blocks.
 WEIGHTS_SHA256 = {
     "--base 7 --order 3": {
         "json": "337698d7e0dfc7101d402c25fd7d84371cc3a4d395696d587e306be078aba8b2",
@@ -79,12 +80,22 @@ WEIGHTS_SHA256 = {
         "csv": "2d0cf78ab88513506a8059e9329f4ab1a7140a2a28736622f104a180b16160a3",
         "text": "51bcfda37b0d2eeae64c960c83274bd11582d030bcbe466ce2f0ea11175ec20b",
     },
+    "--base 2 --order 10": {
+        "json": "dca54cd305f05b6a49562fa7ab2aa72cb5a72d065d9d0d50c45486277692023f",
+    },
+    "--base 3 --order 7": {
+        "json": "7bb5d6b81f67137e2bc7a87d900e90845275229d96315b86d318001dcc3ace62",
+    },
     "--base 2 --order 5 --kind alpha": {
         "json": "f03f4dcc654360fc0f1c89fe9c2034a6c9f295ce54decc765dc2c495aeffcb4a",
         "csv": "1b2ed96dcaccfa858146147a867dc015cfb587232022c34355827c500b8b71eb",
         "text": "2738ef5d20bb82abdfb4c88c295f9e2f84c67e81e3e4a981a5a6cab840766818",
     },
 }
+
+
+# sha256 of `digitsum bernoulli --degree 4 --format json` stdout.
+BERNOULLI_DEGREE4_JSON_SHA256 = "4a0d137a15d4ea87991edeccad9aff3051f931e551231904d11bd2cfb34065d0"
 
 
 # sha256 of the README's `pte-show` and `pte-search` examples' stdout in each
@@ -683,6 +694,12 @@ class TestBernoulliCommand:
         code, out, _ = invoke(capsys, "bernoulli", "--degree", "1", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"degree": 1, "coeffs": ["-1/2", "1"]}
+
+    def test_json_is_pinned(self, capsys):
+        # Indented and key-sorted by the writer every other subcommand uses.
+        code, out, _ = invoke(capsys, "bernoulli", "--degree", "4", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == BERNOULLI_DEGREE4_JSON_SHA256
 
     def test_degree_is_charged(self, capsys):
         # 3001 * 3002 / 2 Akiyama-Tanigawa steps against a cap of 1.

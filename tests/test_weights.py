@@ -12,7 +12,7 @@ import digitsum
 from digitsum.arith import CycloNum, euler_phi, xi, xi_power_coords, xi_power_table
 from digitsum.digits import digit_sums
 from digitsum.findiff import forward_differences
-from digitsum.identities import verify_betaconv_dual2
+from digitsum.identities import verify_betaconv_dual1, verify_betaconv_dual2
 from digitsum.weights import (
     alpha_moment0,
     alpha_moment1,
@@ -207,6 +207,13 @@ class TestBetaTable:
 
     def test_base_105_folds_by_two(self):
         assert 2 in map(abs, xi_power_coords(105)[euler_phi(105)])
+
+    def test_base_105_tables_match_the_convolution_duals(self):
+        # Level 1 of the order-1 table has gap 105, so its xi-steps fold by -2
+        # over whole 105-long blocks; dual2 at order 2 reads all of that
+        # table.  The dense-matrix oracle takes seconds there.
+        assert verify_betaconv_dual1(105, 1).equal
+        assert verify_betaconv_dual2(105, 2).equal
 
     @pytest.mark.parametrize("b", [2, 3, 4])
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
