@@ -222,6 +222,13 @@ json_trees = st.recursive(
 )
 
 
+class _Opaque:
+    """A value the JSON writer cannot encode, with a repr free of its address."""
+
+    def __repr__(self):
+        return "_Opaque()"
+
+
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(json_trees)
@@ -235,7 +242,7 @@ class TestJsonWriter:
         assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("payload", [
-        {1: "a"}, {"a": {None: 1}}, [Fraction(1, 2)], {"a": {1, 2}}, b"bytes", [object()],
+        {1: "a"}, {"a": {None: 1}}, [Fraction(1, 2)], {"a": {1, 2}}, b"bytes", [_Opaque()],
     ], ids=repr)
     def test_unsupported_input_is_a_type_error(self, payload):
         with pytest.raises(TypeError):
