@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import identities
 from .bernoulli import bernoulli_poly
-from .cost import DEFAULT_MAX_COST, CostCapExceeded, charge
+from .cost import DEFAULT_MAX_COST, CostCapExceeded, charge, check_power
 from .digits import check_block
 from .identities import DEFAULT_SEED, IdentityReport, report_to_dict
 from .pte import cancel_common, generalized_partition, search_small_solutions, verify_power_sums
@@ -363,6 +363,7 @@ def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
     if kind == "alpha" and b != 2:
         raise ValueError("alpha tables exist only for base 2")
     check_block(b, N)
+    check_power(b, N + 1, max_cost)
     charge(b ** (N + 1) - N - 1, max_cost)
     # The phi(b) integer power-basis columns of the table; base 2 has one.
     columns = (alpha_table(N),) if kind == "alpha" else beta_columns(b, N)
@@ -396,6 +397,7 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
     check_block(args.base, args.order, 1)
     if kmax < 0:
         raise ValueError(f"--kmax must be >= 0, got {kmax}")
+    check_power(args.base, args.order, max_cost)
     charge(args.base**args.order * (kmax + 1), max_cost)  # power-sum terms of one certificate
     partition = generalized_partition(args.base, args.order, args.x, args.y, max_cost)
     certificate = verify_power_sums(partition, kmax)

@@ -12,11 +12,12 @@ DEFAULT_MAX_COST = 2**20
 
 
 class CostCapExceeded(Exception):
-    """A brute-force evaluation would exceed the configured cost cap."""
+    """A brute-force evaluation would exceed the configured cost cap.
+    ``cost`` is None when only a bound on it is known, which ``needs`` names."""
 
-    def __init__(self, cost: int, cap: int) -> None:
+    def __init__(self, cost: int | None, cap: int, needs: str | None = None) -> None:
         super().__init__(
-            f"evaluation needs {_count(cost)} summand evaluations, cap is {_count(cap)}"
+            f"evaluation needs {needs or _count(cost)} summand evaluations, cap is {_count(cap)}"
         )
         self.cost = cost
         self.cap = cap
@@ -32,3 +33,13 @@ def charge(cost: int, max_cost: int | None = None) -> None:
     cap = DEFAULT_MAX_COST if max_cost is None else max_cost
     if cost > cap:
         raise CostCapExceeded(cost, cap)
+
+
+def check_power(b: int, e: int, max_cost: int | None = None) -> None:
+    """Refuse a block of b^e summands by bit length, before b**e is built.
+    Every block is charged at least b^e / 2 >= 2^((bit length of b - 1) e - 1),
+    so this refuses nothing the exact charge would allow.  Package-internal."""
+    cap = DEFAULT_MAX_COST if max_cost is None else max_cost
+    bits = (b.bit_length() - 1) * e
+    if bits > cap.bit_length():
+        raise CostCapExceeded(None, cap, f"more than 2^{bits - 1}")

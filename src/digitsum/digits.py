@@ -1,18 +1,20 @@
 """Base-b digit sums, the root-of-unity weights built on them, and the
 integer residue-bucket kernel behind every brute-force digit-weighted sum.
 
-The kernel (:func:`digit_weighted_sum`) rests on s(qb + d) = s(q) + d: over
-the base-b digits d_k of n, s(n) x + n y = sum_k d_k (x + b^k y), so it
-builds its arguments one digit position at a time and reads no digit-sum table.
-It ends in ``arith.combine_buckets``, the one place residue buckets become
-coordinates; it never touches weight tables, moments or Bernoulli code, so
-the brute-force side of each identity stays independent of its closed form.
-It is package-internal, not exported, and samples any f but a monomial by
-``poly.integer_samples``, the integer Horner the closed side uses.  It
-serves every brute-force sum but one: ``identities.joint_weight_polynomial``
-classes its arguments over :func:`digit_sums`, as its weight
-xi^s(i_1+...+i_m) is no product of per-axis weights, and sums their powers
-in :func:`power_rows`, the per-class power-sum loop of the PTE certificates.
+By s(qb + d) = s(q) + d, s(n) x + n y = sum_k d_k (x + b^k y) over the
+base-b digits d_k of n, so :func:`residue_lists` builds the values one digit
+position at a time, in b lists by digit sum mod b, and reads no digit-sum
+table.  The kernel (:func:`digit_weighted_sum`) sums f over those lists,
+by ``poly.integer_samples`` (the integer Horner the closed side uses) for
+any f but a monomial, and ends in ``arith.combine_buckets``, the one place
+residue buckets become coordinates; it never touches weight tables, moments
+or Bernoulli code, so the brute-force side of each identity stays
+independent of its closed form.  The PTE partitions class their values by
+the same lists; both are package-internal.  One brute-force sum is not the
+kernel's: ``identities.joint_weight_polynomial`` classes its arguments over
+:func:`digit_sums`, as its weight xi^s(i_1+...+i_m) is no product of
+per-axis weights, and sums their powers in :func:`power_rows`, the
+per-class power-sum loop of the PTE certificates.
 
 :func:`check_block` is the one place the block rule, b >= 2 and N >= a least
 order, is written; every entry point calls it before it charges the cap.
@@ -78,25 +80,32 @@ def power_rows(counters: Iterable[dict[int, int]], degree: int) -> list[list[int
     return rows
 
 
+def residue_lists(b: int, axes: Iterable[tuple[int, int, int]], C: int = 0) -> list[list[int]]:
+    """Per digit-sum total r mod b, the integers C + sum_j (s(n_j) X_j + n_j Y_j)
+    over n_j < b^N_j whose digit sums total r, one (N_j, X_j, Y_j) per axis.
+    The order of each list depends only on b and the orders, so calls that
+    differ only in (X, Y) list the same (n_1, ..., n_r) at the same place."""
+    # Digit d moves a value from list r - d (wrapping mod b) to list r.
+    lists = [[C]] + [[] for _ in range(b - 1)]
+    for N, X, Y in axes:
+        for k in range(N):
+            shifts = [d * (X + b**k * Y) for d in range(b)]
+            lists = [[a + shift for d, shift in enumerate(shifts) for a in lists[r - d]] for r in range(b)]
+    return lists
+
+
 def digit_weighted_sum(
     f: RationalPoly, b: int, axes: Sequence[tuple[int, object, object]], c=0
 ) -> CycloNum:
     """Sum of xi^(s(n_1)+...+s(n_r)) f(c + sum_j (s(n_j) x_j + n_j y_j)) over
     n_j < b^N_j, one (N_j, x_j, y_j) per axis; s is the base-b digit sum.
 
-    With denominators cleared once, s(n) X + n Y = sum_k d_k (X + b^k Y) over
-    the digits d_k of n, so the integer arguments are built one digit position
-    at a time in b lists, one per digit sum mod b; no digit-sum table is read.
-    Each list is summed through f's integer form and the b sums become one
-    CycloNum: exactly the term-by-term sum of ``xi^s * f(arg)`` in Q(xi).
+    With denominators cleared once, f's integer form is summed over each of
+    the b :func:`residue_lists` and the b sums become one CycloNum: exactly
+    the term-by-term sum of ``xi^s * f(arg)`` in Q(xi).
     """
     g, scale, (C, *scaled) = clear_denominators(f, c, *(v for _, x, y in axes for v in (x, y)))
-    # Digit d moves an argument from list r - d (wrapping mod b) to list r.
-    lists = [[C]] + [[] for _ in range(b - 1)]
-    for (N, _, _), X, Y in zip(axes, scaled[::2], scaled[1::2]):
-        for k in range(N):
-            shifts = [d * (X + b**k * Y) for d in range(b)]
-            lists = [[a + shift for d, shift in enumerate(shifts) for a in lists[r - d]] for r in range(b)]
+    lists = residue_lists(b, zip([N for N, _, _ in axes], scaled[::2], scaled[1::2]), C)
     top, rest = g[-1], g[-2::-1]
     if not any(rest):
         deg = len(g) - 1

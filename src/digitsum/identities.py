@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .arith import CycloNum, a_constant, combine_buckets, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
-from .cost import charge
+from .cost import charge, check_power
 from .digits import check_block, digit_sums, digit_weighted_sum, power_rows
 from .findiff import beta_weighted_sum, forward_diff_n, forward_differences, lhs_sum, weighted_rhs
 from .poly import RationalPoly
@@ -226,8 +226,10 @@ def verify_alpha_moment(N: int, order: int, max_cost: int | None = None) -> Iden
 # Multi-index sums
 
 
-def _check_axes(b: int, N_list, y_list, x_list=None) -> None:
-    """The r-fold sums' usage check: at least one axis, each with an order >= 1 and a scale."""
+def _check_axes(b: int, N_list, x, y_list, x_list=None) -> tuple:
+    """The r-fold sums' usage check: at least one axis, each with an order >= 1
+    and a scale.  Returns x, y_list and x_list (None if not given) as
+    Fractions, as the single-axis verifiers take theirs."""
     check_block(b)
     if not N_list:
         raise ValueError("need at least one summation index")
@@ -237,19 +239,20 @@ def _check_axes(b: int, N_list, y_list, x_list=None) -> None:
         raise ValueError("y_list length must match N_list")
     if x_list is not None and len(x_list) != len(N_list):
         raise ValueError("x_list length must match N_list")
+    return Fraction(x), list(map(Fraction, y_list)), x_list and list(map(Fraction, x_list))
 
 
 def verify_multisum(
     b: int, N_list, f: RationalPoly, x, y_list, max_cost: int | None = None
 ) -> IdentityReport:
     """r-fold digit-weighted sum of f versus its beta-weighted difference form."""
-    _check_axes(b, N_list, y_list)
+    x, y_list, _ = _check_axes(b, N_list, x, y_list)
     start = time.perf_counter()
     charge(b ** sum(N_list), max_cost)
     lhs = digit_weighted_sum(f, b, [(N, 0, y) for N, y in zip(N_list, y_list)], x)
     # The closed side samples f itself rather than reusing the brute sum.
     rhs = beta_weighted_sum(f, b, list(zip(N_list, y_list)), x)
-    params = {"b": b, "N_list": list(N_list), "x": x, "y_list": list(y_list), "f": list(f.coeffs)}
+    params = {"b": b, "N_list": list(N_list), "x": x, "y_list": y_list, "f": list(f.coeffs)}
     return _report("multisum", params, lhs, rhs, start)
 
 
@@ -257,7 +260,7 @@ def verify_multi_power_sum(b: int, N_list, x, y_list, max_cost: int | None = Non
     """r-fold power sum versus the mixed closed form with every x_j = 0; at
     base 2 the sign/exponent rewriting of that closed form is checked for
     consistency."""
-    _check_axes(b, N_list, y_list)
+    x, y_list, _ = _check_axes(b, N_list, x, y_list)
     start = time.perf_counter()
     charge(b ** sum(N_list), max_cost)
     total = sum(N_list)
@@ -270,7 +273,7 @@ def verify_multi_power_sum(b: int, N_list, x, y_list, max_cost: int | None = Non
         base2 = Fraction(2) ** sum(N * (N - 1) // 2 for N in N_list) * yprod * math.factorial(total)
         extras["base2_form"] = -base2 if total % 2 else base2
     also = b != 2 or rhs == extras["base2_form"]
-    params = {"b": b, "N_list": list(N_list), "x": x, "y_list": list(y_list)}
+    params = {"b": b, "N_list": list(N_list), "x": x, "y_list": y_list}
     return _report("multi-power-sum", params, lhs, rhs, start, extras, also)
 
 
@@ -342,13 +345,13 @@ def verify_mixed_recurrence(b: int, N: int, l: int, x, y, max_cost: int | None =
 
 def verify_multi_mixed_sum(b: int, N_list, x_list, y_list, max_cost: int | None = None) -> IdentityReport:
     """r-fold mixed power sum versus (b/(xi-1))^sum(N) sum(N)! prod(x_j + b^i y_j)."""
-    _check_axes(b, N_list, y_list, x_list)
+    _, y_list, x_list = _check_axes(b, N_list, 0, y_list, x_list)
     start = time.perf_counter()
     charge(b ** sum(N_list), max_cost)
     axes = list(zip(N_list, x_list, y_list))
     lhs = digit_weighted_sum(RationalPoly.monomial(sum(N_list)), b, axes)
     rhs = _mixed_closed_form(b, axes)
-    params = {"b": b, "N_list": list(N_list), "x_list": list(x_list), "y_list": list(y_list)}
+    params = {"b": b, "N_list": list(N_list), "x_list": x_list, "y_list": y_list}
     return _report("multi-mixed-sum", params, lhs, rhs, start)
 
 
@@ -606,8 +609,6 @@ def _xy(rng: random.Random, p: dict, nonzero_y: bool = False) -> tuple:
 
 
 def _difference_case(rng, p, max_cost):
-    check_block(p["b"], p["N"], 1)
-    charge(p["b"] ** p["N"], max_cost)
     x, y = _xy(rng, p)
     f = random_poly(rng, p["N"] + 2)
     return [verify_difference_identity(p["b"], p["N"], f, x, y, max_cost)]
@@ -650,8 +651,6 @@ def _multi_power_case(rng, p, max_cost):
 
 def _multisum_case(rng, p, max_cost):
     x, ys = _x_ys(rng, p)
-    _check_axes(p["b"], p["N_list"], ys)
-    charge(p["b"] ** sum(p["N_list"]), max_cost)
     f = random_poly(rng, sum(p["N_list"]))
     return [verify_multisum(p["b"], p["N_list"], f, x, ys, max_cost)]
 
@@ -724,8 +723,6 @@ def _delta_bernoulli_case(rng, p, max_cost):
 
 
 def _generalized_pte_case(rng, p, max_cost):
-    check_block(p["b"], p["N"], 1)
-    charge(p["b"] ** p["N"], max_cost)
     x, y = _xy(rng, p, nonzero_y=True)
     f = random_poly(rng, p["N"] - 1)
     return [verify_generalized_pte(p["b"], p["N"], f, x, y, max_cost)]
@@ -805,7 +802,8 @@ def run_identity(
     laid over it; keys the id does not take are ignored.  An ``N_list`` of
     one order sets ``N`` for an id of order N.  The point runs ``draws``
     times when the suite draws its family more than once, else once; the
-    count is charged first.  Usage errors name the CLI flags."""
+    count is charged first, after a block whose bit length alone exceeds the
+    cap is refused.  Usage errors name the CLI flags."""
     family = FAMILY_OF.get(name)
     if family is None:
         raise ValueError(f"unknown identity {name!r}")
@@ -819,6 +817,9 @@ def run_identity(
             raise ValueError(f"{name} takes one order, got --order {','.join(map(str, orders))}")
         given["N"] = orders[0]
     point = {key: given.get(key, value) for key, value in defaults.items()} | {"id": name}
+    if "b" in point:
+        check_block(point["b"])
+        check_power(point["b"], point["N"] if "N" in point else sum(point["N_list"]), max_cost)
     draws = draws if family.draws > 1 else 1
     charge(draws, max_cost)
     rng = random.Random(seed)

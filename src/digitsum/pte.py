@@ -7,12 +7,13 @@ appears in every class can be cancelled, which is how partitions smaller
 than the classical b^N arise.
 
 Everything runs on integers: each value is a numerator A over a common
-denominator L.  A partition the package builds keeps those per-class counts
-and turns them into sorted Fraction multisets only when ``classes`` or
-``expanded()`` is first read, so a search pays for class Fractions only on
-the results a caller prints.  A certificate decides ``valid`` on the
-integer power sums of ``digits.power_rows`` and builds their Fractions, in
-the same way, only when ``power_sums`` is first read.
+denominator L, counted in the brute-force kernel's residue lists.  A
+partition the package builds keeps those per-class counts and turns them
+into sorted Fraction multisets only when ``classes`` or ``expanded()`` is
+first read, so a search pays for class Fractions only on the results a
+caller prints.  A certificate decides ``valid`` on the integer power sums
+of ``digits.power_rows`` and builds their Fractions, in the same way, only
+when ``power_sums`` is first read.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .cost import charge
-from .digits import check_block, digit_sums, power_rows
+from .cost import charge, check_power
+from .digits import check_block, power_rows, residue_lists
 
 __all__ = [
     "PtePartition",
@@ -60,24 +61,12 @@ def _check_degree(max_degree: int) -> None:
 
 
 @lru_cache(maxsize=8)
-def _digit_classes(b: int, N: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """Per digit-sum class mod b, the pairs (s, ns): a digit sum s in the
-    class and the n < b^N whose digit sum is s.  Every partition of a
-    block shares this one table, so it is built of tuples."""
-    by_sum: dict[int, list[int]] = {}
-    for n, s in enumerate(digit_sums(b, b**N)):
-        by_sum.setdefault(s, []).append(n)
-    classes: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(b)]
-    for s, ns in by_sum.items():
-        classes[s % b].append((s, tuple(ns)))
-    return tuple(map(tuple, classes))
-
-
-def _class_counts(
-    digit_classes: Sequence[Sequence[tuple[int, Sequence[int]]]], X: int, Y: int
-) -> list[Counter[int]]:
-    """Multiplicity of each value s X + n Y within each class."""
-    return [Counter(s * X + n * Y for s, ns in groups for n in ns) for groups in digit_classes]
+def _digit_classes(b: int, N: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per digit-sum class mod b, the pairs (s(n), n) over n < b^N: the
+    kernel's residue lists at (x, y) = (1, 0) and (0, 1), which list the n
+    in one order.  Every partition of a block shares this table of tuples."""
+    sums, ns = residue_lists(b, [(N, 1, 0)]), residue_lists(b, [(N, 0, 1)])
+    return tuple(tuple(zip(*cls)) for cls in zip(sums, ns))
 
 
 def _integer_classes(classes: Sequence[Multiset]) -> _IntegerForm:
@@ -199,7 +188,7 @@ def generalized_partition(b: int, N: int, x, y, max_cost: int | None = None) -> 
     # x = X / L and y = Y / L for L = lcm(den x, den y).
     L = math.lcm(x.denominator, y.denominator)
     X, Y = x.numerator * (L // x.denominator), y.numerator * (L // y.denominator)
-    counters = _class_counts(_digit_classes(b, N), X, Y)
+    counters = [Counter(s * X + n * Y for s, n in pairs) for pairs in _digit_classes(b, N)]
     return PtePartition(b, N, x, y, _IntegerForm(L, counters))
 
 
@@ -264,6 +253,7 @@ def search_small_solutions(
         raise ValueError("grids must be nonempty")
     check_block(b, N, 1)
     _check_degree(degree)
+    check_power(b, N, max_cost)
     charge(len(xs) * len(ys) * b**N * (degree + 1), max_cost)
     results = []
     for x in xs:

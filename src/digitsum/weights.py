@@ -76,9 +76,10 @@ def _times_xi(coords: list[list[int]], fold: tuple[int, ...]) -> list[list[int]]
     # every entry's coordinates up one place and fold the top one back as
     # that multiple of xi^phi, whose coordinates are ``fold``.  Weights +-1,
     # the only ones below b = 105, add or subtract without a multiply.
+    # fold[0] is -1 at every base, as Phi_b(0) = 1, so coordinate 0 is -top.
     top = coords[-1]
-    out = [[0] * len(top)] + coords[:-1]
-    for j, w in enumerate(fold):
+    out = [list(map(operator.neg, top))] + coords[:-1]
+    for j, w in enumerate(fold[1:], 1):
         if w == 1:
             out[j] = list(map(operator.add, out[j], top))
         elif w == -1:

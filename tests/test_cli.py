@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import digitsum
 from digitsum import cli
 from digitsum.cli import parse_cost, parse_grid, parse_seed, run
+from digitsum.cost import CostCapExceeded, check_power
 from digitsum.identities import FAMILY_OF, verify_betaconv_dual2
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -549,6 +550,38 @@ class TestVerifyCommand:
         assert payload["equal"] is True
         assert "constant_conjectured" in payload["extras"]
         assert payload["extras"]["conjectured_matches_brute"] is False
+
+
+class TestOversizedBlocks:
+    @pytest.mark.parametrize("argv", [
+        "verify --identity power-sum-n --base 7 --order 30000000",
+        "verify --identity power-sum-n --base 1000 --order 3000000",
+        "weights --base 7 --order 30000000",
+        "pte-show --base 7 --order 30000000 --x 1 --y 1",
+        "pte-search --base 7 --order 30000000 --x-grid 1 --y-grid 1",
+    ])
+    def test_refused_before_the_power_is_built(self, argv):
+        # A child process, so that a build fails at the timeout instead of
+        # stalling the suite.  Building 7^30000000 takes about a minute; the
+        # refusal by bit length takes well under 1 s.
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "digitsum", *argv.split()], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 2
+        assert result.returncode == 3 and result.stdout == ""
+        assert result.stderr.startswith("error: evaluation needs more than 2^")
+
+    @settings(max_examples=300)
+    @given(b=st.integers(2, 2**20), e=st.integers(-3, 200), cap=st.integers(1, 2**64))
+    def test_bit_length_check_refuses_only_what_the_charge_would(self, b, e, cap):
+        # Every block is charged at least b^e / 2: a refusal must be one the
+        # exact charge would make too, and name a true lower bound of it.
+        try:
+            check_power(b, e, cap)
+        except CostCapExceeded as exc:
+            k = int(re.search(r"more than 2\^(\d+) ", str(exc)).group(1))
+            assert b**e // 2 >= 2**k > cap and exc.cap == cap
 
 
 class TestPteCommands:

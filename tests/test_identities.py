@@ -1,5 +1,6 @@
 """The verifier: hand-checked example values, vanishing laws, and report plumbing."""
 
+import dataclasses
 import json
 import math
 import operator
@@ -150,6 +151,35 @@ class TestMultiPowerSum:
                 ys = tuple(random_fraction(rng, True) for _ in N_list)
                 report = verify_multi_power_sum(b, N_list, random_fraction(rng), ys)
                 assert report.equal
+
+
+class TestRFoldInputs:
+    """The r-fold verifiers take str, int and Fraction inputs as their
+    single-axis siblings do, and report every one as a Fraction."""
+
+    @pytest.mark.parametrize("verify,args", [
+        (verify_multi_mixed_sum, lambda v: (2, [2, 1], [v(3), v(-1)], [v(2), v(1)])),
+        (verify_multi_power_sum, lambda v: (3, [1, 2], v(3), [v(2), v(-1)])),
+        (verify_multisum, lambda v: (2, (1, 2), RationalPoly([1, 2, 3]), v(3), (v(2), v(1)))),
+    ])
+    def test_str_int_and_fraction_give_one_report(self, verify, args):
+        reports = [dataclasses.replace(verify(*args(form)), elapsed_ms=None) for form in (str, int, Fraction)]
+        assert reports[0].equal and reports[0] == reports[1] == reports[2]
+        dicts = [report_to_dict(report) for report in reports]
+        assert dicts[0] == dicts[1] == dicts[2]
+        params = reports[1].params
+        values = params["y_list"] + params.get("x_list", []) + ([params["x"]] if "x" in params else [])
+        assert all(type(v) is Fraction for v in values)
+
+    def test_string_rationals_match_the_single_axis_sibling(self):
+        multi = verify_multi_mixed_sum(2, [2], ["1/2"], ["1/3"])
+        assert multi == dataclasses.replace(
+            verify_multi_mixed_sum(2, [2], [Fraction(1, 2)], [Fraction(1, 3)]), elapsed_ms=multi.elapsed_ms
+        )
+        assert multi.lhs == verify_mixed_closed_form(2, 2, "1/2", "1/3").lhs
+        assert report_to_dict(multi)["params"]["x_list"] == ["1/2"]
+        power = verify_multi_power_sum(2, [2], "1/2", ["1/3"])
+        assert power.equal and report_to_dict(power)["params"]["x"] == "1/2"
 
 
 class TestSSums:

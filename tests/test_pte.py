@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsum import pte
+from digitsum.arith import CycloNum, xi_power_table
 from digitsum.cost import CostCapExceeded
-from digitsum.digits import digit_sum
+from digitsum.digits import digit_sum, digit_weighted_sum
 from digitsum.identities import random_fraction
+from digitsum.poly import RationalPoly
 from digitsum.pte import (
     PteCertificate,
     PtePartition,
@@ -352,6 +354,25 @@ class TestLazyClasses:
         assert len(calls) == 3
 
 
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+class TestKernelCorollary:
+    """The classes of {s(n) x + n y} are the residue classes of the brute sum
+    behind generalized-pte: weighting class r by xi^r gives that sum back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), b=st.integers(2, 7), N=st.integers(1, 3), x=small_fractions, y=small_fractions)
+    def test_classes_weighted_by_xi_give_the_brute_sum(self, data, b, N, x, y):
+        f = RationalPoly(data.draw(st.lists(small_fractions, min_size=1, max_size=N + 3)))
+        classes = generalized_partition(b, N, x, y).expanded()
+        powers = xi_power_table(b)
+        total = CycloNum.zero(b)
+        for power, values in zip(powers, classes):
+            total = total + power * sum(map(f, values), Fraction(0))
+        assert total == digit_weighted_sum(f, b, [(N, x, y)])
+
+
 class TestLazyPowerSums:
     """Certificates decide ``valid`` on integers and build their Fraction
     power sums on first read."""
@@ -405,20 +426,25 @@ class TestSearchPipeline:
     def test_digit_sums_are_tabled_once_per_block(self, monkeypatch):
         pte._digit_classes.cache_clear()
         calls = []
-        digit_sums = pte.digit_sums
+        residue_lists = pte.residue_lists
 
-        def counted(b, limit):
-            calls.append((b, limit))
-            return digit_sums(b, limit)
+        def counted(b, axes, C=0):
+            axes = list(axes)
+            calls.append((b, axes, C))
+            return residue_lists(b, axes, C)
 
-        monkeypatch.setattr(pte, "digit_sums", counted)
+        monkeypatch.setattr(pte, "residue_lists", counted)
         first = search_small_solutions(3, 3, range(4), range(1, 5))
         assert search_small_solutions(3, 3, range(4), range(1, 5)) == first
-        assert calls == [(3, 27)]
+        # The digit sums at (x, y) = (1, 0) and the n at (0, 1), once per block.
+        assert calls == [(3, [(3, 1, 0)], 0), (3, [(3, 0, 1)], 0)]
         # The shared table is immutable all the way down.
         table = pte._digit_classes(3, 3)
         assert isinstance(table, tuple)
-        assert all(isinstance(cls, tuple) and isinstance(ns, tuple) for cls in table for _, ns in cls)
+        assert all(isinstance(cls, tuple) and all(isinstance(pair, tuple) for pair in cls) for cls in table)
+        # Every n < 27 once, with its digit sum, in the class of that sum mod 3.
+        pairs = sorted((n, s, r) for r, cls in enumerate(table) for s, n in cls)
+        assert pairs == [(n, digit_sum(n, 3), digit_sum(n, 3) % 3) for n in range(27)]
 
 
 class TestSearchCost:

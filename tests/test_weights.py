@@ -208,6 +208,11 @@ class TestBetaTable:
     def test_base_105_folds_by_two(self):
         assert 2 in map(abs, xi_power_coords(105)[euler_phi(105)])
 
+    def test_fold_starts_at_minus_one(self):
+        # _times_xi writes coordinate 0 as -top without reading the fold:
+        # xi^phi has constant coordinate -Phi_b(0) = -1.
+        assert all(xi_power_coords(b)[euler_phi(b)][0] == -1 for b in range(2, 120))
+
     def test_base_105_tables_match_the_convolution_duals(self):
         # Level 1 of the order-1 table has gap 105, so its xi-steps fold by -2
         # over whole 105-long blocks; dual2 at order 2 reads all of that
@@ -309,7 +314,7 @@ def test_table_builder_names_nothing_from_the_digit_side():
     # betaconv-dual1/2 and the difference identities check the tables against
     # digit weights, so beta_columns and every helper it reaches in weights.py
     # or arith.py must build them from the generating product alone.
-    digit_side = {"digit_sums", "digit_weighted_sum", "beta_from_convolution"}
+    digit_side = {"digit_sums", "digit_weighted_sum", "residue_lists", "beta_from_convolution"}
     package = Path(digitsum.__file__).parent
     functions = {
         node.name: node
