@@ -139,13 +139,12 @@ def verify_power_sum(
     if which not in ("N", "N+1"):
         raise ValueError(f"which must be 'N' or 'N+1', got {which!r}")
     check_block(b, N, 1)
+    check_power(b, N, max_cost)
     start = time.perf_counter()
-    charge(b**N, max_cost)
     x = Fraction(x)
     y = Fraction(y)
     p = N if which == "N" else N + 1
-    # The block is charged once, above: straight to the kernel, not through lhs_sum.
-    lhs = digit_weighted_sum(RationalPoly.monomial(p), b, [(N, 0, y)], x)
+    lhs = lhs_sum(RationalPoly.monomial(p), x, y, b, N, max_cost)
     scale = math.factorial(N) * (-y) ** N
     m0 = beta_moment0(b, N)
     if which == "N":
@@ -203,6 +202,7 @@ def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> Identi
 def verify_beta_alpha_reduction(N: int, max_cost: int | None = None) -> IdentityReport:
     """Base-2 beta table versus the integer alpha table, entrywise."""
     check_block(2, N)
+    check_power(2, N + 1, max_cost)
     start = time.perf_counter()
     charge(2 ** (N + 1) - N - 1, max_cost)
     lhs = list(beta_table(2, N))
@@ -215,6 +215,7 @@ def verify_alpha_moment(N: int, order: int, max_cost: int | None = None) -> Iden
     if order not in (0, 1):
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
     check_block(2, N, 1)
+    check_power(2, N, max_cost)
     start = time.perf_counter()
     charge(2**N - N, max_cost)
     lhs = Fraction(sum(k**order * v for k, v in enumerate(alpha_table(N - 1))))
@@ -373,6 +374,7 @@ def joint_weight_polynomial(
     if len(x_list) != m:
         raise ValueError(f"need {m} scale values, got {len(x_list)}")
     xs = [Fraction(v) for v in x_list]
+    check_power(b, m * N, max_cost)
     size = b**N
     charge(size**m * (p + 1), max_cost)
     sums = digit_sums(b, m * (size - 1) + 1)

@@ -44,15 +44,10 @@ class RationalPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == (RationalPoly((other,))).coeffs
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __repr__(self) -> str:
         return f"RationalPoly({list(map(str, self.coeffs))})"

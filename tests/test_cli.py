@@ -97,6 +97,8 @@ WEIGHTS_SHA256 = {
 
 # sha256 of `digitsum bernoulli --degree 4 --format json` stdout.
 BERNOULLI_DEGREE4_JSON_SHA256 = "4a0d137a15d4ea87991edeccad9aff3051f931e551231904d11bd2cfb34065d0"
+# The same command's stdout with --format csv.
+BERNOULLI_DEGREE4_CSV_SHA256 = "5519fc316a7e8e4582c060443ed08726f164095991258e74aec09c8b64823316"
 
 
 # sha256 of the README's `pte-show` and `pte-search` examples' stdout in each
@@ -396,6 +398,17 @@ class TestVerifyCommand:
         assert result.returncode == code and result.stdout == ""
         assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("argv", [
+        # 14 base-2 and 5 base-5 digit positions through the brute-force
+        # kernel's fold, and the joint path at order 6.
+        "mixed-sum-closed-form --base 2 --order 14",
+        "generalized-pte --base 5 --order 5",
+        "joint-line-base2 --order 6",
+    ])
+    def test_deep_folds_equal_their_closed_forms(self, capsys, argv):
+        code, out, err = invoke(capsys, "verify", "--identity", *argv.split())
+        assert (code, err) == (0, "") and all(rep["equal"] for rep in json.loads(out))
+
     @pytest.mark.parametrize("identity", list(VERIFY_USAGE_ERRORS))
     def test_usage_errors_name_the_bad_input(self, capsys, identity):
         for argv, message in VERIFY_USAGE_ERRORS[identity]:
@@ -451,7 +464,8 @@ class TestVerifyCommand:
             "--base", "3", "--order", "2", "--timings",
         )
         assert code == 0
-        assert json.loads(out)[0]["elapsed_ms"] > 0
+        elapsed = json.loads(out)[0]["elapsed_ms"]
+        assert type(elapsed) is float and elapsed > 0
 
     def test_timings_add_a_csv_column(self, capsys):
         argv = ("verify", "--identity", "moment0", "--format", "csv")
@@ -559,6 +573,11 @@ class TestOversizedBlocks:
         "weights --base 7 --order 30000000",
         "pte-show --base 7 --order 30000000 --x 1 --y 1",
         "pte-search --base 7 --order 30000000 --x-grid 1 --y-grid 1",
+        # The ids fixed at base 2 build 2^N, 2^(N+1) or (2^N)^2 in their charge.
+        "verify --identity alpha-moment0 --order 3000000000",
+        "verify --identity alpha-moment1 --order 3000000000",
+        "verify --identity beta-alpha-reduction --order 3000000000",
+        "verify --identity joint-line-base2 --order 3000000000",
     ])
     def test_refused_before_the_power_is_built(self, argv):
         # A child process, so that a build fails at the timeout instead of
@@ -740,6 +759,11 @@ class TestBernoulliCommand:
         code, out, _ = invoke(capsys, "bernoulli", "--degree", "4", "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == BERNOULLI_DEGREE4_JSON_SHA256
+
+    def test_csv_is_pinned(self, capsys):
+        code, out, _ = invoke(capsys, "bernoulli", "--degree", "4", "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == BERNOULLI_DEGREE4_CSV_SHA256
 
     def test_degree_is_charged(self, capsys):
         # 3001 * 3002 / 2 Akiyama-Tanigawa steps against a cap of 1.

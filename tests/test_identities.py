@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from digitsum.arith import CycloNum, a_constant, euler_phi, xi
 from digitsum.bernoulli import bernoulli_numbers, bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from digitsum.cost import CostCapExceeded
-from digitsum.findiff import forward_diff_n
+from digitsum.findiff import forward_diff_n, lhs_sum
 from digitsum.identities import (
     random_fraction,
     random_poly,
@@ -94,6 +94,24 @@ class TestCorollary:
         b, N = 3, 2
         assert verify_power_sum(b, N, 1, Fraction(1, 2), which).equal
         assert charges == [b**N]
+
+    @pytest.mark.parametrize("which", ["N", "N+1"])
+    def test_sums_through_lhs_sum(self, monkeypatch, which):
+        # The brute side is the public single-axis sum, so a trace of
+        # findiff.lhs_sum sees every power sum.
+        calls = []
+        monkeypatch.setattr(
+            "digitsum.identities.lhs_sum", lambda *args: calls.append(args) or lhs_sum(*args)
+        )
+        assert verify_power_sum(3, 2, 1, Fraction(1, 2), which).equal
+        assert len(calls) == 1
+
+    def test_huge_order_is_refused_before_the_monomial_is_built(self, monkeypatch):
+        # The degree-N monomial holds N + 1 Fractions; lhs_sum charges only
+        # after it is built.
+        monkeypatch.setattr(RationalPoly, "monomial", lambda *args: pytest.fail("built before the check"))
+        with pytest.raises(CostCapExceeded):
+            verify_power_sum(2, 3_000_000, 0, 1)
 
 
 class TestMultisum:
