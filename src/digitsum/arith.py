@@ -182,7 +182,7 @@ class CycloNum:
 
     def inverse(self) -> CycloNum:
         """Multiplicative inverse: the product of the other Galois
-        conjugates over the norm, memoized per value."""
+        conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(xi)")
         return _inverse(self.b, self.nums, self.den)
@@ -294,7 +294,6 @@ def _mul_coords(b: int, a: Sequence[int], c: Sequence[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=4096)
 def _inverse(b: int, nums: tuple[int, ...], den: int) -> CycloNum:
     # The product c of the conjugates sigma_k(nums), k coprime to b and
     # k != 1, is integral, and nums * c is the norm of nums, a nonzero

@@ -19,22 +19,19 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
 from . import identities
 from .bernoulli import bernoulli_poly
-from .cost import DEFAULT_MAX_COST, CostCapExceeded, charge, check_power
+from .cost import COST_CEILING, DEFAULT_MAX_COST, CostCapExceeded, block_size, charge
 from .digits import check_block
 from .identities import DEFAULT_SEED, IdentityReport, report_to_dict
 from .pte import cancel_common, generalized_partition, search_small_solutions, verify_power_sums
 from .weights import alpha_table, beta_columns, from_columns
 
 ENV_MAX_COST = "DIGITSUM_MAX_COST"
-
-
-# No loop of 2^64 steps ever finishes, so a larger cap guards nothing.
-COST_CEILING = 2**64
 
 
 def parse_cost(text: str) -> int:
@@ -84,8 +81,13 @@ def parse_seed(text: str) -> int:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """A rational such as ``3``, ``-1/2`` or ``0.25``; a zero denominator is
-    a ValueError like any other malformed value."""
+    """A rational such as ``3``, ``-1/2``, ``0.25`` or ``1e-3``; a zero
+    denominator is a ValueError like any other malformed value.  An exponent
+    above 4300 in magnitude, the interpreter's default limit on the digits
+    of a literal, is refused before 10^exponent is built."""
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*$", text)
+    if exponent and abs(int(exponent[1])) > 4300:
+        raise ValueError(f"exponent of {text!r} is above 4300 in magnitude")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -363,8 +365,7 @@ def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
     if kind == "alpha" and b != 2:
         raise ValueError("alpha tables exist only for base 2")
     check_block(b, N)
-    check_power(b, N + 1, max_cost)
-    charge(b ** (N + 1) - N - 1, max_cost)
+    charge(block_size(b, N + 1, max_cost) - N - 1, max_cost)
     # The phi(b) integer power-basis columns of the table; base 2 has one.
     columns = (alpha_table(N),) if kind == "alpha" else beta_columns(b, N)
     if args.format == "text":
@@ -397,8 +398,7 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
     check_block(args.base, args.order, 1)
     if kmax < 0:
         raise ValueError(f"--kmax must be >= 0, got {kmax}")
-    check_power(args.base, args.order, max_cost)
-    charge(args.base**args.order * (kmax + 1), max_cost)  # power-sum terms of one certificate
+    charge(block_size(args.base, args.order, max_cost) * (kmax + 1), max_cost)  # one certificate's power sums
     partition = generalized_partition(args.base, args.order, args.x, args.y, max_cost)
     certificate = verify_power_sums(partition, kmax)
     reduced = cancel_common(partition)

@@ -10,6 +10,9 @@ __all__ = ["DEFAULT_MAX_COST", "CostCapExceeded", "charge"]
 
 DEFAULT_MAX_COST = 2**20
 
+# No loop of 2^64 steps ever finishes, so a larger cap guards nothing.
+COST_CEILING = 2**64
+
 
 class CostCapExceeded(Exception):
     """A brute-force evaluation would exceed the configured cost cap.
@@ -24,8 +27,8 @@ class CostCapExceeded(Exception):
 
 
 def _count(n: int) -> str:
-    # An exact power such as b**N can be too long for str(); name its size.
-    return str(n) if n.bit_length() <= 64 else f"more than 2^{n.bit_length() - 1}"
+    # A cost above the ceiling, such as b**N, can be too long for str().
+    return str(n) if n <= COST_CEILING else f"more than 2^{(n - 1).bit_length() - 1}"
 
 
 def charge(cost: int, max_cost: int | None = None) -> None:
@@ -35,11 +38,13 @@ def charge(cost: int, max_cost: int | None = None) -> None:
         raise CostCapExceeded(cost, cap)
 
 
-def check_power(b: int, e: int, max_cost: int | None = None) -> None:
-    """Refuse a block of b^e summands by bit length, before b**e is built.
-    Every block is charged at least b^e / 2 >= 2^((bit length of b - 1) e - 1),
-    so this refuses nothing the exact charge would allow.  Package-internal."""
+def block_size(b: int, e: int, max_cost: int | None = None) -> int:
+    """b**e, built once its bit length shows the cap could allow a block of
+    b^e summands: every block is charged at least b^e / 2 >= 2^((bit length
+    of b - 1) e - 1), so this refuses nothing the exact charge would allow.
+    Package-internal; every block size a charge counts comes from here."""
     cap = DEFAULT_MAX_COST if max_cost is None else max_cost
     bits = (b.bit_length() - 1) * e
     if bits > cap.bit_length():
         raise CostCapExceeded(None, cap, f"more than 2^{bits - 1}")
+    return b**e

@@ -14,7 +14,7 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .arith import CycloNum, combine_buckets
-from .cost import charge
+from .cost import block_size, charge
 from .digits import check_block, digit_weighted_sum
 from .poly import RationalPoly, clear_denominators, integer_samples
 from .weights import beta_columns
@@ -119,7 +119,7 @@ def lhs_sum(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = None) 
     coefficients rather than calling it.
     """
     check_block(b, N)
-    charge(b**N, max_cost)
+    charge(block_size(b, N, max_cost), max_cost)
     return digit_weighted_sum(f, b, [(N, 0, y)], x)
 
 
@@ -131,5 +131,5 @@ def weighted_rhs(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = N
     sum is taken in integers from its coefficients.
     """
     check_block(b, N, 1)
-    charge(b**N, max_cost)
+    charge(block_size(b, N, max_cost), max_cost)
     return beta_weighted_sum(f, b, [(N, Fraction(y))], Fraction(x))

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .arith import CycloNum, a_constant, combine_buckets, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
-from .cost import charge, check_power
+from .cost import block_size, charge
 from .digits import check_block, digit_sums, digit_weighted_sum, power_rows
 from .findiff import beta_weighted_sum, forward_diff_n, forward_differences, lhs_sum, weighted_rhs
 from .poly import RationalPoly
@@ -88,7 +88,7 @@ class IdentityReport:
     lhs: object
     rhs: object
     equal: bool
-    elapsed_ms: float | None = None
+    elapsed_ms: float | None = field(default=None, compare=False)
     extras: dict = field(default_factory=dict)
 
 
@@ -139,7 +139,7 @@ def verify_power_sum(
     if which not in ("N", "N+1"):
         raise ValueError(f"which must be 'N' or 'N+1', got {which!r}")
     check_block(b, N, 1)
-    check_power(b, N, max_cost)
+    block_size(b, N, max_cost)  # refuses a huge N before the degree-N monomial is built
     start = time.perf_counter()
     x = Fraction(x)
     y = Fraction(y)
@@ -165,7 +165,7 @@ def verify_moment(b: int, N: int, order: int, max_cost: int | None = None) -> Id
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
     check_block(b, N, 1)
     start = time.perf_counter()
-    charge(b**N - N, max_cost)
+    charge(block_size(b, N, max_cost) - N, max_cost)
     table = beta_columns(b, N - 1)
     if order:
         table = [map(operator.mul, range(len(col)), col) for col in table]
@@ -178,7 +178,7 @@ def verify_betaconv_dual1(b: int, N: int, max_cost: int | None = None) -> Identi
     """Binomial-convolution route to the first b^N beta weights."""
     check_block(b, N)
     start = time.perf_counter()
-    charge(b ** (N + 1) - N - 1, max_cost)  # the order-N table
+    charge(block_size(b, N + 1, max_cost) - N - 1, max_cost)  # the order-N table
     lhs = list(beta_from_convolution(b, N, max_cost))
     rhs = list(from_columns(b, [col[: b**N] for col in beta_columns(b, N)]))
     return _report("betaconv-dual1", {"b": b, "N": N}, lhs, rhs, start)
@@ -189,7 +189,7 @@ def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> Identi
     order-(N-1) table, as N difference passes over the zero-padded table."""
     check_block(b, N, 1)
     start = time.perf_counter()
-    count = b**N
+    count = block_size(b, N, max_cost)
     charge(count * (N + 1), max_cost)
     powers = xi_power_table(b)
     pad = [0] * N
@@ -202,9 +202,8 @@ def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> Identi
 def verify_beta_alpha_reduction(N: int, max_cost: int | None = None) -> IdentityReport:
     """Base-2 beta table versus the integer alpha table, entrywise."""
     check_block(2, N)
-    check_power(2, N + 1, max_cost)
     start = time.perf_counter()
-    charge(2 ** (N + 1) - N - 1, max_cost)
+    charge(block_size(2, N + 1, max_cost) - N - 1, max_cost)
     lhs = list(beta_table(2, N))
     rhs = list(alpha_table(N))
     return _report("beta-alpha-reduction", {"N": N}, lhs, rhs, start)
@@ -215,9 +214,8 @@ def verify_alpha_moment(N: int, order: int, max_cost: int | None = None) -> Iden
     if order not in (0, 1):
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
     check_block(2, N, 1)
-    check_power(2, N, max_cost)
     start = time.perf_counter()
-    charge(2**N - N, max_cost)
+    charge(block_size(2, N, max_cost) - N, max_cost)
     lhs = Fraction(sum(k**order * v for k, v in enumerate(alpha_table(N - 1))))
     rhs = Fraction(alpha_moment0(N)) if order == 0 else alpha_moment1(N)
     return _report(f"alpha-moment{order}", {"N": N}, lhs, rhs, start)
@@ -249,7 +247,7 @@ def verify_multisum(
     """r-fold digit-weighted sum of f versus its beta-weighted difference form."""
     x, y_list, _ = _check_axes(b, N_list, x, y_list)
     start = time.perf_counter()
-    charge(b ** sum(N_list), max_cost)
+    charge(block_size(b, sum(N_list), max_cost), max_cost)
     lhs = digit_weighted_sum(f, b, [(N, 0, y) for N, y in zip(N_list, y_list)], x)
     # The closed side samples f itself rather than reusing the brute sum.
     rhs = beta_weighted_sum(f, b, list(zip(N_list, y_list)), x)
@@ -263,7 +261,7 @@ def verify_multi_power_sum(b: int, N_list, x, y_list, max_cost: int | None = Non
     consistency."""
     x, y_list, _ = _check_axes(b, N_list, x, y_list)
     start = time.perf_counter()
-    charge(b ** sum(N_list), max_cost)
+    charge(block_size(b, sum(N_list), max_cost), max_cost)
     total = sum(N_list)
     axes = [(N, 0, y) for N, y in zip(N_list, y_list)]
     lhs = digit_weighted_sum(RationalPoly.monomial(total), b, axes, x)
@@ -288,7 +286,7 @@ def mixed_power_sum(b: int, N: int, l: int, x, y, max_cost: int | None = None) -
     check_block(b, N)
     if l < 0:
         raise ValueError(f"power must be >= 0, got {l}")
-    charge(b**N, max_cost)
+    charge(block_size(b, N, max_cost), max_cost)
     return digit_weighted_sum(RationalPoly.monomial(l), b, [(N, x, y)])
 
 
@@ -297,7 +295,7 @@ def _mixed_closed_form(b: int, axes) -> CycloNum:
     (N_j, x_j, y_j), with T = sum N_j."""
     total = sum(N for N, _, _ in axes)
     prod = math.prod((xj + b**i * yj for N, xj, yj in axes for i in range(N)), start=Fraction(1))
-    return (xi(b) - 1) ** (-total) * (Fraction(b) ** total * math.factorial(total) * prod)
+    return a_constant(b, 1) ** total * (math.factorial(total) * prod)
 
 
 def verify_mixed_vanishing(b: int, N: int, l: int, x, y, max_cost: int | None = None) -> IdentityReport:
@@ -330,9 +328,9 @@ def verify_mixed_recurrence(b: int, N: int, l: int, x, y, max_cost: int | None =
     if l < 0:
         raise ValueError(f"power must be >= 0, got {l}")
     start = time.perf_counter()
-    # The order-N sum and the l order-(N-1) sums, charged together once:
-    # they go straight to the kernel, not through mixed_power_sum's charge.
-    charge(b**N + l * b ** (N - 1), max_cost)
+    # The order-N sum and the l order-(N-1) sums, b^N + l b^(N-1) summands, charged
+    # together once: they go straight to the kernel, not through mixed_power_sum.
+    charge(block_size(b, N - 1, max_cost) * (b + l), max_cost)
     x = Fraction(x)
     y = Fraction(y)
     lhs = digit_weighted_sum(RationalPoly.monomial(l), b, [(N, x, y)])
@@ -348,7 +346,7 @@ def verify_multi_mixed_sum(b: int, N_list, x_list, y_list, max_cost: int | None 
     """r-fold mixed power sum versus (b/(xi-1))^sum(N) sum(N)! prod(x_j + b^i y_j)."""
     _, y_list, x_list = _check_axes(b, N_list, 0, y_list, x_list)
     start = time.perf_counter()
-    charge(b ** sum(N_list), max_cost)
+    charge(block_size(b, sum(N_list), max_cost), max_cost)
     axes = list(zip(N_list, x_list, y_list))
     lhs = digit_weighted_sum(RationalPoly.monomial(sum(N_list)), b, axes)
     rhs = _mixed_closed_form(b, axes)
@@ -374,9 +372,8 @@ def joint_weight_polynomial(
     if len(x_list) != m:
         raise ValueError(f"need {m} scale values, got {len(x_list)}")
     xs = [Fraction(v) for v in x_list]
-    check_power(b, m * N, max_cost)
+    charge(block_size(b, m * N, max_cost) * (p + 1), max_cost)
     size = b**N
-    charge(size**m * (p + 1), max_cost)
     sums = digit_sums(b, m * (size - 1) + 1)
     # With base = sum i_j x_j = B / den for an integer B, the coefficient of
     # t^q is C(p, q) sum xi^s(i_1+...+i_m) B^(p-q) / den^(p-q): class B by
@@ -541,7 +538,7 @@ def verify_generalized_pte(
     start = time.perf_counter()
     x = Fraction(x)
     y = Fraction(y)
-    charge(b**N, max_cost)
+    charge(block_size(b, N, max_cost), max_cost)
     lhs = digit_weighted_sum(f, b, [(N, x, y)])
     rhs = CycloNum.zero(b)
     params = {"b": b, "N": N, "x": x, "y": y, "f": list(f.coeffs)}
@@ -571,11 +568,12 @@ class IdentityFamily(NamedTuple):
     """Identities checked together from one draw of their free inputs.
 
     ``case(rng, point, max_cost)`` draws the free inputs for one point and
-    returns its reports; it checks and charges the point's block before it
-    draws any input whose size the point sets, such as f.  A point is a
-    dict of fixed parameters (``b``, ``N`` or ``N_list``, ``l``, ...).  A
-    free input the point sets to a value replaces its draw; the draw is
-    still made, so later draws do not shift.
+    returns its reports.  It draws f, whose degree the point sets, before
+    any charge: :func:`run_identity` refuses an oversized block by bit
+    length before the case runs, and the suite's points are small.  A
+    point is a dict of fixed parameters (``b``, ``N`` or ``N_list``, ``l``,
+    ...).  A free input the point sets to a value replaces its draw; the
+    draw is still made, so later draws do not shift.
     A point whose ``"id"`` names one id gets only that id's reports.
     ``points`` and ``draws`` (per point) are the suite's schedule, in rng
     order.  ``defaults`` maps each id the family serves to its point for
@@ -821,7 +819,7 @@ def run_identity(
     point = {key: given.get(key, value) for key, value in defaults.items()} | {"id": name}
     if "b" in point:
         check_block(point["b"])
-        check_power(point["b"], point["N"] if "N" in point else sum(point["N_list"]), max_cost)
+        block_size(point["b"], point["N"] if "N" in point else sum(point["N_list"]), max_cost)
     draws = draws if family.draws > 1 else 1
     charge(draws, max_cost)
     rng = random.Random(seed)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .cost import charge, check_power
+from .cost import block_size, charge
 from .digits import check_block, power_rows, residue_lists
 
 __all__ = [
@@ -182,7 +182,7 @@ class PteCertificate:
 def generalized_partition(b: int, N: int, x, y, max_cost: int | None = None) -> PtePartition:
     """Split the values s(n) x + n y, n < b^N, by digit sum mod b."""
     check_block(b, N, 1)
-    charge(b**N, max_cost)
+    charge(block_size(b, N, max_cost), max_cost)
     x = Fraction(x)
     y = Fraction(y)
     # x = X / L and y = Y / L for L = lcm(den x, den y).
@@ -253,8 +253,7 @@ def search_small_solutions(
         raise ValueError("grids must be nonempty")
     check_block(b, N, 1)
     _check_degree(degree)
-    check_power(b, N, max_cost)
-    charge(len(xs) * len(ys) * b**N * (degree + 1), max_cost)
+    charge(len(xs) * len(ys) * block_size(b, N, max_cost) * (degree + 1), max_cost)
     results = []
     for x in xs:
         for y in ys:

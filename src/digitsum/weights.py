@@ -32,8 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .arith import CycloNum, xi, xi_power_coords
-from .cost import charge
+from .arith import CycloNum, a_constant, xi_power_coords
+from .cost import block_size, charge
 from .digits import check_block, digit_sums
 
 __all__ = [
@@ -157,19 +157,18 @@ def alpha_moment1(N: int) -> Fraction:
 
 
 def beta_moment0(b: int, N: int) -> CycloNum:
-    """Closed-form sum of the order-(N-1) beta table: b^(N(N+1)/2)/(1-xi)^N."""
+    """Closed-form sum of the order-(N-1) beta table: b^(N(N+1)/2)/(1-xi)^N,
+    with 1/(1-xi) = -a_1/b for a_1 = b/(xi-1), so no field inverse is taken."""
     check_block(b, N, 1)
-    root = xi(b)
-    scale = Fraction(b) ** (N * (N + 1) // 2)
-    return (CycloNum.one(b) - root) ** (-N) * scale
+    return (-a_constant(b, 1)) ** N * b ** (N * (N - 1) // 2)
 
 
 def beta_moment1(b: int, N: int) -> CycloNum:
     """Closed-form first moment of the order-(N-1) beta table."""
     check_block(b, N, 1)
-    root = xi(b)
     growth = Fraction(b**N - 1, b - 1)
-    bracket = (Fraction(b, 2) + root / (CycloNum.one(b) - root)) * growth - Fraction(N, 2)
+    # b/2 + xi/(1-xi) = b/2 - 1 + 1/(1-xi), and 1/(1-xi) = -a_1/b.
+    bracket = (a_constant(b, 1) * Fraction(-1, b) + Fraction(b - 2, 2)) * growth - Fraction(N, 2)
     return beta_moment0(b, N) * bracket
 
 
@@ -182,7 +181,7 @@ def beta_from_convolution(b: int, N: int, max_cost: int | None = None) -> tuple[
     this prefix of the full table.
     """
     check_block(b, N)
-    count = b**N
+    count = block_size(b, N, max_cost)
     charge((N + 1) * count, max_cost)
     powers = xi_power_coords(b)
     columns = zip(*(powers[s % b] for s in digit_sums(b, count)))

@@ -275,18 +275,33 @@ def test_brute_side_imports_nothing_from_the_closed_side():
                 assert not closed & set(path.split(".")), (name, path)
 
 
+def test_every_charged_block_size_comes_from_block_size():
+    # cost.block_size refuses a block by bit length before it builds b**N, so
+    # a charge that builds a power itself may spend seconds before it refuses.
+    package = Path(digitsum.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "charge":
+                args = node.args + [keyword.value for keyword in node.keywords]
+                powers = [n for arg in args for n in ast.walk(arg) if isinstance(n, ast.Pow)]
+                assert not powers, (path.name, node.lineno)
+            elif isinstance(node, ast.FunctionDef):
+                assert node.name != "check_power", (path.name, node.lineno)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert all(alias.name.split(".")[-1] != "check_power" for alias in node.names), path.name
+
+
 # Every name through which identities.py reaches a closed form.
 CLOSED_NAMES = (
     "weighted_rhs", "beta_weighted_sum", "beta_columns", "beta_moment0", "beta_moment1",
-    "xi", "joint_line_coeffs_base2", "faulhaber_sum", "delta_n_bernoulli",
+    "xi", "a_constant", "joint_line_coeffs_base2", "faulhaber_sum", "delta_n_bernoulli",
 )
 # Checks of the tables themselves: both sides come from the weights module.
 TABLE_IDS = {"moment0", "moment1", "alpha-moment0", "alpha-moment1", "beta-alpha-reduction"}
 # Ids whose brute side is the report's rhs; every other brute side is its lhs.
 BRUTE_RHS = {"betaconv-dual2", "faulhaber", "delta-bernoulli"}
-# Ids whose closed side reads none of CLOSED_NAMES: zero, or the recurrence's
-# own lower-order digit-weighted sums.
-CLOSED_UNREAD = {"mixed-sum-vanishing", "joint-vanishing", "generalized-pte", "mixed-sum-recurrence"}
+# Ids whose closed side reads none of CLOSED_NAMES: it is zero.
+CLOSED_UNREAD = {"mixed-sum-vanishing", "joint-vanishing", "generalized-pte"}
 
 
 def bumped(value):

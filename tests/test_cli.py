@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digitsum
-from digitsum import cli
+from digitsum import cli, findiff, identities, pte, weights
 from digitsum.cli import parse_cost, parse_grid, parse_seed, run
-from digitsum.cost import CostCapExceeded, check_power
+from digitsum.cost import CostCapExceeded, block_size
 from digitsum.identities import FAMILY_OF, verify_betaconv_dual2
+from digitsum.poly import RationalPoly
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -566,6 +567,12 @@ class TestVerifyCommand:
         assert payload["extras"]["conjectured_matches_brute"] is False
 
 
+# An order whose block 7^BIG the default cap refuses by bit length alone.
+BIG = 3_000_000
+HALVES = (BIG // 2, BIG // 2)
+ONE = RationalPoly([1])
+
+
 class TestOversizedBlocks:
     @pytest.mark.parametrize("argv", [
         "verify --identity power-sum-n --base 7 --order 30000000",
@@ -595,12 +602,54 @@ class TestOversizedBlocks:
     @given(b=st.integers(2, 2**20), e=st.integers(-3, 200), cap=st.integers(1, 2**64))
     def test_bit_length_check_refuses_only_what_the_charge_would(self, b, e, cap):
         # Every block is charged at least b^e / 2: a refusal must be one the
-        # exact charge would make too, and name a true lower bound of it.
+        # exact charge would make too, and name a true lower bound of it.  A
+        # block it lets through has size b^e.
         try:
-            check_power(b, e, cap)
+            assert block_size(b, e, cap) == b**e
         except CostCapExceeded as exc:
             k = int(re.search(r"more than 2\^(\d+) ", str(exc)).group(1))
             assert b**e // 2 >= 2**k > cap and exc.cap == cap
+
+    @pytest.mark.parametrize("fn,args", [
+        # b = 7 and N = 3000000, or orders (1500000, 1500000); 7^3000000
+        # takes over 1 s to build, the refusal by bit length well under that.
+        pytest.param(findiff.lhs_sum, (ONE, 0, 1, 7, BIG), id="lhs_sum"),
+        pytest.param(findiff.weighted_rhs, (ONE, 0, 1, 7, BIG), id="weighted_rhs"),
+        pytest.param(identities.verify_moment, (7, BIG, 0), id="verify_moment"),
+        pytest.param(identities.verify_betaconv_dual1, (7, BIG), id="verify_betaconv_dual1"),
+        pytest.param(identities.verify_betaconv_dual2, (7, BIG), id="verify_betaconv_dual2"),
+        pytest.param(identities.verify_multisum, (7, HALVES, ONE, 0, (1, 1)), id="verify_multisum"),
+        pytest.param(identities.verify_multi_power_sum, (7, HALVES, 0, (1, 1)), id="verify_multi_power_sum"),
+        pytest.param(identities.mixed_power_sum, (7, BIG, 1, 0, 1), id="mixed_power_sum"),
+        pytest.param(identities.verify_mixed_recurrence, (7, BIG, 1, 0, 1), id="verify_mixed_recurrence"),
+        pytest.param(identities.verify_multi_mixed_sum, (7, HALVES, (0, 0), (1, 1)), id="verify_multi_mixed_sum"),
+        pytest.param(identities.verify_generalized_pte, (7, BIG, ONE, 0, 1), id="verify_generalized_pte"),
+        pytest.param(pte.generalized_partition, (7, BIG, 1, 1), id="generalized_partition"),
+        pytest.param(weights.beta_from_convolution, (7, BIG), id="beta_from_convolution"),
+    ])
+    def test_library_refuses_before_the_power_is_built(self, fn, args):
+        start = time.perf_counter()
+        with pytest.raises(CostCapExceeded, match=r"needs more than 2\^"):
+            fn(*args)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("argv,message", [
+        # A cost that is a power of 2 is named in full up to 2^64, as is the
+        # largest cap, and a larger cost by the largest power of 2 below it.
+        pytest.param(
+            "--order 64 --max-cost 2^63",
+            "needs 18446744073709551616 summand evaluations, cap is 9223372036854775808",
+            id="cost-2^64",
+        ),
+        pytest.param(
+            "--order 65 --max-cost 2^64",
+            "needs more than 2^64 summand evaluations, cap is 18446744073709551616",
+            id="cap-2^64",
+        ),
+    ])
+    def test_refusal_names_costs_and_caps_exactly(self, capsys, argv, message):
+        argv = ("verify", "--identity", "generalized-pte", "--base", "2", *argv.split())
+        assert invoke(capsys, *argv) == (3, "", f"error: evaluation {message}\n")
 
 
 class TestPteCommands:
@@ -852,6 +901,25 @@ class TestIntStringLimit:
             "reduced class 0: 0",
             f"reduced class 1: {x_plus_1}",
         ]
+
+    def test_decimal_exponent_past_the_limit_is_refused_at_once(self):
+        # Fraction("1e10000000") builds 10^10000000, about 13 s, where a
+        # literal of that many digits is refused by the limit.  A child
+        # process, so that a build fails at the timeout.
+        argv = ["pte-show", "--base", "2", "--order", "3", "--x", "1e10000000", "--y", "1"]
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "digitsum", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 2
+        assert result.returncode == 2 and result.stdout == "" and "--x" in result.stderr
+
+    def test_decimal_exponent_up_to_the_limit_parses(self):
+        assert cli.parse_fraction("1e4300") == 10**4300
+        assert cli.parse_fraction("-2.5E-4300") == Fraction(-5, 2 * 10**4300)
+        for spec in ("1e4301", "1E-4301", "0..1e4301"):
+            with pytest.raises(ValueError, match="above 4300 in magnitude"):
+                parse_grid(spec)
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str limit")
     @pytest.mark.parametrize("argv,expected_code", [
