@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import identities
 from .bernoulli import bernoulli_poly
-from .cost import COST_CEILING, DEFAULT_MAX_COST, CostCapExceeded, block_size, charge
+from .cost import COST_CEILING, DEFAULT_MAX_COST, CostCapExceeded, bernoulli_steps, block_size, charge, table_size
 from .digits import check_block
 from .identities import DEFAULT_SEED, IdentityReport, report_to_dict
 from .pte import cancel_common, generalized_partition, search_small_solutions, verify_power_sums
@@ -45,12 +45,11 @@ def parse_cost(text: str) -> int:
         if exp < 0:
             raise ValueError(f"exponent must be >= 0, got {exp}")
         # |base|^exp >= 2^((bit length - 1) * exp)
-        huge = (abs(base).bit_length() - 1) * exp > 64
+        huge = (abs(base).bit_length() - 1) * exp >= COST_CEILING.bit_length()
         value = None if huge else base**exp
     else:
         digits = text.replace("_", "").lstrip("+-").lstrip("0")
-        # 21 digits are at least 10^20 > 2^64.
-        value = None if digits.isdigit() and len(digits) > 20 else int(text)
+        value = None if digits.isdigit() and len(digits) > len(str(COST_CEILING)) else int(text)
     if value is None or abs(value) > COST_CEILING:
         raise ValueError("max cost must be between 1 and 2^64")
     if value < 1:
@@ -365,7 +364,7 @@ def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
     if kind == "alpha" and b != 2:
         raise ValueError("alpha tables exist only for base 2")
     check_block(b, N)
-    charge(block_size(b, N + 1, max_cost) - N - 1, max_cost)
+    charge(table_size(b, N, max_cost), max_cost)
     # The phi(b) integer power-basis columns of the table; base 2 has one.
     columns = (alpha_table(N),) if kind == "alpha" else beta_columns(b, N)
     if args.format == "text":
@@ -492,8 +491,7 @@ def _cmd_pte_search(args, max_cost: int) -> tuple[int, str]:
 
 def _cmd_bernoulli(args, max_cost: int) -> tuple[int, str]:
     d = args.degree
-    if d >= 0:  # a negative degree is left to bernoulli_poly's usage error
-        charge((d + 1) * (d + 2) // 2, max_cost)  # Akiyama-Tanigawa steps
+    charge(bernoulli_steps(d), max_cost)
     coeffs = list(bernoulli_poly(d).coeffs) or [Fraction(0)]
     if args.format == "json":
         return 0, _json({"degree": d, "coeffs": [str(c) for c in coeffs]})

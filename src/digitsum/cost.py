@@ -48,3 +48,14 @@ def block_size(b: int, e: int, max_cost: int | None = None) -> int:
     if bits > cap.bit_length():
         raise CostCapExceeded(None, cap, f"more than 2^{bits - 1}")
     return b**e
+
+
+def table_size(b: int, N: int, max_cost: int | None = None) -> int:
+    """Entry count b^(N+1) - N - 1 of the order-N beta table.  Package-internal."""
+    return block_size(b, N + 1, max_cost) - N - 1
+
+
+def bernoulli_steps(d: int) -> int:
+    """Akiyama-Tanigawa steps that build B_d, 0 below degree 0 so the
+    builder's own usage error still fires.  Package-internal."""
+    return max(d + 1, 0) * (d + 2) // 2

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .arith import CycloNum, a_constant, combine_buckets, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
-from .cost import block_size, charge
+from .cost import bernoulli_steps, block_size, charge, table_size
 from .digits import check_block, digit_sums, digit_weighted_sum, power_rows
 from .findiff import beta_weighted_sum, forward_diff_n, forward_differences, lhs_sum, weighted_rhs
 from .poly import RationalPoly
@@ -165,7 +165,7 @@ def verify_moment(b: int, N: int, order: int, max_cost: int | None = None) -> Id
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
     check_block(b, N, 1)
     start = time.perf_counter()
-    charge(block_size(b, N, max_cost) - N, max_cost)
+    charge(table_size(b, N - 1, max_cost), max_cost)
     table = beta_columns(b, N - 1)
     if order:
         table = [map(operator.mul, range(len(col)), col) for col in table]
@@ -178,7 +178,7 @@ def verify_betaconv_dual1(b: int, N: int, max_cost: int | None = None) -> Identi
     """Binomial-convolution route to the first b^N beta weights."""
     check_block(b, N)
     start = time.perf_counter()
-    charge(block_size(b, N + 1, max_cost) - N - 1, max_cost)  # the order-N table
+    charge(table_size(b, N, max_cost), max_cost)
     lhs = list(beta_from_convolution(b, N, max_cost))
     rhs = list(from_columns(b, [col[: b**N] for col in beta_columns(b, N)]))
     return _report("betaconv-dual1", {"b": b, "N": N}, lhs, rhs, start)
@@ -203,7 +203,7 @@ def verify_beta_alpha_reduction(N: int, max_cost: int | None = None) -> Identity
     """Base-2 beta table versus the integer alpha table, entrywise."""
     check_block(2, N)
     start = time.perf_counter()
-    charge(block_size(2, N + 1, max_cost) - N - 1, max_cost)
+    charge(table_size(2, N, max_cost), max_cost)
     lhs = list(beta_table(2, N))
     rhs = list(alpha_table(N))
     return _report("beta-alpha-reduction", {"N": N}, lhs, rhs, start)
@@ -215,7 +215,7 @@ def verify_alpha_moment(N: int, order: int, max_cost: int | None = None) -> Iden
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
     check_block(2, N, 1)
     start = time.perf_counter()
-    charge(block_size(2, N, max_cost) - N, max_cost)
+    charge(table_size(2, N - 1, max_cost), max_cost)
     lhs = Fraction(sum(k**order * v for k, v in enumerate(alpha_table(N - 1))))
     rhs = Fraction(alpha_moment0(N)) if order == 0 else alpha_moment1(N)
     return _report(f"alpha-moment{order}", {"N": N}, lhs, rhs, start)
@@ -359,18 +359,18 @@ def verify_multi_mixed_sum(b: int, N_list, x_list, y_list, max_cost: int | None 
 
 
 def joint_weight_polynomial(
-    m: int, N: int, p: int, x_list: Sequence, b: int = 2, max_cost: int | None = None
+    N: int, p: int, x_list: Sequence, b: int = 2, max_cost: int | None = None
 ) -> tuple[CycloNum, ...]:
-    """Expand the m-fold sum of xi^s(i_1+...+i_m) (t + sum i_j x_j)^p as an
-    exact polynomial in t: its p+1 coefficients, constant term first, from
-    each residue class's power sums in ``digits.power_rows``."""
+    """Expand the m-fold sum of xi^s(i_1+...+i_m) (t + sum i_j x_j)^p, m the
+    number of scales in ``x_list``, as an exact polynomial in t: its p+1
+    coefficients, constant term first, from each residue class's power sums
+    in ``digits.power_rows``."""
+    m = len(x_list)
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise ValueError("need at least one scale value")
     check_block(b, N, 1)
     if p < 0:
         raise ValueError(f"power must be >= 0, got {p}")
-    if len(x_list) != m:
-        raise ValueError(f"need {m} scale values, got {len(x_list)}")
     xs = [Fraction(v) for v in x_list]
     charge(block_size(b, m * N, max_cost) * (p + 1), max_cost)
     size = b**N
@@ -402,7 +402,7 @@ def verify_joint_vanishing(N: int, p: int, m: int = 2, b: int = 2, max_cost: int
         raise ValueError(f"need 0 <= p <= N-2, got p={p}, N={N}")
     start = time.perf_counter()
     x_list = [Fraction(j + 1) for j in range(m)]
-    lhs = list(joint_weight_polynomial(m, N, p, x_list, b, max_cost))
+    lhs = list(joint_weight_polynomial(N, p, x_list, b, max_cost))
     rhs = [CycloNum.zero(b)] * (p + 1)
     params = {"m": m, "b": b, "N": N, "p": p, "x_list": x_list}
     return _report("joint-vanishing", params, lhs, rhs, start)
@@ -441,7 +441,7 @@ def verify_joint_line_base2(N: int, x1, x2, t, max_cost: int | None = None) -> I
     if x1 == x2:
         raise ValueError("x1 and x2 must differ (the closed form divides by x1 - x2)")
     start = time.perf_counter()
-    coeffs = joint_weight_polynomial(2, N, N, (x1, x2), 2, max_cost)
+    coeffs = joint_weight_polynomial(N, N, (x1, x2), 2, max_cost)
     slope, const = joint_line_coeffs_base2(N, x1, x2)
     lhs = sum((c * t**q for q, c in enumerate(coeffs)), CycloNum.zero(2))
     rhs = slope * t + const
@@ -465,7 +465,7 @@ def verify_joint_line_general(b: int, N: int, x1, x2, max_cost: int | None = Non
     if x1 == x2:
         raise ValueError("x1 and x2 must differ (the closed form divides by x1 - x2)")
     start = time.perf_counter()
-    coeffs = joint_weight_polynomial(2, N, N, (x1, x2), b, max_cost)
+    coeffs = joint_weight_polynomial(N, N, (x1, x2), b, max_cost)
     root = xi(b)
     one = CycloNum.one(b)
     m0 = beta_moment0(b, N)
@@ -504,9 +504,10 @@ def verify_joint_line_general(b: int, N: int, x1, x2, max_cost: int | None = Non
 # Bernoulli-side identities and the partition theorem in scalar form
 
 
-def verify_faulhaber(a, step, r: int, s: int, p: int) -> IdentityReport:
+def verify_faulhaber(a, step, r: int, s: int, p: int, max_cost: int | None = None) -> IdentityReport:
     """Faulhaber formula versus direct summation."""
     start = time.perf_counter()
+    charge(bernoulli_steps(p + 1) + max(s - r, 0), max_cost)  # B_(p+1), then the s - r terms
     a = Fraction(a)
     step = Fraction(step)
     lhs = faulhaber_sum(a, step, r, s, p)
@@ -515,10 +516,11 @@ def verify_faulhaber(a, step, r: int, s: int, p: int) -> IdentityReport:
     return _report("faulhaber", params, lhs, rhs, start)
 
 
-def verify_delta_bernoulli(a, step, k: int, N: int) -> IdentityReport:
+def verify_delta_bernoulli(a, step, k: int, N: int, max_cost: int | None = None) -> IdentityReport:
     """Closed form for iterated differences of a Bernoulli polynomial versus
     actually iterating the difference operator."""
     start = time.perf_counter()
+    charge(bernoulli_steps(N + 1), max_cost)
     a = Fraction(a)
     step = Fraction(step)
     lhs = delta_n_bernoulli(a, step, k, N)
@@ -568,9 +570,10 @@ class IdentityFamily(NamedTuple):
     """Identities checked together from one draw of their free inputs.
 
     ``case(rng, point, max_cost)`` draws the free inputs for one point and
-    returns its reports.  It draws f, whose degree the point sets, before
-    any charge: :func:`run_identity` refuses an oversized block by bit
-    length before the case runs, and the suite's points are small.  A
+    returns its reports.  Cases only draw; each verifier charges its own
+    work.  A case draws f, whose degree the point sets, before any charge:
+    :func:`run_identity` refuses an oversized block by bit length before
+    the case runs, and the suite's points are small.  A
     point is a dict of fixed parameters (``b``, ``N`` or ``N_list``, ``l``,
     ...).  A free input the point sets to a value replaces its draw; the
     draw is still made, so later draws do not shift.
@@ -710,16 +713,12 @@ def _faulhaber_case(rng, p, max_cost):
     step = random_fraction(rng, nonzero=True)
     lo = rng.randint(-6, 6)
     hi = lo + rng.randint(0, 12)
-    return [verify_faulhaber(a, step, lo, hi, rng.randint(0, 6))]
+    return [verify_faulhaber(a, step, lo, hi, rng.randint(0, 6), max_cost)]
 
 
 def _delta_bernoulli_case(rng, p, max_cost):
-    # B_(N+1)'s recurrence steps, charged as `bernoulli --degree` charges
-    # them; a negative N is left to the verifier's usage error.
-    if p["N"] >= 0:
-        charge((p["N"] + 2) * (p["N"] + 3) // 2, max_cost)
     a, step = _xy(rng, p, nonzero_y=True)
-    return [verify_delta_bernoulli(a, step, _given(p, "k", rng.randint(-3, 3)), p["N"])]
+    return [verify_delta_bernoulli(a, step, _given(p, "k", rng.randint(-3, 3)), p["N"], max_cost)]
 
 
 def _generalized_pte_case(rng, p, max_cost):

@@ -205,7 +205,7 @@ def test_multi_mixed_sum_lhs_matches_oracle(config):
 def test_joint_weight_polynomial_matches_oracle(data, b, m, p):
     N = data.draw(orders(b, 1, max_terms=max(b, int(300 ** (1 / m)))))
     xs = [data.draw(fractions) for _ in range(m)]
-    assert list(joint_weight_polynomial(m, N, p, xs, b)) == oracle_joint_coeffs(m, N, p, xs, b)
+    assert list(joint_weight_polynomial(N, p, xs, b)) == oracle_joint_coeffs(m, N, p, xs, b)
 
 
 @given(bases, st.lists(st.integers(-(10**20), 10**20), min_size=7, max_size=7), st.integers(1, 10**9))

@@ -1,21 +1,24 @@
 """The verifier: hand-checked example values, vanishing laws, and report plumbing."""
 
+import inspect
 import json
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from digitsum import arith
+from digitsum import arith, identities
 from digitsum.arith import CycloNum, a_constant, euler_phi, xi
 from digitsum.bernoulli import bernoulli_numbers, bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from digitsum.cost import CostCapExceeded
 from digitsum.findiff import forward_diff_n, lhs_sum
 from digitsum.identities import (
+    IdentityReport,
     random_fraction,
     random_poly,
     joint_line_coeffs_base2,
@@ -38,6 +41,8 @@ from digitsum.identities import (
     verify_multi_mixed_sum,
     verify_moment,
     verify_alpha_moment,
+    verify_delta_bernoulli,
+    verify_faulhaber,
 )
 from digitsum.poly import RationalPoly
 from digitsum.weights import beta_moment0, beta_moment1
@@ -216,9 +221,9 @@ class TestSSums:
         ((verify_alpha_moment, 2, 2), "only moments 0 and 1 have closed forms, got 2"),
         ((verify_mixed_vanishing, 2, 2, 2, 0, 1), "need 0 <= l < N, got l=2, N=2"),
         ((verify_mixed_recurrence, 2, 2, -1, 0, 1), "power must be >= 0, got -1"),
-        ((joint_weight_polynomial, 0, 2, 1, ()), "need m >= 1, got 0"),
-        ((joint_weight_polynomial, 2, 2, -1, (1, 2)), "power must be >= 0, got -1"),
-        ((joint_weight_polynomial, 2, 2, 1, (1,)), "need 2 scale values, got 1"),
+        ((joint_weight_polynomial, 2, 1, ()), "need at least one scale value"),
+        ((joint_weight_polynomial, 2, -1, (1, 2)), "power must be >= 0, got -1"),
+        ((verify_faulhaber, 0, 1, 2, 1, 1), "empty-range bounds must satisfy r <= s, got 2 > 1"),
         ((verify_joint_vanishing, 3, 2), "need 0 <= p <= N-2, got p=2, N=3"),
         ((bernoulli_numbers, -1), "index must be >= 0, got -1"),
         ((bernoulli_poly, -1), "degree must be >= 0, got -1"),
@@ -297,7 +302,7 @@ class TestHFamily:
         report = verify_joint_line_base2(1, 1, 2, 0)
         assert report.equal and report.lhs == -6
         assert report.extras["slope_brute"] == -2
-        coeffs = joint_weight_polynomial(2, 1, 1, (Fraction(1), Fraction(2)), 2)
+        coeffs = joint_weight_polynomial(1, 1, (Fraction(1), Fraction(2)), 2)
         assert coeffs == (-6, -2)
 
     def test_line_16_terms(self):
@@ -332,7 +337,7 @@ class TestHFamily:
         from digitsum.arith import xi_power_table
 
         xs = (Fraction(1), Fraction(2), Fraction(1, 2))
-        coeffs = joint_weight_polynomial(3, 1, 2, xs, 2)
+        coeffs = joint_weight_polynomial(1, 2, xs, 2)
         t = Fraction(3, 4)
         powers = xi_power_table(2)
         expected = None
@@ -348,14 +353,14 @@ class TestHFamily:
     def test_three_scales_vanishing_does_not_extend(self):
         # The p <= N-2 vanishing is a two-scale fact.  With three scales it
         # already fails at N=2, p=0: the signed tuple count is 4, not 0.
-        coeffs = joint_weight_polynomial(3, 2, 0, (Fraction(1), Fraction(2), Fraction(3)), 2)
+        coeffs = joint_weight_polynomial(2, 0, (Fraction(1), Fraction(2), Fraction(3)), 2)
         assert coeffs == (4,)
         assert not verify_joint_vanishing(2, 0, m=3).equal
 
     def test_single_scale_reduces_to_power_sum(self):
         # m=1, p=N: the polynomial in t must match the plain power sum
         # evaluated with x=t, y=x1 for every t; compare at a few points.
-        coeffs = joint_weight_polynomial(1, 2, 2, (Fraction(2),), 2)
+        coeffs = joint_weight_polynomial(2, 2, (Fraction(2),), 2)
         for t in (Fraction(0), Fraction(1), Fraction(-5, 3)):
             report = verify_power_sum(2, 2, t, 2, "N")
             assert evaluate(coeffs, t) == report.lhs
@@ -451,6 +456,42 @@ class TestSuite:
     def test_reports_sorted_by_identity(self):
         ids = [r.identity for r in run_suite(seed=5)]
         assert ids == sorted(ids)
+
+
+class TestVerifierContract:
+    def test_every_verifier_takes_a_cost_cap(self):
+        for name in identities.__all__:
+            if name.startswith("verify_"):
+                assert "max_cost" in inspect.signature(getattr(identities, name)).parameters, name
+
+    def test_cases_only_draw(self, monkeypatch):
+        # With every verifier stubbed out, a charge could only be a case's own.
+        stub = lambda *args, **kwargs: IdentityReport("stub", {}, 0, 0, True)  # noqa: E731
+        for name in identities.__all__:
+            if name.startswith("verify_"):
+                monkeypatch.setattr(identities, name, stub)
+        monkeypatch.setattr(identities, "charge", lambda *args: pytest.fail("a case charged"))
+        assert len(identities.run_suite()) == 333
+
+    def test_bernoulli_verifiers_charge_their_work(self, monkeypatch):
+        charges = []
+        monkeypatch.setattr(identities, "charge", lambda cost, max_cost=None: charges.append(cost))
+        assert verify_faulhaber(1, 2, -3, 4, 5).equal
+        assert verify_delta_bernoulli(1, 2, 0, 4).equal
+        # B_6's 7 * 8 / 2 steps and 7 direct terms; B_5's 6 * 7 / 2 steps.
+        assert charges == [28 + 7, 21]
+
+    @pytest.mark.parametrize("call", [
+        (verify_faulhaber, 0, 1, 0, 10**8, 1),
+        (verify_faulhaber, 0, 1, 0, 3, 20000),
+        (verify_delta_bernoulli, 0, 1, 0, 100000),
+    ], ids=["faulhaber-terms", "faulhaber-degree", "delta-bernoulli-degree"])
+    def test_bernoulli_verifiers_refuse_at_once(self, call):
+        func, *args = call
+        start = time.perf_counter()
+        with pytest.raises(CostCapExceeded):
+            func(*args)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSerialization:
