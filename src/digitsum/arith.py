@@ -313,19 +313,11 @@ def _inverse(b: int, nums: tuple[int, ...], den: int) -> CycloNum:
     return CycloNum.from_integers(b, [den * c for c in conj], norm)
 
 
-def xi(b: int, exponent: int = 1) -> CycloNum:
-    """The canonical primitive b-th root of unity, or a primitive power of it.
-
-    The exponent must be coprime to b: imprimitive roots are rejected
-    because the moment formulas divide by 1 - xi and the identities are
-    only certified for primitive roots.
-    """
+def xi(b: int) -> CycloNum:
+    """The canonical primitive b-th root of unity."""
     if b < 2:
         raise ValueError("root order must be >= 2 (order 1 would make 1 - xi vanish)")
-    j = exponent % b
-    if math.gcd(j, b) != 1:
-        raise ValueError(f"exponent {exponent} is not coprime to {b}")
-    return xi_power_table(b)[j]
+    return xi_power_table(b)[1]
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     """Bernoulli numbers B_0 .. B_n via the Akiyama-Tanigawa recurrence.
 

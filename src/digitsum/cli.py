@@ -24,10 +24,11 @@ import sys
 from fractions import Fraction
 
 from . import identities
+from .arith import CycloNum
 from .bernoulli import bernoulli_poly
 from .cost import COST_CEILING, DEFAULT_MAX_COST, CostCapExceeded, bernoulli_steps, block_size, charge, table_size
 from .digits import check_block
-from .identities import DEFAULT_SEED, IdentityReport, report_to_dict
+from .identities import DEFAULT_SEED, IdentityReport
 from .pte import cancel_common, generalized_partition, search_small_solutions, verify_power_sums
 from .weights import alpha_table, beta_columns, from_columns
 
@@ -309,8 +310,46 @@ def _csv(header: list, rows) -> str:
     return buffer.getvalue()
 
 
+def scalar_to_json(value):
+    """JSON-ready form: rationals as 'p/q' strings, CycloNums as coefficient
+    lists with their root order, sequences elementwise, anything else as its
+    str."""
+    kind = type(value)
+    if kind is Fraction:
+        return str(value)
+    if kind is int or kind is bool or value is None:
+        return value
+    if kind is CycloNum:
+        # Each coordinate as str(Fraction(n, den)) gives it, without the Fraction.
+        den = value.den
+        coeffs = []
+        for n in value.nums:
+            g = math.gcd(n, den)
+            coeffs.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return {"b": value.b, "coeffs": coeffs}
+    if kind is list or kind is tuple:
+        return [scalar_to_json(v) for v in value]
+    return str(value)
+
+
 # ---------------------------------------------------------------------------
 # verify
+
+
+def report_to_dict(report: IdentityReport, include_timing: bool = False) -> dict:
+    """Plain-dict form of a report; timing is null unless requested so that
+    identical runs serialize to identical bytes."""
+    out = {
+        "identity": report.identity,
+        "params": {k: scalar_to_json(v) for k, v in report.params.items()},
+        "lhs": scalar_to_json(report.lhs),
+        "rhs": scalar_to_json(report.rhs),
+        "equal": report.equal,
+        "elapsed_ms": report.elapsed_ms if include_timing else None,
+    }
+    if report.extras:
+        out["extras"] = {k: scalar_to_json(v) for k, v in report.extras.items()}
+    return out
 
 
 def _format_reports(reports: list[IdentityReport], fmt: str, timings: bool) -> str:
@@ -408,15 +447,15 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
         return code, _json({
             "b": partition.b,
             "N": partition.N,
-            "x": str(partition.x),
-            "y": str(partition.y),
-            "classes": [[str(v) for v in values] for values in partition.expanded()],
-            "power_sums": [[str(v) for v in row] for row in certificate.power_sums],
+            "x": scalar_to_json(partition.x),
+            "y": scalar_to_json(partition.y),
+            "classes": scalar_to_json(partition.expanded()),
+            "power_sums": scalar_to_json(certificate.power_sums),
             "valid": certificate.valid,
             "reduced": {
-                "classes": [[str(v) for v in values] for values in reduced.expanded()],
-                "size": reduced.reduced_size,
-                "power_sums": [[str(v) for v in row] for row in reduced_certificate.power_sums],
+                "classes": scalar_to_json(reduced.expanded()),
+                "size": reduced.size,
+                "power_sums": scalar_to_json(reduced_certificate.power_sums),
                 "valid": reduced_certificate.valid,
             },
         })
@@ -435,7 +474,7 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
         row = " = ".join(str(certificate.power_sums[i][k]) for i in range(partition.b))
         lines.append(f"  k={k}: {row}")
     lines.append(f"certificate: {'VALID' if certificate.valid else 'INVALID'} (k <= {kmax})")
-    lines.append(f"reduced partition (size {reduced.reduced_size}):")
+    lines.append(f"reduced partition (size {reduced.size}):")
     lines += _class_lines("reduced class", reduced.expanded())
     return code, "\n".join(lines) + "\n"
 
@@ -460,11 +499,11 @@ def _cmd_pte_search(args, max_cost: int) -> tuple[int, str]:
             "N": args.order,
             "solutions": [
                 {
-                    "x": str(res.x),
-                    "y": str(res.y),
-                    "classes": [[str(v) for v in values] for values in res.reduced.expanded()],
-                    "reduced_size": res.reduced.reduced_size,
-                    "power_sums": [[str(v) for v in row] for row in res.certificate.power_sums],
+                    "x": scalar_to_json(res.x),
+                    "y": scalar_to_json(res.y),
+                    "classes": scalar_to_json(res.reduced.expanded()),
+                    "reduced_size": res.reduced.size,
+                    "power_sums": scalar_to_json(res.certificate.power_sums),
                 }
                 for res in results
             ],
@@ -476,7 +515,7 @@ def _cmd_pte_search(args, max_cost: int) -> tuple[int, str]:
                 [
                     res.x,
                     res.y,
-                    res.reduced.reduced_size,
+                    res.reduced.size,
                     " | ".join(" ".join(map(str, values)) for values in res.reduced.expanded()),
                 ]
                 for res in results
@@ -485,7 +524,7 @@ def _cmd_pte_search(args, max_cost: int) -> tuple[int, str]:
     lines = [f"search base={args.base} order={args.order}: {len(results)} result(s)"]
     for res in results:
         classes = " | ".join("{" + ", ".join(map(str, values)) + "}" for values in res.reduced.expanded())
-        lines.append(f"  x={res.x} y={res.y} size={res.reduced.reduced_size}: {classes}")
+        lines.append(f"  x={res.x} y={res.y} size={res.reduced.size}: {classes}")
     return 0, "\n".join(lines) + "\n"
 
 
@@ -494,7 +533,7 @@ def _cmd_bernoulli(args, max_cost: int) -> tuple[int, str]:
     charge(bernoulli_steps(d), max_cost)
     coeffs = list(bernoulli_poly(d).coeffs) or [Fraction(0)]
     if args.format == "json":
-        return 0, _json({"degree": d, "coeffs": [str(c) for c in coeffs]})
+        return 0, _json({"degree": d, "coeffs": scalar_to_json(coeffs)})
     if args.format == "csv":
         return 0, _csv(["power", "coefficient"], enumerate(coeffs))
     terms = ", ".join(f"x^{i}: {c}" for i, c in enumerate(coeffs))
@@ -540,6 +579,3 @@ def run(argv: list[str] | None = None) -> int:
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
 
-
-if __name__ == "__main__":
-    main()

@@ -51,8 +51,11 @@ def block_size(b: int, e: int, max_cost: int | None = None) -> int:
 
 
 def table_size(b: int, N: int, max_cost: int | None = None) -> int:
-    """Entry count b^(N+1) - N - 1 of the order-N beta table.  Package-internal."""
-    return block_size(b, N + 1, max_cost) - N - 1
+    """Price of the order-N beta table: its b^(N+1) - N - 1 entries times b.
+    The xi-steps that build it touch phi(b) <= b coordinates per entry, and
+    even at N = 0 the price covers the field's b x phi(b) power table, so a
+    refused table builds neither.  Package-internal."""
+    return (block_size(b, N + 1, max_cost) - N - 1) * b
 
 
 def bernoulli_steps(d: int) -> int:

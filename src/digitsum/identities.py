@@ -72,8 +72,6 @@ __all__ = [
     "FAMILY_OF",
     "run_suite",
     "run_identity",
-    "report_to_dict",
-    "scalar_to_json",
 ]
 
 DEFAULT_SEED = 42
@@ -328,9 +326,10 @@ def verify_mixed_recurrence(b: int, N: int, l: int, x, y, max_cost: int | None =
     if l < 0:
         raise ValueError(f"power must be >= 0, got {l}")
     start = time.perf_counter()
-    # The order-N sum and the l order-(N-1) sums, b^N + l b^(N-1) summands, charged
-    # together once: they go straight to the kernel, not through mixed_power_sum.
-    charge(block_size(b, N - 1, max_cost) * (b + l), max_cost)
+    # The order-N sum and the l order-(N-1) sums, b^N + l b^(N-1) summands of
+    # degree up to l, charged together once as summands x (l + 1): they go
+    # straight to the kernel, not through mixed_power_sum.
+    charge(block_size(b, N - 1, max_cost) * (b + l) * (l + 1), max_cost)
     x = Fraction(x)
     y = Fraction(y)
     lhs = digit_weighted_sum(RationalPoly.monomial(l), b, [(N, x, y)])
@@ -507,10 +506,12 @@ def verify_joint_line_general(b: int, N: int, x1, x2, max_cost: int | None = Non
 def verify_faulhaber(a, step, r: int, s: int, p: int, max_cost: int | None = None) -> IdentityReport:
     """Faulhaber formula versus direct summation."""
     start = time.perf_counter()
-    charge(bernoulli_steps(p + 1) + max(s - r, 0), max_cost)  # B_(p+1), then the s - r terms
+    charge(bernoulli_steps(p + 1), max_cost)
     a = Fraction(a)
     step = Fraction(step)
+    # The closed side checks the inputs before the s - r direct terms are charged.
     lhs = faulhaber_sum(a, step, r, s, p)
+    charge(s - r, max_cost)
     rhs = sum(((a + step * i) ** p for i in range(r, s)), start=Fraction(0))
     params = {"a": a, "step": step, "r": r, "s": s, "p": p}
     return _report("faulhaber", params, lhs, rhs, start)
@@ -826,45 +827,3 @@ def run_identity(
     for rep in reports:
         rep.params["seed"] = seed
     return reports
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def scalar_to_json(value):
-    """JSON-ready form: rationals as 'p/q' strings, CycloNums as coefficient
-    lists with their root order, sequences elementwise, anything else as its
-    str."""
-    kind = type(value)
-    if kind is Fraction:
-        return str(value)
-    if kind is int or kind is bool or value is None:
-        return value
-    if kind is CycloNum:
-        # Each coordinate as str(Fraction(n, den)) gives it, without the Fraction.
-        den = value.den
-        coeffs = []
-        for n in value.nums:
-            g = math.gcd(n, den)
-            coeffs.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-        return {"b": value.b, "coeffs": coeffs}
-    if kind is list or kind is tuple:
-        return [scalar_to_json(v) for v in value]
-    return str(value)
-
-
-def report_to_dict(report: IdentityReport, include_timing: bool = False) -> dict:
-    """Plain-dict form of a report; timing is null unless requested so that
-    identical runs serialize to identical bytes."""
-    out = {
-        "identity": report.identity,
-        "params": {k: scalar_to_json(v) for k, v in report.params.items()},
-        "lhs": scalar_to_json(report.lhs),
-        "rhs": scalar_to_json(report.rhs),
-        "equal": report.equal,
-        "elapsed_ms": report.elapsed_ms if include_timing else None,
-    }
-    if report.extras:
-        out["extras"] = {k: scalar_to_json(v) for k, v in report.extras.items()}
-    return out

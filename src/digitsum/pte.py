@@ -30,10 +30,8 @@ from .digits import check_block, power_rows, residue_lists
 
 __all__ = [
     "PtePartition",
-    "ReducedPartition",
     "PteCertificate",
     "SearchResult",
-    "prouhet_partition",
     "generalized_partition",
     "verify_power_sums",
     "cancel_common",
@@ -82,10 +80,6 @@ def _integer_classes(classes: Sequence[Multiset]) -> _IntegerForm:
     return _IntegerForm(L, counters)
 
 
-def _size(counters: Iterable[dict[int, int]]) -> int:
-    return sum(sum(counter.values()) for counter in counters)
-
-
 def _cancel(counters: list[dict[int, int]]) -> list[dict[int, int]]:
     """Subtract from every class, in place, the least multiplicity each value
     attains across all classes, dropping the values that reach zero."""
@@ -111,7 +105,7 @@ def _expand(multiset: Multiset) -> list[Fraction]:
 
 
 class _Classes:
-    """The ``classes`` field of every partition type.
+    """The ``classes`` field of :class:`PtePartition`.
 
     Every partition keeps its counts under ``_integer``.  Given an
     ``_IntegerForm`` it keeps just that and freezes the counts into
@@ -148,20 +142,19 @@ class PtePartition:
     y: Fraction
     classes: tuple[Multiset, ...] = _Classes()
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return _size(self._integer.counters)
+        """The number of values, repeats counted; computed once."""
+        return sum(sum(counter.values()) for counter in self._integer.counters)
+
+    @property
+    def reduced_size(self) -> int:
+        """Read-only alias of ``size``, kept for callers of ``cancel_common``."""
+        return self.size
 
     def expanded(self) -> list[list[Fraction]]:
         """Classes as sorted value lists with repeats written out."""
         return [_expand(cls) for cls in self.classes]
-
-
-@dataclass(frozen=True)
-class ReducedPartition(PtePartition):
-    """A partition after cross-class cancellation of shared values."""
-
-    reduced_size: int
 
 
 @dataclass(frozen=True)
@@ -192,11 +185,6 @@ def generalized_partition(b: int, N: int, x, y, max_cost: int | None = None) -> 
     return PtePartition(b, N, x, y, _IntegerForm(L, counters))
 
 
-def prouhet_partition(b: int, N: int, max_cost: int | None = None) -> PtePartition:
-    """The classical partition of {0, ..., b^N - 1} by digit sum mod b."""
-    return generalized_partition(b, N, 0, 1, max_cost)
-
-
 def verify_power_sums(partition: PtePartition, max_degree: int) -> PteCertificate:
     """Exact per-class power sums up to max_degree; k = 0 counts multiplicity."""
     _check_degree(max_degree)
@@ -204,28 +192,21 @@ def verify_power_sums(partition: PtePartition, max_degree: int) -> PteCertificat
     return PteCertificate(partition, max_degree, all(row == rows[0] for row in rows[1:]))
 
 
-def cancel_common(partition: PtePartition) -> ReducedPartition:
+def cancel_common(partition: PtePartition) -> PtePartition:
     """Subtract from every class the minimum multiplicity each value attains
     across all classes.  Identical amounts leave every power sum difference
     unchanged, so validity is preserved."""
     L, counters = partition._integer
     # _cancel works in place, and the partition's own counts must not change.
     counters = _cancel([dict(counter) for counter in counters])
-    return ReducedPartition(
-        partition.b,
-        partition.N,
-        partition.x,
-        partition.y,
-        _IntegerForm(L, counters),
-        _size(counters),
-    )
+    return PtePartition(partition.b, partition.N, partition.x, partition.y, _IntegerForm(L, counters))
 
 
 @dataclass(frozen=True)
 class SearchResult:
     x: Fraction
     y: Fraction
-    reduced: ReducedPartition
+    reduced: PtePartition
     certificate: PteCertificate
 
 
@@ -258,14 +239,14 @@ def search_small_solutions(
     for x in xs:
         for y in ys:
             reduced = cancel_common(generalized_partition(b, N, x, y, max_cost))
-            if reduced.reduced_size < min_size:
+            if reduced.size < min_size:
                 continue
             certificate = verify_power_sums(reduced, degree)
             if certificate.valid:
                 results.append(SearchResult(x, y, reduced, certificate))
     results.sort(
         key=lambda res: (
-            res.reduced.reduced_size,
+            res.reduced.size,
             math.lcm(res.x.denominator, res.y.denominator),
             abs(res.x) + abs(res.y),
             res.x,

@@ -98,11 +98,6 @@ class TestXi:
         with pytest.raises(ValueError):
             xi(1)
 
-    def test_rejects_imprimitive_exponent(self):
-        with pytest.raises(ValueError):
-            xi(6, 2)
-        assert xi(6, 5) == xi(6) ** 5
-
 
 class TestFieldOperations:
     def test_mul_examples(self):

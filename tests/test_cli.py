@@ -415,9 +415,9 @@ class TestVerifyCommand:
         for argv, message in VERIFY_USAGE_ERRORS[identity]:
             assert invoke(capsys, "verify", "--identity", identity, *argv) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("base,order,cost", [("7", "1", 47), ("2", "11", 24576)])
+    @pytest.mark.parametrize("base,order,cost", [("7", "1", 329), ("2", "11", 24576)])
     def test_betaconv_dual1_charges_its_table_and_passes(self, capsys, base, order, cost):
-        # The order-N table's b^(N+1) - N - 1 entries (47 at b=7, N=1), then
+        # The order-N table's b^(N+1) - N - 1 entries times b (329 at b=7, N=1), then
         # the N+1 running-sum passes over b^N weights (24576 at b=2, N=11).
         argv = ("verify", "--identity", "betaconv-dual1", "--base", base, "--order", order)
         assert invoke(capsys, *argv, "--max-cost", str(cost - 1))[0] == 3
@@ -739,19 +739,30 @@ class TestPteCommands:
             # 2^3 values * (10^8 + 1) powers against the default cap.
             "pte-search --base 2 --order 3 --x-grid 1 --y-grid 1 --kmax 100000000",
             "pte-show --base 2 --order 3 --x 1 --y 1 --kmax 100000000",
-            # 2^20 + 60 * 2^19 summands over the 61 mixed sums against the default cap of 2^20.
+            # 2^20 + 60 * 2^19 summands over the 61 mixed sums, times 61 powers, against
+            # the default cap of 2^20.
             "verify --identity mixed-sum-recurrence --base 2 --order 20 --l 60",
             # (2000 + 2)(2000 + 3)/2 Bernoulli recurrence steps for B_2001 against the default cap.
             "verify --identity delta-bernoulli --order 2000",
+            # (2^3 + 2000 * 2^2) summands times 2001 powers; 7.5 s and exit 0
+            # when the recurrence was priced by its summands alone.
+            "verify --identity mixed-sum-recurrence --base 2 --order 3 --l 2000",
+            # A table is priced at its entries times b.  The xi-steps of the
+            # order-0 table took 17.7 s at b = 4096, and 1.9 s at b = 2000.
+            "weights --base 4096 --order 0",
+            "weights --base 100000 --order 0",
+            "verify --identity moment0 --base 2000 --order 1",
         ],
     )
     def test_work_is_charged_before_it_runs(self, argv):
         # A child process, so that a hang fails at the timeout instead of stalling the suite.
+        start = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "digitsum", *argv.split()], capture_output=True, text=True, timeout=5
         )
+        assert time.perf_counter() - start < 1
         assert result.returncode == 3 and result.stdout == ""
-        assert result.stderr.startswith("error:")
+        assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("args,fmt", [
         (args, fmt) for args, digests in PTE_SHA256.items() for fmt in digests

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from digitsum import arith, identities
 from digitsum.arith import CycloNum, a_constant, euler_phi, xi
 from digitsum.bernoulli import bernoulli_numbers, bernoulli_poly, delta_n_bernoulli, faulhaber_sum
+from digitsum.cli import report_to_dict, scalar_to_json
 from digitsum.cost import CostCapExceeded
 from digitsum.findiff import forward_diff_n, lhs_sum
 from digitsum.identities import (
@@ -23,10 +24,8 @@ from digitsum.identities import (
     random_poly,
     joint_line_coeffs_base2,
     joint_weight_polynomial,
-    report_to_dict,
     run_suite,
     mixed_power_sum,
-    scalar_to_json,
     verify_multi_power_sum,
     verify_power_sum,
     verify_joint_line_general,
@@ -271,7 +270,8 @@ class TestSSums:
         monkeypatch.setattr("digitsum.identities.charge", record)
         b, N, l = 3, 3, 2
         assert verify_mixed_recurrence(b, N, l, 1, 1).equal
-        assert charges == [b**N + l * b ** (N - 1)]
+        # b^N + l b^(N-1) summands, each a power sum of degree up to l.
+        assert charges == [(b**N + l * b ** (N - 1)) * (l + 1)]
 
 
 class TestThm12:
@@ -478,8 +478,13 @@ class TestVerifierContract:
         monkeypatch.setattr(identities, "charge", lambda cost, max_cost=None: charges.append(cost))
         assert verify_faulhaber(1, 2, -3, 4, 5).equal
         assert verify_delta_bernoulli(1, 2, 0, 4).equal
-        # B_6's 7 * 8 / 2 steps and 7 direct terms; B_5's 6 * 7 / 2 steps.
-        assert charges == [28 + 7, 21]
+        # B_6's 7 * 8 / 2 steps, then 7 direct terms; B_5's 6 * 7 / 2 steps.
+        assert charges == [28, 7, 21]
+
+    def test_faulhaber_checks_the_power_before_charging_the_terms(self):
+        # 10^8 direct terms would be refused; the bad power is named first.
+        with pytest.raises(ValueError, match="power must be >= 0, got -1"):
+            verify_faulhaber(0, 1, 0, 10**8, -1)
 
     @pytest.mark.parametrize("call", [
         (verify_faulhaber, 0, 1, 0, 10**8, 1),

@@ -20,11 +20,9 @@ from digitsum.poly import RationalPoly
 from digitsum.pte import (
     PteCertificate,
     PtePartition,
-    ReducedPartition,
     SearchResult,
     cancel_common,
     generalized_partition,
-    prouhet_partition,
     search_small_solutions,
     verify_power_sums,
 )
@@ -32,17 +30,17 @@ from digitsum.pte import (
 
 class TestClassicalPartition:
     def test_small_blocks(self):
-        assert prouhet_partition(2, 2).expanded() == [[0, 3], [1, 2]]
-        assert prouhet_partition(2, 3).expanded() == [[0, 3, 5, 6], [1, 2, 4, 7]]
-        assert prouhet_partition(3, 1).expanded() == [[0], [1], [2]]
+        assert generalized_partition(2, 2, 0, 1).expanded() == [[0, 3], [1, 2]]
+        assert generalized_partition(2, 3, 0, 1).expanded() == [[0, 3, 5, 6], [1, 2, 4, 7]]
+        assert generalized_partition(3, 1, 0, 1).expanded() == [[0], [1], [2]]
 
     @pytest.mark.parametrize("b,N", [(2, 4), (3, 2), (4, 2), (5, 2)])
     def test_equal_class_sizes(self, b, N):
-        partition = prouhet_partition(b, N)
+        partition = generalized_partition(b, N, 0, 1)
         assert all(len(values) == b ** (N - 1) for values in partition.expanded())
 
     def test_classical_bound_is_sharp(self):
-        partition = prouhet_partition(2, 3)
+        partition = generalized_partition(2, 3, 0, 1)
         assert verify_power_sums(partition, 2).valid
         cert = verify_power_sums(partition, 3)
         assert not cert.valid
@@ -59,7 +57,9 @@ class TestGeneralizedPartition:
         assert cert.power_sums[1] == (4, 20, 138)
 
     def test_zero_offset_specializes_to_classical(self):
-        assert generalized_partition(3, 2, 0, 1).classes == prouhet_partition(3, 2).classes
+        # (x, y) = (0, 1) splits {0, ..., b^N - 1} itself by digit sum mod b.
+        classes = [[n for n in range(9) if digit_sum(n, 3) % 3 == r] for r in range(3)]
+        assert generalized_partition(3, 2, 0, 1).expanded() == classes
 
     def test_size_and_duplicates(self):
         partition = generalized_partition(2, 3, 1, 1)
@@ -92,7 +92,7 @@ class TestCertificate:
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            verify_power_sums(prouhet_partition(2, 2), -1)
+            verify_power_sums(generalized_partition(2, 2, 0, 1), -1)
 
 
 class TestCancellation:
@@ -102,7 +102,7 @@ class TestCancellation:
         assert reduced.reduced_size == 6
 
     def test_disjoint_classes_unchanged(self):
-        partition = prouhet_partition(2, 3)
+        partition = generalized_partition(2, 3, 0, 1)
         reduced = cancel_common(partition)
         assert reduced.classes == partition.classes
         assert reduced.reduced_size == 8
@@ -219,8 +219,7 @@ def oracle_cancel(partition):
             for counter in counters:
                 counter[value] -= low
     classes = tuple(_oracle_freeze(c) for c in counters)
-    size = sum(m for cls in classes for _, m in cls)
-    return ReducedPartition(partition.b, partition.N, partition.x, partition.y, classes, size)
+    return PtePartition(partition.b, partition.N, partition.x, partition.y, classes)
 
 
 def oracle_search(b, N, x_grid, y_grid, k_max=None, min_size=0):

@@ -216,8 +216,9 @@ class TestBetaTable:
     def test_base_105_tables_match_the_convolution_duals(self):
         # Level 1 of the order-1 table has gap 105, so its xi-steps fold by -2
         # over whole 105-long blocks; dual2 at order 2 reads all of that
-        # table.  The dense-matrix oracle takes seconds there.
-        assert verify_betaconv_dual1(105, 1).equal
+        # table.  The dense-matrix oracle takes seconds there.  The table's
+        # price, 11023 entries times b = 105, is above the default cap.
+        assert verify_betaconv_dual1(105, 1, 2**21).equal
         assert verify_betaconv_dual2(105, 2).equal
 
     @pytest.mark.parametrize("b", [2, 3, 4])
