@@ -14,7 +14,6 @@ text, to stdout or ``--output``.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -29,7 +28,6 @@ from .bernoulli import bernoulli_poly
 from .cost import COST_CEILING, DEFAULT_MAX_COST, CostCapExceeded, bernoulli_steps, block_size, charge, table_size
 from .digits import check_block
 from .identities import DEFAULT_SEED, IdentityReport
-from .pte import cancel_common, generalized_partition, search_small_solutions, verify_power_sums
 from .weights import alpha_table, beta_columns, from_columns
 
 ENV_MAX_COST = "DIGITSUM_MAX_COST"
@@ -303,6 +301,8 @@ def _json(payload) -> str:
 
 
 def _csv(header: list, rows) -> str:
+    import csv  # here, not at the top: no verify run with the default format needs it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -421,7 +421,8 @@ def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
 
 
 # ---------------------------------------------------------------------------
-# pte
+# pte: imported by these two commands alone, so that importing this module,
+# as every command does, leaves it unloaded.
 
 
 def _class_lines(label: str, expanded: list[list[Fraction]]) -> list[str]:
@@ -432,6 +433,8 @@ def _class_lines(label: str, expanded: list[list[Fraction]]) -> list[str]:
 
 
 def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
+    from .pte import cancel_common, generalized_partition, verify_power_sums
+
     kmax = args.kmax if args.kmax is not None else args.order - 1
     check_block(args.base, args.order, 1)
     if kmax < 0:
@@ -480,6 +483,8 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
 
 
 def _cmd_pte_search(args, max_cost: int) -> tuple[int, str]:
+    from .pte import search_small_solutions
+
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
     if args.kmax is not None and args.kmax < 0:

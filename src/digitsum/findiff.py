@@ -14,7 +14,7 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .arith import CycloNum, combine_buckets
-from .cost import block_size, charge
+from .cost import block_size, charge, table_size
 from .digits import check_block, digit_weighted_sum
 from .poly import RationalPoly, clear_denominators, integer_samples
 from .weights import beta_columns
@@ -128,8 +128,9 @@ def weighted_rhs(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = N
     side of the identity matching :func:`lhs_sum`.
 
     ``f`` must be a :class:`RationalPoly`, for the same reason as there: the
-    sum is taken in integers from its coefficients.
+    sum is taken in integers from its coefficients.  It is charged for the
+    order-(N-1) beta table it reads, which is larger than its block.
     """
     check_block(b, N, 1)
-    charge(block_size(b, N, max_cost), max_cost)
+    charge(table_size(b, N - 1, max_cost), max_cost)
     return beta_weighted_sum(f, b, [(N, Fraction(y))], Fraction(x))

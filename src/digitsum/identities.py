@@ -18,7 +18,6 @@ import operator
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -77,17 +76,51 @@ __all__ = [
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of one exact identity check."""
+    """Outcome of one exact identity check.
 
-    identity: str
-    params: dict
-    lhs: object
-    rhs: object
-    equal: bool
-    elapsed_ms: float | None = field(default=None, compare=False)
-    extras: dict = field(default_factory=dict)
+    Read-only, and equal to another report when every field but
+    ``elapsed_ms`` is.  A slotted class rather than a dataclass, so that
+    importing the verifiers does not load ``dataclasses`` and ``inspect``.
+    """
+
+    __slots__ = ("identity", "params", "lhs", "rhs", "equal", "elapsed_ms", "extras")
+
+    def __init__(
+        self, identity: str, params: dict, lhs, rhs, equal: bool,
+        elapsed_ms: float | None = None, extras: dict | None = None,
+    ) -> None:
+        init = object.__setattr__
+        init(self, "identity", identity)
+        init(self, "params", params)
+        init(self, "lhs", lhs)
+        init(self, "rhs", rhs)
+        init(self, "equal", equal)
+        init(self, "elapsed_ms", elapsed_ms)
+        init(self, "extras", {} if extras is None else extras)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a read-only IdentityReport")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a read-only IdentityReport")
+
+    def _compared(self) -> tuple:
+        # Every field but elapsed_ms: a timing never decides equality.
+        return (self.identity, self.params, self.lhs, self.rhs, self.equal, self.extras)
+
+    def __eq__(self, other):
+        if type(other) is not IdentityReport:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"IdentityReport({fields})"
+
+    def __reduce__(self):
+        # Copies and unpickling go through __init__, since __setattr__ refuses.
+        return IdentityReport, tuple(getattr(self, name) for name in self.__slots__)
 
 
 def _report(
@@ -102,7 +135,7 @@ def _report(
         rhs=rhs,
         equal=(lhs == rhs) and also,
         elapsed_ms=(time.perf_counter() - start) * 1e3,
-        extras=extras or {},
+        extras=extras,
     )
 
 
@@ -118,8 +151,10 @@ def verify_difference_identity(
     start = time.perf_counter()
     x = Fraction(x)
     y = Fraction(y)
-    lhs = lhs_sum(f, x, y, b, N, max_cost)
+    # The closed side goes first: its table charge exceeds the brute side's
+    # block, so an oversized case is refused before any work is done.
     rhs = weighted_rhs(f, x, y, b, N, max_cost)
+    lhs = lhs_sum(f, x, y, b, N, max_cost)
     params = {"b": b, "N": N, "x": x, "y": y, "f": list(f.coeffs)}
     return _report("difference-identity", params, lhs, rhs, start)
 
@@ -189,6 +224,7 @@ def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> Identi
     start = time.perf_counter()
     count = block_size(b, N, max_cost)
     charge(count * (N + 1), max_cost)
+    charge(table_size(b, N - 1, max_cost), max_cost)
     powers = xi_power_table(b)
     pad = [0] * N
     columns = [forward_differences(pad + list(col) + pad, N) for col in beta_columns(b, N - 1)]
@@ -246,6 +282,8 @@ def verify_multisum(
     x, y_list, _ = _check_axes(b, N_list, x, y_list)
     start = time.perf_counter()
     charge(block_size(b, sum(N_list), max_cost), max_cost)
+    # The closed side reads each axis' order-(N-1) beta table; the largest is charged.
+    charge(table_size(b, max(N_list) - 1, max_cost), max_cost)
     lhs = digit_weighted_sum(f, b, [(N, 0, y) for N, y in zip(N_list, y_list)], x)
     # The closed side samples f itself rather than reusing the brute sum.
     rhs = beta_weighted_sum(f, b, list(zip(N_list, y_list)), x)

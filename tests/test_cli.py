@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import digitsum
 from digitsum import cli, findiff, identities, pte, weights
 from digitsum.cli import parse_cost, parse_grid, parse_seed, run
-from digitsum.cost import CostCapExceeded, block_size
+from digitsum.cost import DEFAULT_MAX_COST, CostCapExceeded, block_size
 from digitsum.identities import FAMILY_OF, verify_betaconv_dual2
 from digitsum.poly import RationalPoly
 
@@ -165,6 +167,70 @@ def test_package_root_exports_exactly_the_readme_names():
     public = {name for name in dir(digitsum) if not name.startswith("_")}
     extra = {name for name in public - set(names) if not isinstance(getattr(digitsum, name), types.ModuleType)}
     assert extra == set()
+
+
+class TestPackageRoot:
+    """The root resolves its five names on first access (PEP 562)."""
+
+    @pytest.mark.parametrize("name,home", [
+        ("RationalPoly", "poly"),
+        ("generalized_partition", "pte"),
+        ("verify_power_sums", "pte"),
+        ("cancel_common", "pte"),
+        ("verify_difference_identity", "identities"),
+    ])
+    def test_each_name_is_its_home_module_attribute(self, name, home):
+        assert getattr(digitsum, name) is getattr(importlib.import_module(f"digitsum.{home}"), name)
+
+    def test_dir_lists_every_export(self):
+        assert set(digitsum.__all__) <= set(dir(digitsum))
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from digitsum import *", namespace)
+        assert {name: namespace[name] for name in digitsum.__all__} == {
+            name: getattr(digitsum, name) for name in digitsum.__all__
+        }
+
+    def test_unknown_name_is_an_attribute_error_that_names_it(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            digitsum.no_such_name  # noqa: B018
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from digitsum import no_such_name", {})
+
+
+# What a verify run never executes: the dataclass machinery and inspect,
+# which it imports, csv, and the partition module.
+NOT_FOR_VERIFY = ("dataclasses", "inspect", "csv", "digitsum.pte")
+
+
+def loaded_after(code: str) -> set[str]:
+    """Which of NOT_FOR_VERIFY a fresh interpreter holds after running code.
+    ``-S`` skips site, whose .pth hooks may import any of them; the package
+    is found on PYTHONPATH, at the path this suite imported it from."""
+    script = f"import sys\n{code}\nprint(*(m for m in {NOT_FOR_VERIFY!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(digitsum.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+class TestImportGraph:
+    """Every command pays for importing digitsum.cli, so that import loads
+    only what a verify run executes."""
+
+    def test_importing_the_cli_loads_nothing_verify_skips(self):
+        assert loaded_after("import digitsum.cli") == set()
+
+    def test_a_verify_run_loads_nothing_it_skips(self):
+        argv = ["verify", "--identity", "faulhaber", "--output", os.devnull]
+        assert loaded_after(f"import digitsum.cli\nassert digitsum.cli.run({argv!r}) == 0") == set()
+
+    def test_pte_show_loads_pte(self):
+        argv = ["pte-show", "--base", "2", "--order", "3", "--x", "1", "--y", "1", "--output", os.devnull]
+        assert "digitsum.pte" in loaded_after(f"import digitsum.cli\nassert digitsum.cli.run({argv!r}) == 0")
 
 
 class TestParsers:
@@ -752,6 +818,11 @@ class TestPteCommands:
             "weights --base 4096 --order 0",
             "weights --base 100000 --order 0",
             "verify --identity moment0 --base 2000 --order 1",
+            # The closed sides are charged for the order-(N-1) tables they
+            # read.  Charged their blocks alone, these ran 2.2-4.0 s and exited 0.
+            "verify --identity difference-identity --base 2000 --order 1",
+            "verify --identity betaconv-dual2 --base 2000 --order 1",
+            "verify --identity multisum --base 2000 --order 1",
         ],
     )
     def test_work_is_charged_before_it_runs(self, argv):
@@ -763,6 +834,8 @@ class TestPteCommands:
         assert time.perf_counter() - start < 1
         assert result.returncode == 3 and result.stdout == ""
         assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+        cap = argv.split("--max-cost ")[1] if "--max-cost" in argv else DEFAULT_MAX_COST
+        assert result.stderr.endswith(f", cap is {cap}\n")
 
     @pytest.mark.parametrize("args,fmt", [
         (args, fmt) for args, digests in PTE_SHA256.items() for fmt in digests
@@ -780,7 +853,7 @@ class TestPteCommands:
         def build(*args, **kwargs):
             pytest.fail("built before --kmax was checked")
 
-        monkeypatch.setattr(cli, "generalized_partition", build)
+        monkeypatch.setattr(pte, "generalized_partition", build)
         monkeypatch.setattr(cli, "_grid_flag", build)
         code, out, err = invoke(capsys, *argv.split())
         assert code == 2 and out == ""

@@ -1,9 +1,11 @@
 """The verifier: hand-checked example values, vanishing laws, and report plumbing."""
 
+import copy
 import inspect
 import json
 import math
 import operator
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -497,6 +499,38 @@ class TestVerifierContract:
         with pytest.raises(CostCapExceeded):
             func(*args)
         assert time.perf_counter() - start < 0.5
+
+
+class TestIdentityReport:
+    def test_equality_ignores_only_the_timing(self):
+        timed = IdentityReport("x", {"b": 2}, Fraction(1, 2), Fraction(1, 2), True, 1.5, {"k": 1})
+        untimed = IdentityReport(
+            identity="x", params={"b": 2}, lhs=Fraction(1, 2), rhs=Fraction(1, 2), equal=True, extras={"k": 1}
+        )
+        assert timed == untimed and not timed != untimed
+        assert timed != IdentityReport("x", {"b": 2}, Fraction(1, 2), Fraction(1, 2), True, 1.5)
+
+    def test_defaults(self):
+        first, second = IdentityReport("x", {}, 0, 0, True), IdentityReport("x", {}, 0, 0, True)
+        assert first.elapsed_ms is None and first.extras == {} and first.extras is not second.extras
+
+    def test_copy_and_pickle_give_back_an_equal_report(self):
+        report = verify_power_sum(2, 1, 0, 1, "N")
+        for clone in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+            assert clone == report and clone.elapsed_ms == report.elapsed_ms
+
+    def test_fields_are_read_only(self):
+        report = IdentityReport("x", {}, 0, 0, True)
+        with pytest.raises(AttributeError):
+            report.equal = False
+        with pytest.raises(AttributeError):
+            del report.equal
+        assert report.equal is True
+
+    def test_repr_names_every_field(self):
+        assert repr(IdentityReport("x", {"b": 2}, 1, 1, True)) == (
+            "IdentityReport(identity='x', params={'b': 2}, lhs=1, rhs=1, equal=True, elapsed_ms=None, extras={})"
+        )
 
 
 class TestSerialization:

@@ -217,9 +217,10 @@ class TestBetaTable:
         # Level 1 of the order-1 table has gap 105, so its xi-steps fold by -2
         # over whole 105-long blocks; dual2 at order 2 reads all of that
         # table.  The dense-matrix oracle takes seconds there.  The table's
-        # price, 11023 entries times b = 105, is above the default cap.
+        # price, 11023 entries times b = 105, is above the default cap, and
+        # both duals are charged it.
         assert verify_betaconv_dual1(105, 1, 2**21).equal
-        assert verify_betaconv_dual2(105, 2).equal
+        assert verify_betaconv_dual2(105, 2, 2**21).equal
 
     @pytest.mark.parametrize("b", [2, 3, 4])
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
