@@ -15,9 +15,9 @@ workers without locking.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 __all__ = [
     "cyclotomic_polynomial",

@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import identities
 from .arith import CycloNum
 from .bernoulli import bernoulli_poly
-from .cost import COST_CEILING, DEFAULT_MAX_COST, CostCapExceeded, bernoulli_steps, block_size, charge, table_size
+from .cost import COST_CEILING, DEFAULT_MAX_COST, CostCapExceeded, bernoulli_steps, block_size, charge
 from .digits import check_block
 from .identities import DEFAULT_SEED, IdentityReport
 from .weights import alpha_table, beta_columns, from_columns
@@ -402,10 +402,8 @@ def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
     b, N, kind = args.base, args.order, args.kind
     if kind == "alpha" and b != 2:
         raise ValueError("alpha tables exist only for base 2")
-    check_block(b, N)
-    charge(table_size(b, N, max_cost), max_cost)
     # The phi(b) integer power-basis columns of the table; base 2 has one.
-    columns = (alpha_table(N),) if kind == "alpha" else beta_columns(b, N)
+    columns = (alpha_table(N, max_cost),) if kind == "alpha" else beta_columns(b, N, max_cost)
     if args.format == "text":
         table = from_columns(b, columns)
         lines = [f"{kind} table b={b} N={N} ({len(table)} entries)"]

@@ -50,6 +50,12 @@ def block_size(b: int, e: int, max_cost: int | None = None) -> int:
     return b**e
 
 
+def walk_size(b: int, e: int, max_cost: int | None = None) -> int:
+    """Package-internal price of the kernel: its block b^e, or its b x b
+    residue walk and the field's b x phi(b) power table if those cost more."""
+    return max(block_size(b, e, max_cost), b * b)
+
+
 def table_size(b: int, N: int, max_cost: int | None = None) -> int:
     """Price of the order-N beta table: its b^(N+1) - N - 1 entries times b.
     The xi-steps that build it touch phi(b) <= b coordinates per entry, and

@@ -9,12 +9,12 @@ by ``poly.integer_samples`` (the integer Horner the closed side uses) for
 any f but a monomial, and ends in ``arith.combine_buckets``, the one place
 residue buckets become coordinates; it never touches weight tables, moments
 or Bernoulli code, so the brute-force side of each identity stays
-independent of its closed form.  The PTE partitions class their values by
-the same lists; both are package-internal.  One brute-force sum is not the
-kernel's: ``identities.joint_weight_polynomial`` classes its arguments over
-:func:`digit_sums`, as its weight xi^s(i_1+...+i_m) is no product of
-per-axis weights, and sums their powers in :func:`power_rows`, the
-per-class power-sum loop of the PTE certificates.
+independent of its closed form, and it charges its own price.  The PTE
+partitions class their values by the same lists; both are package-internal.
+One brute-force sum is not the kernel's: ``identities.joint_weight_polynomial``
+classes its arguments over :func:`digit_sums`, as its weight
+xi^s(i_1+...+i_m) is no product of per-axis weights, and sums their powers
+in :func:`power_rows`, the per-class power-sum loop of the PTE certificates.
 
 :func:`check_block` is the one place the block rule, b >= 2 and N >= a least
 order, is written; every entry point calls it before it charges the cap.
@@ -23,10 +23,11 @@ order, is written; every entry point calls it before it charges the cap.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Sequence
 from itertools import repeat
-from typing import Iterable, Sequence
 
 from .arith import CycloNum, combine_buckets
+from .cost import charge, walk_size
 from .poly import RationalPoly, clear_denominators, integer_samples
 
 __all__ = [
@@ -95,15 +96,16 @@ def residue_lists(b: int, axes: Iterable[tuple[int, int, int]], C: int = 0) -> l
 
 
 def digit_weighted_sum(
-    f: RationalPoly, b: int, axes: Sequence[tuple[int, object, object]], c=0
+    f: RationalPoly, b: int, axes: Sequence[tuple[int, object, object]], c=0, max_cost: int | None = None
 ) -> CycloNum:
     """Sum of xi^(s(n_1)+...+s(n_r)) f(c + sum_j (s(n_j) x_j + n_j y_j)) over
     n_j < b^N_j, one (N_j, x_j, y_j) per axis; s is the base-b digit sum.
 
-    With denominators cleared once, f's integer form is summed over each of
-    the b :func:`residue_lists` and the b sums become one CycloNum: exactly
-    the term-by-term sum of ``xi^s * f(arg)`` in Q(xi).
+    Charged ``cost.walk_size`` first.  With denominators cleared once, f's
+    integer form is summed over each of the b :func:`residue_lists` and the
+    b sums become one CycloNum: exactly the sum of ``xi^s * f(arg)``.
     """
+    charge(walk_size(b, sum(N for N, _, _ in axes), max_cost), max_cost)
     g, scale, (C, *scaled) = clear_denominators(f, c, *(v for _, x, y in axes for v in (x, y)))
     lists = residue_lists(b, zip([N for N, _, _ in axes], scaled[::2], scaled[1::2]), C)
     top, rest = g[-1], g[-2::-1]

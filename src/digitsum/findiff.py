@@ -9,12 +9,12 @@ Delta^N from their Newton difference table (sampled_differences).
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Sequence
 
 from .arith import CycloNum, combine_buckets
-from .cost import block_size, charge, table_size
+from .cost import charge, walk_size
 from .digits import check_block, digit_weighted_sum
 from .poly import RationalPoly, clear_denominators, integer_samples
 from .weights import beta_columns
@@ -59,7 +59,7 @@ def sampled_differences(samples: Sequence[int], count: int, N: int) -> list[int]
     return diffs
 
 
-def beta_weighted_sum(f: RationalPoly, b: int, axes: Sequence[tuple[int, Fraction]], c) -> CycloNum:
+def beta_weighted_sum(f: RationalPoly, b: int, axes: Sequence, c, max_cost: int | None = None) -> CycloNum:
     """Closed side of the r-fold identity over ``axes`` = [(N_j, y_j)]:
     (-1)^N sum_k beta_k Delta^N g(k) for the first axis (N, y), with beta
     the order-(N-1) table.
@@ -69,24 +69,28 @@ def beta_weighted_sum(f: RationalPoly, b: int, axes: Sequence[tuple[int, Fractio
     axes commute, so the nesting equals the tensor of every axis'
     differences.  Only f is sampled, never a digit sum.  Denominators are
     cleared once, so the samples, differences and table products are all
-    integers and the result is divided once at the end.
+    integers and the result is divided once at the end.  The nested sampling
+    fans out over at most the kernel's grid, so it is charged that price first.
     """
+    charge(walk_size(b, sum(N for N, _ in axes), max_cost), max_cost)
     g, scale, (C, *ys) = clear_denominators(f, c, *(y for _, y in axes))
-    buckets = _closed_numerators(g, b, [(N, Y) for (N, _), Y in zip(axes, ys)], C)
+    buckets = _closed_numerators(g, b, [(N, Y) for (N, _), Y in zip(axes, ys)], C, max_cost)
     return combine_buckets(b, buckets, scale)
 
 
-def _closed_numerators(g: list[int], b: int, axes: Sequence[tuple[int, int]], C: int) -> list[int]:
+def _closed_numerators(g: list[int], b: int, axes: Sequence, C: int, max_cost: int | None) -> list[int]:
     # beta_weighted_sum times its scale, as b integer residue buckets: bucket
     # r holds the coefficient of xi^r.  An entry of the sampled data is the
     # b-vector of the inner sums on an outer axis and a plain integer on the
     # last one (a single column).  Either way entry n is a polynomial in n of
-    # degree < len(g), so only the first len(g) entries are computed.
+    # degree < len(g), so only the first len(g) entries are computed.  The
+    # table is read first, so its charge comes before any sampling.
     (N, Y), rest = axes[0], axes[1:]
+    table = beta_columns(b, N - 1, max_cost)
     count = b**N
     sampled = min(len(g), count)
     if rest:
-        inner = [_closed_numerators(g, b, rest, C + n * Y) for n in range(sampled)]
+        inner = [_closed_numerators(g, b, rest, C + n * Y, max_cost) for n in range(sampled)]
         columns = [sampled_differences(col, count, N) for col in zip(*inner)]
     else:
         samples = integer_samples(g, [C + n * Y for n in range(sampled)])
@@ -94,7 +98,7 @@ def _closed_numerators(g: list[int], b: int, axes: Sequence[tuple[int, int]], C:
     # sum_k beta_k * delta_k: column m of the table against column p of the
     # data lands on xi^(m+p).
     buckets = [0] * b
-    for m, weights in enumerate(beta_columns(b, N - 1)):
+    for m, weights in enumerate(table):
         for p, deltas in enumerate(columns):
             buckets[(m + p) % b] += sum(map(operator.mul, weights, deltas))
     return [-v for v in buckets] if N % 2 else buckets
@@ -116,11 +120,10 @@ def lhs_sum(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = None) 
 
     ``f`` must be a :class:`RationalPoly`: the sum is taken by the integer
     kernel :func:`digitsum.digits.digit_weighted_sum`, which reads its
-    coefficients rather than calling it.
+    coefficients rather than calling it, and charges its own block.
     """
     check_block(b, N)
-    charge(block_size(b, N, max_cost), max_cost)
-    return digit_weighted_sum(f, b, [(N, 0, y)], x)
+    return digit_weighted_sum(f, b, [(N, 0, y)], x, max_cost)
 
 
 def weighted_rhs(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = None) -> CycloNum:
@@ -128,9 +131,8 @@ def weighted_rhs(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = N
     side of the identity matching :func:`lhs_sum`.
 
     ``f`` must be a :class:`RationalPoly`, for the same reason as there: the
-    sum is taken in integers from its coefficients.  It is charged for the
-    order-(N-1) beta table it reads, which is larger than its block.
+    sum is taken in integers from its coefficients.  Each read of the
+    order-(N-1) beta table charges that table, which costs more than the block.
     """
     check_block(b, N, 1)
-    charge(table_size(b, N - 1, max_cost), max_cost)
-    return beta_weighted_sum(f, b, [(N, Fraction(y))], Fraction(x))
+    return beta_weighted_sum(f, b, [(N, Fraction(y))], Fraction(x), max_cost)

@@ -17,13 +17,13 @@ import math
 import operator
 import random
 import time
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
 
 from .arith import CycloNum, a_constant, combine_buckets, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
-from .cost import bernoulli_steps, block_size, charge, table_size
+from .cost import bernoulli_steps, block_size, charge
 from .digits import check_block, digit_sums, digit_weighted_sum, power_rows
 from .findiff import beta_weighted_sum, forward_diff_n, forward_differences, lhs_sum, weighted_rhs
 from .poly import RationalPoly
@@ -198,8 +198,7 @@ def verify_moment(b: int, N: int, order: int, max_cost: int | None = None) -> Id
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
     check_block(b, N, 1)
     start = time.perf_counter()
-    charge(table_size(b, N - 1, max_cost), max_cost)
-    table = beta_columns(b, N - 1)
+    table = beta_columns(b, N - 1, max_cost)
     if order:
         table = [map(operator.mul, range(len(col)), col) for col in table]
     lhs = CycloNum.from_integers(b, [sum(col) for col in table])
@@ -211,9 +210,8 @@ def verify_betaconv_dual1(b: int, N: int, max_cost: int | None = None) -> Identi
     """Binomial-convolution route to the first b^N beta weights."""
     check_block(b, N)
     start = time.perf_counter()
-    charge(table_size(b, N, max_cost), max_cost)
+    rhs = list(from_columns(b, [col[: b**N] for col in beta_columns(b, N, max_cost)]))
     lhs = list(beta_from_convolution(b, N, max_cost))
-    rhs = list(from_columns(b, [col[: b**N] for col in beta_columns(b, N)]))
     return _report("betaconv-dual1", {"b": b, "N": N}, lhs, rhs, start)
 
 
@@ -224,10 +222,10 @@ def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> Identi
     start = time.perf_counter()
     count = block_size(b, N, max_cost)
     charge(count * (N + 1), max_cost)
-    charge(table_size(b, N - 1, max_cost), max_cost)
+    table = beta_columns(b, N - 1, max_cost)
     powers = xi_power_table(b)
     pad = [0] * N
-    columns = [forward_differences(pad + list(col) + pad, N) for col in beta_columns(b, N - 1)]
+    columns = [forward_differences(pad + list(col) + pad, N) for col in table]
     lhs = list(from_columns(b, columns))
     rhs = [powers[s % b] for s in digit_sums(b, count)]
     return _report("betaconv-dual2", {"b": b, "N": N}, lhs, rhs, start)
@@ -235,11 +233,9 @@ def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> Identi
 
 def verify_beta_alpha_reduction(N: int, max_cost: int | None = None) -> IdentityReport:
     """Base-2 beta table versus the integer alpha table, entrywise."""
-    check_block(2, N)
     start = time.perf_counter()
-    charge(table_size(2, N, max_cost), max_cost)
+    rhs = list(alpha_table(N, max_cost))  # checks N and charges the table size both sides share
     lhs = list(beta_table(2, N))
-    rhs = list(alpha_table(N))
     return _report("beta-alpha-reduction", {"N": N}, lhs, rhs, start)
 
 
@@ -249,8 +245,7 @@ def verify_alpha_moment(N: int, order: int, max_cost: int | None = None) -> Iden
         raise ValueError(f"only moments 0 and 1 have closed forms, got {order}")
     check_block(2, N, 1)
     start = time.perf_counter()
-    charge(table_size(2, N - 1, max_cost), max_cost)
-    lhs = Fraction(sum(k**order * v for k, v in enumerate(alpha_table(N - 1))))
+    lhs = Fraction(sum(k**order * v for k, v in enumerate(alpha_table(N - 1, max_cost))))
     rhs = Fraction(alpha_moment0(N)) if order == 0 else alpha_moment1(N)
     return _report(f"alpha-moment{order}", {"N": N}, lhs, rhs, start)
 
@@ -281,12 +276,9 @@ def verify_multisum(
     """r-fold digit-weighted sum of f versus its beta-weighted difference form."""
     x, y_list, _ = _check_axes(b, N_list, x, y_list)
     start = time.perf_counter()
-    charge(block_size(b, sum(N_list), max_cost), max_cost)
-    # The closed side reads each axis' order-(N-1) beta table; the largest is charged.
-    charge(table_size(b, max(N_list) - 1, max_cost), max_cost)
-    lhs = digit_weighted_sum(f, b, [(N, 0, y) for N, y in zip(N_list, y_list)], x)
-    # The closed side samples f itself rather than reusing the brute sum.
-    rhs = beta_weighted_sum(f, b, list(zip(N_list, y_list)), x)
+    # The closed side samples f itself, and goes first: its charges cover both sides.
+    rhs = beta_weighted_sum(f, b, list(zip(N_list, y_list)), x, max_cost)
+    lhs = digit_weighted_sum(f, b, [(N, 0, y) for N, y in zip(N_list, y_list)], x, max_cost)
     params = {"b": b, "N_list": list(N_list), "x": x, "y_list": y_list, "f": list(f.coeffs)}
     return _report("multisum", params, lhs, rhs, start)
 
@@ -297,10 +289,10 @@ def verify_multi_power_sum(b: int, N_list, x, y_list, max_cost: int | None = Non
     consistency."""
     x, y_list, _ = _check_axes(b, N_list, x, y_list)
     start = time.perf_counter()
-    charge(block_size(b, sum(N_list), max_cost), max_cost)
     total = sum(N_list)
+    block_size(b, total, max_cost)  # refuses a huge order before the degree-total monomial is built
     axes = [(N, 0, y) for N, y in zip(N_list, y_list)]
-    lhs = digit_weighted_sum(RationalPoly.monomial(total), b, axes, x)
+    lhs = digit_weighted_sum(RationalPoly.monomial(total), b, axes, x, max_cost)
     rhs = _mixed_closed_form(b, axes)
     extras = {}
     if b == 2:
@@ -322,8 +314,8 @@ def mixed_power_sum(b: int, N: int, l: int, x, y, max_cost: int | None = None) -
     check_block(b, N)
     if l < 0:
         raise ValueError(f"power must be >= 0, got {l}")
-    charge(block_size(b, N, max_cost), max_cost)
-    return digit_weighted_sum(RationalPoly.monomial(l), b, [(N, x, y)])
+    block_size(b, N, max_cost)  # refuses a huge N before the closed form's degree-N monomial is built
+    return digit_weighted_sum(RationalPoly.monomial(l), b, [(N, x, y)], 0, max_cost)
 
 
 def _mixed_closed_form(b: int, axes) -> CycloNum:
@@ -365,17 +357,16 @@ def verify_mixed_recurrence(b: int, N: int, l: int, x, y, max_cost: int | None =
         raise ValueError(f"power must be >= 0, got {l}")
     start = time.perf_counter()
     # The order-N sum and the l order-(N-1) sums, b^N + l b^(N-1) summands of
-    # degree up to l, charged together once as summands x (l + 1): they go
-    # straight to the kernel, not through mixed_power_sum.
+    # degree up to l, charged once as summands x (l + 1) before the first.
     charge(block_size(b, N - 1, max_cost) * (b + l) * (l + 1), max_cost)
     x = Fraction(x)
     y = Fraction(y)
-    lhs = digit_weighted_sum(RationalPoly.monomial(l), b, [(N, x, y)])
+    lhs = digit_weighted_sum(RationalPoly.monomial(l), b, [(N, x, y)], 0, max_cost)
     shift = x + b ** (N - 1) * y
     rhs = CycloNum.zero(b)
     for m in range(l):
         term = a_constant(b, l - m) * (math.comb(l, m) * shift ** (l - m))
-        rhs = rhs + term * digit_weighted_sum(RationalPoly.monomial(m), b, [(N - 1, x, y)])
+        rhs = rhs + term * digit_weighted_sum(RationalPoly.monomial(m), b, [(N - 1, x, y)], 0, max_cost)
     return _report("mixed-sum-recurrence", {"b": b, "N": N, "l": l, "x": x, "y": y}, lhs, rhs, start)
 
 
@@ -383,9 +374,9 @@ def verify_multi_mixed_sum(b: int, N_list, x_list, y_list, max_cost: int | None 
     """r-fold mixed power sum versus (b/(xi-1))^sum(N) sum(N)! prod(x_j + b^i y_j)."""
     _, y_list, x_list = _check_axes(b, N_list, 0, y_list, x_list)
     start = time.perf_counter()
-    charge(block_size(b, sum(N_list), max_cost), max_cost)
+    block_size(b, sum(N_list), max_cost)  # refuses a huge order before the monomial is built
     axes = list(zip(N_list, x_list, y_list))
-    lhs = digit_weighted_sum(RationalPoly.monomial(sum(N_list)), b, axes)
+    lhs = digit_weighted_sum(RationalPoly.monomial(sum(N_list)), b, axes, 0, max_cost)
     rhs = _mixed_closed_form(b, axes)
     params = {"b": b, "N_list": list(N_list), "x_list": x_list, "y_list": y_list}
     return _report("multi-mixed-sum", params, lhs, rhs, start)
@@ -579,8 +570,7 @@ def verify_generalized_pte(
     start = time.perf_counter()
     x = Fraction(x)
     y = Fraction(y)
-    charge(block_size(b, N, max_cost), max_cost)
-    lhs = digit_weighted_sum(f, b, [(N, x, y)])
+    lhs = digit_weighted_sum(f, b, [(N, x, y)], 0, max_cost)
     rhs = CycloNum.zero(b)
     params = {"b": b, "N": N, "x": x, "y": y, "f": list(f.coeffs)}
     return _report("generalized-pte", params, lhs, rhs, start)
@@ -605,7 +595,7 @@ def random_poly(rng: random.Random, degree: int) -> RationalPoly:
     return RationalPoly(coeffs)
 
 
-class IdentityFamily(NamedTuple):
+class IdentityFamily(namedtuple("IdentityFamily", "case points draws defaults")):
     """Identities checked together from one draw of their free inputs.
 
     ``case(rng, point, max_cost)`` draws the free inputs for one point and
@@ -626,10 +616,7 @@ class IdentityFamily(NamedTuple):
     tracer does) reaches every call.
     """
 
-    case: Callable[[random.Random, dict, int | None], list[IdentityReport]]
-    points: tuple[dict, ...]
-    draws: int
-    defaults: dict[str, dict]
+    __slots__ = ()
 
 
 def _grid(**axes) -> tuple[dict, ...]:

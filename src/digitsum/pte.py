@@ -19,13 +19,13 @@ when ``power_sums`` is first read.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
 
-from .cost import block_size, charge
+from .cost import block_size, charge, walk_size
 from .digits import check_block, power_rows, residue_lists
 
 __all__ = [
@@ -42,15 +42,14 @@ __all__ = [
 Multiset = tuple[tuple[Fraction, int], ...]
 
 
-class _IntegerForm(NamedTuple):
+class _IntegerForm(namedtuple("_IntegerForm", "L counters")):
     """Per class, a dict from integer numerators A to multiplicities, with
     one common denominator L > 0 for every class: the value is A / L.
     Scaling by L keeps values in order and scales each k-th power sum by
     L^k in every class alike, so integer comparisons decide the rational
     ones."""
 
-    L: int
-    counters: list[dict[int, int]]
+    __slots__ = ()
 
 
 def _check_degree(max_degree: int) -> None:
@@ -173,9 +172,10 @@ class PteCertificate:
 
 
 def generalized_partition(b: int, N: int, x, y, max_cost: int | None = None) -> PtePartition:
-    """Split the values s(n) x + n y, n < b^N, by digit sum mod b."""
+    """Split the values s(n) x + n y, n < b^N, by digit sum mod b; charged
+    as the kernel is, since its digit classes come from the same walk."""
     check_block(b, N, 1)
-    charge(block_size(b, N, max_cost), max_cost)
+    charge(walk_size(b, N, max_cost), max_cost)
     x = Fraction(x)
     y = Fraction(y)
     # x = X / L and y = Y / L for L = lcm(den x, den y).

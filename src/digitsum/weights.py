@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .arith import CycloNum, a_constant, xi_power_coords
-from .cost import block_size, charge
+from .cost import block_size, charge, table_size
 from .digits import check_block, digit_sums
 
 __all__ = [
@@ -47,10 +47,15 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def alpha_table(N: int) -> tuple[int, ...]:
-    """Integer weights of order N from the base-2 generating product."""
+def alpha_table(N: int, max_cost: int | None = None) -> tuple[int, ...]:
+    """Base-2 integer weights of order N, charged ``cost.table_size`` first."""
     check_block(2, N)
+    charge(table_size(2, N, max_cost), max_cost)
+    return _alpha_table(N)
+
+
+@lru_cache(maxsize=None)
+def _alpha_table(N: int) -> tuple[int, ...]:
     coeffs = [1]
     for l in range(N):
         gap = 2**l
@@ -89,22 +94,21 @@ def _times_xi(coords: list[list[int]], fold: tuple[int, ...]) -> list[list[int]]
     return out
 
 
-@lru_cache(maxsize=None)
-def beta_columns(b: int, N: int) -> tuple[tuple[int, ...], ...]:
+def beta_columns(b: int, N: int, max_cost: int | None = None) -> tuple[tuple[int, ...], ...]:
     """The order-N beta table as phi(b) integer columns: column j holds the
     j-th power-basis coordinate of every entry.
 
-    Package-internal.  Every entry lies in Z[xi], so the generating product
-    runs on plain ints: the geometric factor per column, then the bracket
-    sum_k P_k z^(k g), g = b^l, one g-long output block at a time.  The
-    window W splits as lo + z^g hi, so block j is V_j = P_j lo + P_(j-1) hi,
-    and P_j = P_(j-1) + xi^j gives V_0 = lo and V_j = V_(j-1) + xi^(j-1) U
-    with U = xi lo + hi.  Each xi^(j-1) U is one shift-and-fold step from
-    the one before.  U is not the convolution route: its steps are summed
-    back into W times the bracket at once, and W keeps the level's
-    (1 - z^g)/(1 - z), so no digit-weight series is formed.
-    """
+    Package-internal, and the one charged way to read a beta table: each
+    read charges ``cost.table_size`` before the cached build."""
     check_block(b, N)
+    charge(table_size(b, N, max_cost), max_cost)
+    return _beta_columns(b, N)
+
+
+@lru_cache(maxsize=None)
+def _beta_columns(b: int, N: int) -> tuple[tuple[int, ...], ...]:
+    # The uncharged builder: the generating product on plain ints, one
+    # g-long block of each level at a time, as the module docstring derives.
     powers = xi_power_coords(b)
     fold = powers[len(powers[0])]
     columns = [[1]] + [[0]] * (len(fold) - 1)
@@ -140,8 +144,9 @@ def from_columns(b: int, columns) -> tuple[CycloNum, ...]:
 
 @lru_cache(maxsize=None)
 def beta_table(b: int, N: int) -> tuple[CycloNum, ...]:
-    """CycloNum weights of order N from the base-b generating product."""
-    return from_columns(b, beta_columns(b, N))
+    """CycloNum weights of order N from the generating product, uncharged."""
+    check_block(b, N)
+    return from_columns(b, _beta_columns(b, N))
 
 
 def alpha_moment0(N: int) -> int:

@@ -6,6 +6,7 @@ over Fractions.  The kernel-backed functions must agree with them exactly.
 """
 
 import ast
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digitsum
-from digitsum import identities
+from digitsum import digits, findiff, identities, weights
 from digitsum.arith import CycloNum, xi_power_table
 from digitsum.digits import combine_buckets, digit_sum, digit_weighted_sum
 from digitsum.findiff import lhs_sum
@@ -289,6 +290,30 @@ def test_every_charged_block_size_comes_from_block_size():
                 assert node.name != "check_power", (path.name, node.lineno)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 assert all(alias.name.split(".")[-1] != "check_power" for alias in node.names), path.name
+
+
+def test_every_kernel_call_and_table_read_passes_its_callers_cap():
+    # The kernel, the closed side and each table read charge themselves, so a
+    # call that drops the cap is priced against the default cap, not its caller's.
+    slots = {
+        fn.__name__: list(inspect.signature(fn).parameters).index("max_cost")
+        for fn in (
+            digits.digit_weighted_sum, findiff.beta_weighted_sum, findiff._closed_numerators,
+            weights.beta_columns, weights.alpha_table,
+        )
+    }
+    calls = dict.fromkeys(slots, 0)
+    package = Path(digitsum.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+            if name in slots:
+                caps = [keyword.value for keyword in node.keywords if keyword.arg == "max_cost"]
+                caps += node.args[slots[name] : slots[name] + 1]
+                assert [getattr(cap, "id", None) for cap in caps] == ["max_cost"], (path.name, node.lineno)
+                calls[name] += 1
+    # The recurrence's l + 1 kernel calls are two of them.
+    assert calls["digit_weighted_sum"] >= 6 and all(calls.values()), calls
 
 
 # Every name through which identities.py reaches a closed form.

@@ -95,8 +95,10 @@ class TestCorollary:
     def test_charges_its_block_once(self, monkeypatch, which):
         charges = []
         record = lambda cost, max_cost=None: charges.append(cost)  # noqa: E731
-        monkeypatch.setattr("digitsum.identities.charge", record)
-        monkeypatch.setattr("digitsum.findiff.charge", record)
+        # Every module on the power-sum path: a caller-side charge re-added
+        # in front of the kernel would show up as a second entry.
+        for module in ("identities", "findiff", "digits"):
+            monkeypatch.setattr(f"digitsum.{module}.charge", record)
         b, N = 3, 2
         assert verify_power_sum(b, N, 1, Fraction(1, 2), which).equal
         assert charges == [b**N]
@@ -113,11 +115,17 @@ class TestCorollary:
         assert len(calls) == 1
 
     def test_huge_order_is_refused_before_the_monomial_is_built(self, monkeypatch):
-        # The degree-N monomial holds N + 1 Fractions; lhs_sum charges only
-        # after it is built.
+        # The degree-N monomial holds N + 1 Fractions, 4.8 s of work at this
+        # N; the kernel charges only after its caller has built it.
         monkeypatch.setattr(RationalPoly, "monomial", lambda *args: pytest.fail("built before the check"))
         with pytest.raises(CostCapExceeded):
             verify_power_sum(2, 3_000_000, 0, 1)
+        with pytest.raises(CostCapExceeded):
+            verify_mixed_closed_form(2, 3_000_000, 0, 1)
+        with pytest.raises(CostCapExceeded):
+            verify_multi_power_sum(2, (3_000_000,), 0, (1,))
+        with pytest.raises(CostCapExceeded):
+            verify_multi_mixed_sum(2, (3_000_000,), (0,), (1,))
 
 
 class TestMultisum:
@@ -498,6 +506,29 @@ class TestVerifierContract:
         start = time.perf_counter()
         with pytest.raises(CostCapExceeded):
             func(*args)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "name", [name for name, family in identities.FAMILY_OF.items() if "b" in family.defaults[name]]
+    )
+    def test_every_id_refuses_a_large_base_at_once(self, name):
+        # At b = 2000 even the least order costs more than the default cap:
+        # a b^2 residue walk, a table of b^(N+1) entries times b, or a grid of
+        # b^(2N) joint sums.  Each refusal must come before that work runs.
+        least = {"betaconv-dual1": 0, "joint-vanishing": 2}.get(name, 1)
+        start = time.perf_counter()
+        with pytest.raises(CostCapExceeded):
+            identities.run_identity(name, {"b": 2000, "N_list": (least,)})
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_multisum_prices_its_grid_before_the_closed_side(self, b):
+        # 21 order-1 axes pass the order guard, whose bit count (21 at b = 2
+        # and 3) is not above the cap's, yet the closed side's sampling fans
+        # out over up to b^21 points: the grid is charged before it starts.
+        start = time.perf_counter()
+        with pytest.raises(CostCapExceeded):
+            identities.run_identity("multisum", {"b": b, "N_list": (1,) * 21})
         assert time.perf_counter() - start < 0.5
 
 
