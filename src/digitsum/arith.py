@@ -94,7 +94,8 @@ class CycloNum:
     def from_integers(cls, b: int, nums: Sequence[int], den: int = 1) -> CycloNum:
         """nums / den for phi(b) integer coordinates and a nonzero integer
         den, brought to normal form by one gcd.  Package-internal: every
-        integer kernel hands its result over here."""
+        integer kernel hands its result over here, and :meth:`from_columns`
+        is the one other place that writes the slots."""
         if den != 1:
             g = math.gcd(den, *nums)
             if den < 0:
@@ -107,6 +108,21 @@ class CycloNum:
         self.nums = tuple(nums)
         self.den = den
         return self
+
+    @classmethod
+    def from_columns(cls, b: int, columns: Iterable[Sequence[int]]) -> tuple[CycloNum, ...]:
+        """The entries whose integer coordinates ``columns`` hold column-wise,
+        one per row.  Integer coordinates over den 1 are already in normal
+        form, so each entry is built without a gcd.  Package-internal."""
+        new = object.__new__
+        out = []
+        for nums in zip(*columns):
+            self = new(cls)
+            self.b = b
+            self.nums = nums
+            self.den = 1
+            out.append(self)
+        return tuple(out)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -221,10 +237,13 @@ class CycloNum:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, CycloNum):
-            return self.b == other.b and self.den == other.den and self.nums == other.nums
+        # Exact types first: tables compare entry with entry, or with an int.
+        if type(other) is CycloNum:
+            return self.nums == other.nums and self.den == other.den and self.b == other.b
+        if type(other) is int:
+            return self.den == 1 and self.nums[0] == other and not any(self.nums[1:])
         if isinstance(other, (int, Fraction)):
-            # Both sides are in lowest terms.
+            # bool and Fraction; both sides are in lowest terms.
             num, den = other.numerator, other.denominator
             return self.is_rational() and self.nums[0] == num and self.den == den
         return NotImplemented
@@ -354,7 +373,8 @@ def combine_buckets(b: int, buckets: Sequence[int], den: int = 1) -> CycloNum:
     for bucket, power in zip(buckets, powers):
         if bucket:
             for j, c in enumerate(power):
-                coords[j] += bucket * c
+                if c:
+                    coords[j] += bucket * c
     return CycloNum.from_integers(b, coords, den)
 
 

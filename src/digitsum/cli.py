@@ -28,7 +28,7 @@ from .bernoulli import bernoulli_poly
 from .cost import COST_CEILING, DEFAULT_MAX_COST, CostCapExceeded, bernoulli_steps, block_size, charge
 from .digits import check_block
 from .identities import DEFAULT_SEED, IdentityReport
-from .weights import alpha_table, beta_columns, from_columns
+from .weights import alpha_table, beta_columns
 
 ENV_MAX_COST = "DIGITSUM_MAX_COST"
 
@@ -405,7 +405,7 @@ def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
     # The phi(b) integer power-basis columns of the table; base 2 has one.
     columns = (alpha_table(N, max_cost),) if kind == "alpha" else beta_columns(b, N, max_cost)
     if args.format == "text":
-        table = from_columns(b, columns)
+        table = CycloNum.from_columns(b, columns)
         lines = [f"{kind} table b={b} N={N} ({len(table)} entries)"]
         for k, v in enumerate(table):
             lines.append(f"  {k}: {v}")

@@ -86,12 +86,16 @@ def residue_lists(b: int, axes: Iterable[tuple[int, int, int]], C: int = 0) -> l
     over n_j < b^N_j whose digit sums total r, one (N_j, X_j, Y_j) per axis.
     The order of each list depends only on b and the orders, so calls that
     differ only in (X, Y) list the same (n_1, ..., n_r) at the same place."""
-    # Digit d moves a value from list r - d (wrapping mod b) to list r.
-    lists = [[C]] + [[] for _ in range(b - 1)]
-    for N, X, Y in axes:
-        for k in range(N):
-            shifts = [d * (X + b**k * Y) for d in range(b)]
-            lists = [[a + shift for d, shift in enumerate(shifts) for a in lists[r - d]] for r in range(b)]
+    # Digit d at a position of step X + b^k Y adds d steps to a value and
+    # moves it from list r - d (wrapping mod b) to list r.  The first
+    # position moves C alone, to list d.
+    steps = [X + b**k * Y for N, X, Y in axes for k in range(N)]
+    if not steps:
+        return [[C]] + [[] for _ in range(b - 1)]
+    lists = [[C + d * steps[0]] for d in range(b)]
+    for step in steps[1:]:
+        shifts = [d * step for d in range(b)]
+        lists = [[a + shift for d, shift in enumerate(shifts) for a in lists[r - d]] for r in range(b)]
     return lists
 
 

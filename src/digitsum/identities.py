@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 import time
 from collections import Counter, namedtuple
@@ -36,7 +35,6 @@ from .weights import (
     beta_moment0,
     beta_moment1,
     beta_table,
-    from_columns,
 )
 
 __all__ = [
@@ -199,18 +197,23 @@ def verify_moment(b: int, N: int, order: int, max_cost: int | None = None) -> Id
     check_block(b, N, 1)
     start = time.perf_counter()
     table = beta_columns(b, N - 1, max_cost)
-    if order:
-        table = [map(operator.mul, range(len(col)), col) for col in table]
-    lhs = CycloNum.from_integers(b, [sum(col) for col in table])
+    lhs = CycloNum.from_integers(b, [_first_moment(col) if order else sum(col) for col in table])
     rhs = beta_moment0(b, N) if order == 0 else beta_moment1(b, N)
     return _report(f"moment{order}", {"b": b, "N": N}, lhs, rhs, start)
+
+
+def _first_moment(column: Sequence[int]) -> int:
+    """sum_k k c_k over a nonempty column, as n T - sum_j P_j over its running
+    sums P_j, T = P_(n-1): each c_k is counted n - k times in the P_j."""
+    running = list(itertools.accumulate(column))
+    return len(column) * running[-1] - sum(running)
 
 
 def verify_betaconv_dual1(b: int, N: int, max_cost: int | None = None) -> IdentityReport:
     """Binomial-convolution route to the first b^N beta weights."""
     check_block(b, N)
     start = time.perf_counter()
-    rhs = list(from_columns(b, [col[: b**N] for col in beta_columns(b, N, max_cost)]))
+    rhs = list(CycloNum.from_columns(b, [col[: b**N] for col in beta_columns(b, N, max_cost)]))
     lhs = list(beta_from_convolution(b, N, max_cost))
     return _report("betaconv-dual1", {"b": b, "N": N}, lhs, rhs, start)
 
@@ -226,7 +229,7 @@ def verify_betaconv_dual2(b: int, N: int, max_cost: int | None = None) -> Identi
     powers = xi_power_table(b)
     pad = [0] * N
     columns = [forward_differences(pad + list(col) + pad, N) for col in table]
-    lhs = list(from_columns(b, columns))
+    lhs = list(CycloNum.from_columns(b, columns))
     rhs = [powers[s % b] for s in digit_sums(b, count)]
     return _report("betaconv-dual2", {"b": b, "N": N}, lhs, rhs, start)
 

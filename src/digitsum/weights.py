@@ -6,7 +6,9 @@ their Q(xi) generalization to an arbitrary base b: the product over
 l = 0..N of a geometric factor (1 - z^(b^l))/(1 - z) times the bracket
 whose coefficients are the partial sums 1, 1+xi, 1+xi+xi^2, ... placed at
 multiples of b^l.  The top partial sum vanishes, which is what pins the
-table length to b^(N+1) - N - 1.
+table length to b^(N+1) - N - 1.  So the order-N table is the order-(N-1)
+table times level N's two factors, and the builder extends the cached order
+below it by that one level.
 
 Beta tables are expanded on integer power-basis columns, and each level
 l (gap g = b^l) is written one g-long block at a time.  The geometric
@@ -68,11 +70,9 @@ def _alpha_table(N: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _mul_all_ones(coeffs: list[int], length: int) -> list[int]:
+def _mul_all_ones(coeffs: tuple[int, ...], length: int) -> list[int]:
     # Multiply by 1 + z + ... + z^(length-1): window sums of the prefix sums.
-    if length == 1:
-        return coeffs
-    acc = list(accumulate(coeffs + [0] * (length - 1)))
+    acc = list(accumulate(coeffs + (0,) * (length - 1)))
     return acc[:length] + [hi - lo for hi, lo in zip(acc[length:], acc)]
 
 
@@ -107,46 +107,43 @@ def beta_columns(b: int, N: int, max_cost: int | None = None) -> tuple[tuple[int
 
 @lru_cache(maxsize=None)
 def _beta_columns(b: int, N: int) -> tuple[tuple[int, ...], ...]:
-    # The uncharged builder: the generating product on plain ints, one
-    # g-long block of each level at a time, as the module docstring derives.
+    # The uncharged builder: the cached order-(N-1) table times level N of
+    # the generating product, on plain ints one g-long block at a time as the
+    # module docstring derives; order 0 is level 0 times 1.
     powers = xi_power_coords(b)
     fold = powers[len(powers[0])]
-    columns = [[1]] + [[0]] * (len(fold) - 1)
-    for l in range(N + 1):
-        gap = b**l
-        columns = [_mul_all_ones(col, gap) for col in columns]
-        lo = [col[:gap] for col in columns]
-        # W is shorter than 2 gap, so hi is padded with zeros up to one block.
-        hi = [col[gap:] + [0] * (2 * gap - len(col)) for col in columns]
-        step = [list(map(operator.add, p, q)) for p, q in zip(_times_xi(lo, fold), hi)]
-        # out grows from V_0 = lo block by block; every V_j is a new list, so
-        # lo is read as V_0 before it grows.
-        block = out = lo
-        for j in range(1, b):
-            if j > 1:
-                step = _times_xi(step, fold)
-            block = [list(map(operator.add, v, u)) for v, u in zip(block, step)]
-            for acc, col in zip(out, block):
-                acc += col
-        # The last block is P_(b-2) hi, whose final l + 1 entries are padding.
-        for acc in out:
-            del acc[b * gap - l - 1 :]
-        columns = out
+    gap = b**N
+    if N:
+        columns = [_mul_all_ones(col, gap) for col in _beta_columns(b, N - 1)]
+    else:
+        columns = [[1]] + [[0]] * (len(fold) - 1)
+    lo = [col[:gap] for col in columns]
+    # W is shorter than 2 gap, so hi is padded with zeros up to one block.
+    hi = [col[gap:] + [0] * (2 * gap - len(col)) for col in columns]
+    step = [list(map(operator.add, p, q)) for p, q in zip(_times_xi(lo, fold), hi)]
+    # out grows from V_0 = lo block by block; every V_j is a new list, so lo
+    # is read as V_0 before it grows.
+    block = out = lo
+    for j in range(1, b):
+        if j > 1:
+            step = _times_xi(step, fold)
+        block = [list(map(operator.add, v, u)) for v, u in zip(block, step)]
+        for acc, col in zip(out, block):
+            acc += col
+    # The last block is P_(b-2) hi, whose final N + 1 entries are hi's zero
+    # padding; what is left is the order-N table, the next order's base.
+    for acc in out:
+        del acc[b * gap - N - 1 :]
     expected = b ** (N + 1) - N - 1
-    assert len(columns[0]) == expected, (b, N, len(columns[0]), expected)
-    return tuple(tuple(col) for col in columns)
-
-
-def from_columns(b: int, columns) -> tuple[CycloNum, ...]:
-    """The CycloNum entries whose coordinates ``columns`` hold column-wise."""
-    return tuple(CycloNum.from_integers(b, coords) for coords in zip(*columns))
+    assert len(out[0]) == expected, (b, N, len(out[0]), expected)
+    return tuple(map(tuple, out))
 
 
 @lru_cache(maxsize=None)
 def beta_table(b: int, N: int) -> tuple[CycloNum, ...]:
     """CycloNum weights of order N from the generating product, uncharged."""
     check_block(b, N)
-    return from_columns(b, _beta_columns(b, N))
+    return CycloNum.from_columns(b, _beta_columns(b, N))
 
 
 def alpha_moment0(N: int) -> int:
@@ -192,4 +189,4 @@ def beta_from_convolution(b: int, N: int, max_cost: int | None = None) -> tuple[
     columns = zip(*(powers[s % b] for s in digit_sums(b, count)))
     for _ in range(N + 1):
         columns = [list(accumulate(col)) for col in columns]
-    return from_columns(b, columns)
+    return CycloNum.from_columns(b, columns)

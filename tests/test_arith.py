@@ -210,6 +210,40 @@ class TestHash:
         assert len({u, u * 1, xi(5)}) == 2
 
 
+class TestEquality:
+    # __eq__ answers a CycloNum or an int of exact type first, and everything
+    # else through the general branches; all must agree, and equal values
+    # must hash equal.
+    @pytest.mark.parametrize("left,right,equal", [
+        ((xi(5) + 1) / 2, (xi(5) + 1) / 2, True),
+        ((xi(5) + 1) / 2, (xi(5) + 1) / 3, False),
+        (xi(5) + 2, xi(5) + 3, False),
+        (CycloNum.from_columns(5, [(1,), (2,), (0,), (0,)])[0], CycloNum.from_integers(5, (1, 2, 0, 0)), True),
+        # Same coordinates in another field.
+        (xi(3), xi(6), False),
+        (CycloNum.one(3), CycloNum.one(6), False),
+        (CycloNum.zero(4), 0, True),
+        (CycloNum.from_rational(5, -3), -3, True),
+        (CycloNum.from_rational(5, -3), 3, False),
+        (CycloNum.from_rational(5, Fraction(-3, 2)), -3, False),
+        (xi(5) - 3, -3, False),
+        (CycloNum.one(3), True, True),
+        (CycloNum.zero(3), False, True),
+        (CycloNum.zero(3), True, False),
+        (CycloNum.from_rational(4, Fraction(1, 2)), Fraction(1, 2), True),
+        (CycloNum.from_rational(4, Fraction(1, 2)), Fraction(1, 3), False),
+        (CycloNum.from_rational(4, 7), Fraction(7), True),
+        (CycloNum.one(3), 1.0, False),
+        (CycloNum.one(3), "1", False),
+    ])
+    def test_contract(self, left, right, equal):
+        assert (left == right) is equal
+        assert (right == left) is equal
+        assert (left != right) is not equal
+        if equal:
+            assert hash(left) == hash(right)
+
+
 # The Fraction-coordinate arithmetic that CycloNum used before it stored
 # integer numerators over one denominator: the product folds through the
 # integer powers of xi, the inverse runs the extended Euclidean algorithm

@@ -1,5 +1,8 @@
 """Digit sums, residue classes, and the digit-sum table."""
 
+import itertools
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from digitsum.digits import (
     digit_sums,
     digit_weighted_sum,
     power_rows,
+    residue_lists,
 )
 from digitsum.arith import xi
 from digitsum.poly import RationalPoly
@@ -85,6 +89,33 @@ class TestClasses:
         for N in (2, 3, 4):
             for n in range(2**N):
                 assert digit_sum(n + 2**N, 2) % 2 == 1 - digit_sum(n, 2) % 2
+
+
+class TestResidueLists:
+    def test_large_base_first_position_is_b_singletons(self):
+        # The first digit position moves C to list d alone, so order 1 at a
+        # large base costs its b values, not b^2 (list, shift) pairs.
+        start = time.perf_counter()
+        lists = residue_lists(1000, [(1, 0, 3)], 7)
+        assert time.perf_counter() - start < 0.05
+        assert lists == [[7 + r * 3] for r in range(1000)]
+
+    @pytest.mark.parametrize("b,axes", [
+        (2, [(3, 1, 2)]),
+        (3, [(2, -1, 4)]),
+        (5, [(1, 2, 3)]),
+        (4, [(0, 1, 1)]),
+        (2, [(2, -11, 7), (2, 9, -4)]),
+        (3, [(1, 1, 1), (0, 5, 5), (2, 0, -2)]),
+    ])
+    def test_matches_direct_enumeration(self, b, axes):
+        expected = [[] for _ in range(b)]
+        for ns in itertools.product(*(range(b**N) for N, _, _ in axes)):
+            total = sum(digit_sum(n, b) for n in ns)
+            value = 5 + sum(digit_sum(n, b) * X + n * Y for n, (_, X, Y) in zip(ns, axes))
+            expected[total % b].append(value)
+        lists = residue_lists(b, axes, 5)
+        assert [sorted(values) for values in lists] == [sorted(values) for values in expected]
 
 
 class TestXiDigitWeight:

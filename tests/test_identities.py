@@ -212,6 +212,13 @@ class TestRFoldInputs:
         assert power.equal and report_to_dict(power)["params"]["x"] == "1/2"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1))
+def test_first_moment_from_running_sums(column):
+    # n T - sum_j P_j over the running sums P_j is the direct sum_k k c_k.
+    assert identities._first_moment(column) == sum(k * c for k, c in enumerate(column))
+
+
 class TestSSums:
     def test_base_cases(self):
         assert mixed_power_sum(2, 0, 0, 1, 1) == 1

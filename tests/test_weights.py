@@ -22,6 +22,7 @@ from digitsum.weights import (
     beta_moment0,
     beta_moment1,
     beta_table,
+    _beta_columns,
 )
 
 
@@ -204,6 +205,17 @@ class TestBetaTable:
     @pytest.mark.parametrize("b,N", COLUMN_POINTS)
     def test_columns_match_dense_bracket_matrices(self, b, N):
         assert beta_columns(b, N) == oracle_beta_columns(b, N)
+
+    @pytest.mark.parametrize("b,N", [(5, 4), (7, 3), (2, 10)])
+    def test_each_order_extends_the_cached_order_below(self, b, N):
+        # A cold order-N build is level N on top of the order-(N-1) table, so
+        # it builds and caches orders 0..N, and the next order adds one level.
+        _beta_columns.cache_clear()
+        columns = _beta_columns(b, N)
+        assert _beta_columns.cache_info().misses == N + 1
+        assert columns == oracle_beta_columns(b, N)
+        _beta_columns(b, N + 1)
+        assert _beta_columns.cache_info().misses == N + 2
 
     def test_base_105_folds_by_two(self):
         assert 2 in map(abs, xi_power_coords(105)[euler_phi(105)])
