@@ -295,7 +295,12 @@ def _json(payload) -> str:
         else:
             raise TypeError(f"object of type {kind.__name__} is not JSON serializable")
 
-    write(payload, 0)
+    try:
+        write(payload, 0)
+    finally:
+        # write holds itself through its closure cell; emptying the cell frees
+        # parts when this call returns, not at the next cyclic collection.
+        del write
     append("\n")
     return "".join(parts)
 
@@ -310,6 +315,12 @@ def _csv(header: list, rows) -> str:
     return buffer.getvalue()
 
 
+def _ratio_text(n: int, den: int) -> str:
+    """``str(Fraction(n, den))`` for den > 0, without the Fraction."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def scalar_to_json(value):
     """JSON-ready form: rationals as 'p/q' strings, CycloNums as coefficient
     lists with their root order, sequences elementwise, anything else as its
@@ -320,13 +331,7 @@ def scalar_to_json(value):
     if kind is int or kind is bool or value is None:
         return value
     if kind is CycloNum:
-        # Each coordinate as str(Fraction(n, den)) gives it, without the Fraction.
-        den = value.den
-        coeffs = []
-        for n in value.nums:
-            g = math.gcd(n, den)
-            coeffs.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-        return {"b": value.b, "coeffs": coeffs}
+        return {"b": value.b, "coeffs": [_ratio_text(n, value.den) for n in value.nums]}
     if kind is list or kind is tuple:
         return [scalar_to_json(v) for v in value]
     return str(value)
@@ -352,10 +357,70 @@ def report_to_dict(report: IdentityReport, include_timing: bool = False) -> dict
     return out
 
 
+_escape = json.encoder.encode_basestring_ascii
+# _BREAKS[d]: a newline and the indent of a JSON item at depth d.
+_BREAKS = tuple("\n" + "  " * depth for depth in range(16))
+
+
+def _break(depth: int) -> str:
+    return _BREAKS[depth] if depth < len(_BREAKS) else "\n" + "  " * depth
+
+
+def _value_json(value, depth: int) -> str:
+    """``scalar_to_json(value)`` as ``_json`` writes it at ``depth``, in one
+    step: no intermediate dicts or lists."""
+    kind = type(value)
+    if kind is Fraction:
+        return f'"{value}"'  # str(Fraction) is digits, '-' and '/' only
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is CycloNum:
+        # {"b": b, "coeffs": [...]}; phi(b) >= 1 coordinates, each a string.
+        den, inner, coord = value.den, _break(depth + 1), _break(depth + 2)
+        coeffs = map(str, value.nums) if den == 1 else [_ratio_text(n, den) for n in value.nums]
+        listed = f'[{coord}"' + f'",{coord}"'.join(coeffs) + f'"{inner}]'
+        return f'{{{inner}"b": {int.__repr__(value.b)},{inner}"coeffs": {listed}{_break(depth)}}}'
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = _break(depth + 1)
+        return "[" + inner + ("," + inner).join([_value_json(v, depth + 1) for v in value]) + _break(depth) + "]"
+    return _escape(str(value))
+
+
+def _mapping_json(mapping: dict, depth: int) -> str:
+    if not mapping:
+        return "{}"
+    inner = _break(depth + 1)
+    items = [_escape(key) + ": " + _value_json(mapping[key], depth + 1) for key in sorted(mapping)]
+    return "{" + inner + ("," + inner).join(items) + _break(depth) + "}"
+
+
+def _report_json(report: IdentityReport, timings: bool) -> str:
+    """``_json`` of ``report_to_dict(report, timings)`` as an item of the
+    top-level list, keys in sorted order, without building the dict."""
+    elapsed = _json(report.elapsed_ms)[:-1] if timings else "null"  # _json's errors for a bad timing
+    extras = f'\n    "extras": {_mapping_json(report.extras, 2)},' if report.extras else ""
+    return (
+        f'{{\n    "elapsed_ms": {elapsed},\n    "equal": {_value_json(report.equal, 2)},{extras}'
+        f'\n    "identity": {_escape(report.identity)},'
+        f'\n    "lhs": {_value_json(report.lhs, 2)},'
+        f'\n    "params": {_mapping_json(report.params, 2)},'
+        f'\n    "rhs": {_value_json(report.rhs, 2)}\n  }}'
+    )
+
+
 def _format_reports(reports: list[IdentityReport], fmt: str, timings: bool) -> str:
-    rows = [report_to_dict(rep, include_timing=timings) for rep in reports]
     if fmt == "json":
-        return _json(rows)
+        # Each report renders straight from its fields; the texts join once.
+        if not reports:
+            return "[]\n"
+        return "[\n  " + ",\n  ".join([_report_json(rep, timings) for rep in reports]) + "\n]\n"
+    rows = [report_to_dict(rep, include_timing=timings) for rep in reports]
     if fmt == "csv":
         # The elapsed_ms column exists only under --timings, so default bytes hold.
         timed = ["elapsed_ms"] if timings else []
@@ -423,11 +488,22 @@ def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
 # as every command does, leaves it unloaded.
 
 
-def _class_lines(label: str, expanded: list[list[Fraction]]) -> list[str]:
-    return [
-        f"{label} {i}: " + ", ".join(str(v) for v in values)
-        for i, values in enumerate(expanded)
-    ]
+def _class_texts(partition) -> list[list[str]]:
+    """``[[str(v) for v in values] for values in partition.expanded()]``,
+    from the partition's integer counts: each value A / L is reduced once
+    and its text repeated, with no Fraction built."""
+    L, counters = partition._integer
+    out = []
+    for counter in counters:
+        texts: list[str] = []
+        for A, m in sorted(counter.items()):
+            texts += [str(A) if L == 1 else _ratio_text(A, L)] * m
+        out.append(texts)
+    return out
+
+
+def _class_lines(label: str, partition) -> list[str]:
+    return [f"{label} {i}: " + ", ".join(texts) for i, texts in enumerate(_class_texts(partition))]
 
 
 def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
@@ -450,11 +526,11 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
             "N": partition.N,
             "x": scalar_to_json(partition.x),
             "y": scalar_to_json(partition.y),
-            "classes": scalar_to_json(partition.expanded()),
+            "classes": _class_texts(partition),
             "power_sums": scalar_to_json(certificate.power_sums),
             "valid": certificate.valid,
             "reduced": {
-                "classes": scalar_to_json(reduced.expanded()),
+                "classes": _class_texts(reduced),
                 "size": reduced.size,
                 "power_sums": scalar_to_json(reduced_certificate.power_sums),
                 "valid": reduced_certificate.valid,
@@ -464,19 +540,19 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
         return code, _csv(
             ["class", "values", "power_sums"],
             (
-                [i, " ".join(map(str, values)), " ".join(map(str, certificate.power_sums[i]))]
-                for i, values in enumerate(partition.expanded())
+                [i, " ".join(texts), " ".join(map(str, certificate.power_sums[i]))]
+                for i, texts in enumerate(_class_texts(partition))
             ),
         )
     lines = [f"base={partition.b} order={partition.N} x={partition.x} y={partition.y}"]
-    lines += _class_lines("class", partition.expanded())
+    lines += _class_lines("class", partition)
     lines.append(f"power sums (k = 0..{kmax}):")
     for k in range(kmax + 1):
         row = " = ".join(str(certificate.power_sums[i][k]) for i in range(partition.b))
         lines.append(f"  k={k}: {row}")
     lines.append(f"certificate: {'VALID' if certificate.valid else 'INVALID'} (k <= {kmax})")
     lines.append(f"reduced partition (size {reduced.size}):")
-    lines += _class_lines("reduced class", reduced.expanded())
+    lines += _class_lines("reduced class", reduced)
     return code, "\n".join(lines) + "\n"
 
 
@@ -504,7 +580,7 @@ def _cmd_pte_search(args, max_cost: int) -> tuple[int, str]:
                 {
                     "x": scalar_to_json(res.x),
                     "y": scalar_to_json(res.y),
-                    "classes": scalar_to_json(res.reduced.expanded()),
+                    "classes": _class_texts(res.reduced),
                     "reduced_size": res.reduced.size,
                     "power_sums": scalar_to_json(res.certificate.power_sums),
                 }
@@ -519,14 +595,14 @@ def _cmd_pte_search(args, max_cost: int) -> tuple[int, str]:
                     res.x,
                     res.y,
                     res.reduced.size,
-                    " | ".join(" ".join(map(str, values)) for values in res.reduced.expanded()),
+                    " | ".join(" ".join(texts) for texts in _class_texts(res.reduced)),
                 ]
                 for res in results
             ),
         )
     lines = [f"search base={args.base} order={args.order}: {len(results)} result(s)"]
     for res in results:
-        classes = " | ".join("{" + ", ".join(map(str, values)) + "}" for values in res.reduced.expanded())
+        classes = " | ".join("{" + ", ".join(texts) + "}" for texts in _class_texts(res.reduced))
         lines.append(f"  x={res.x} y={res.y} size={res.reduced.size}: {classes}")
     return 0, "\n".join(lines) + "\n"
 

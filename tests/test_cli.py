@@ -1,10 +1,12 @@
 """CLI surface: formats, exit codes, grids, and the stable JSON shapes."""
 
 import csv
+import gc
 import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -21,9 +23,10 @@ from hypothesis import strategies as st
 
 import digitsum
 from digitsum import cli, findiff, identities, pte, weights
-from digitsum.cli import parse_cost, parse_grid, parse_seed, run
+from digitsum.arith import CycloNum, euler_phi
+from digitsum.cli import parse_cost, parse_grid, parse_seed, report_to_dict, run
 from digitsum.cost import DEFAULT_MAX_COST, CostCapExceeded, block_size
-from digitsum.identities import FAMILY_OF, verify_betaconv_dual2
+from digitsum.identities import FAMILY_OF, IdentityReport, run_identity, verify_betaconv_dual2
 from digitsum.poly import RationalPoly
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -57,8 +60,9 @@ IDENTITY_SEED42_SHA256 = {
 }
 
 # sha256 of `digitsum verify --all --seed 42 --format <fmt>` stdout; the json
-# digest is tests/test_acceptance.py's SUITE_SEED42_SHA256.  All three formats
-# are built from the same report_to_dict rows.
+# digest is tests/test_acceptance.py's SUITE_SEED42_SHA256.  The csv and text
+# formats are built from report_to_dict rows; json is written straight from
+# each report, byte for byte what _json writes for those rows.
 SUITE_SEED42_SHA256 = {
     "csv": "6447e2da001285a2c4c1b7d090cbdd243ada6b041ff46bd555a89ee3fb13b6e0",
     "text": "a998cf592b4b52ef60a21b6b6910e8ff25d4980484fe0801fd49191a3ad66b88",
@@ -324,6 +328,94 @@ class TestJsonWriter:
         with pytest.raises(ValueError):
             cli._json([value])
 
+    def test_leaves_no_reference_cycle(self):
+        # With the collector off, nothing the writer made may wait for it.
+        payload = {"a": [1, {"b": ("c", None, [[], {}])}], "d": [[[2.5, True]]]}
+        gc.collect()
+        gc.disable()
+        try:
+            cli._json(payload)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# CycloNums with integer and rational coordinates of either sign.
+cyclo_nums = st.integers(2, 12).flatmap(
+    lambda b: st.lists(
+        st.integers(-(10**30), 10**30) | st.fractions(max_denominator=60),
+        min_size=euler_phi(b), max_size=euler_phi(b),
+    ).map(lambda coeffs: CycloNum(b, coeffs))
+)
+# Every kind of value a report field may hold; floats, text and other objects
+# fall back to their str.
+report_values = st.recursive(
+    st.integers(-(2**100), 2**100) | st.booleans() | st.none() | st.fractions() | cyclo_nums
+    | st.floats() | json_text | st.just(_Opaque()),
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple),
+    max_leaves=12,
+)
+report_fields = st.dictionaries(json_text, report_values, max_size=4)
+synthetic_reports = st.builds(
+    IdentityReport,
+    identity=json_text,
+    params=report_fields,
+    lhs=report_values,
+    rhs=report_values,
+    equal=st.booleans(),
+    elapsed_ms=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    extras=st.none() | report_fields,
+)
+
+
+def rows_json(reports, timings):
+    """What the json format wrote when it went through report_to_dict."""
+    return cli._json([report_to_dict(rep, include_timing=timings) for rep in reports])
+
+
+class TestReportJson:
+    """The json format renders each report straight from its fields, byte for
+    byte what _json writes for its report_to_dict rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(FAMILY_OF)), seed=st.integers(0, 2**64 - 1),
+        draws=st.integers(1, 2), timings=st.booleans(),
+    )
+    def test_verifier_reports(self, name, seed, draws, timings):
+        reports = run_identity(name, None, draws, seed)
+        assert cli._format_reports(reports, "json", timings) == rows_json(reports, timings)
+
+    @settings(max_examples=60, deadline=None)
+    @given(reports=st.lists(synthetic_reports, min_size=1, max_size=2), timings=st.booleans())
+    def test_synthetic_reports(self, reports, timings):
+        assert cli._format_reports(reports, "json", timings) == rows_json(reports, timings)
+
+    def test_no_reports(self):
+        assert cli._format_reports([], "json", True) == "[]\n" == rows_json([], True)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_timing_is_a_value_error(self, value):
+        report = IdentityReport("moment0", {}, 1, 1, True, elapsed_ms=value)
+        assert cli._format_reports([report], "json", False) == rows_json([report], False)
+        with pytest.raises(ValueError):
+            cli._format_reports([report], "json", True)
+
+    def test_suite_peak_memory(self):
+        # Python 3.10-3.13 trace 1.3-1.7 MB here; building every row dict and
+        # a part list for the whole run before joining it traced 2.8-3.3 MB.
+        script = (
+            "import os, tracemalloc\nimport digitsum.cli\ntracemalloc.start()\n"
+            "assert digitsum.cli.run(['verify', '--all', '--seed', '42', '--output', os.devnull]) == 0\n"
+            "print(tracemalloc.get_traced_memory()[1])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(digitsum.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 2.2e6
+
 
 class TestWeightsCommand:
     def test_alpha_json(self, capsys):
@@ -532,8 +624,8 @@ class TestVerifyCommand:
             "--base", "3", "--order", "2", "--timings",
         )
         assert code == 0
-        elapsed = json.loads(out)[0]["elapsed_ms"]
-        assert type(elapsed) is float and elapsed > 0
+        elapsed = [rep["elapsed_ms"] for rep in json.loads(out)]
+        assert elapsed and all(type(ms) is float and 0 < ms < math.inf for ms in elapsed)
 
     def test_timings_add_a_csv_column(self, capsys):
         argv = ("verify", "--identity", "moment0", "--format", "csv")
@@ -755,6 +847,17 @@ class TestPteCommands:
         assert payload["reduced"]["classes"] == [["0", "7", "8"], ["2", "3", "10"]]
         assert payload["reduced"]["size"] == 6
         assert payload["valid"] is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.integers(2, 4), N=st.integers(1, 3),
+        x=st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        y=st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    )
+    def test_class_texts_are_the_expanded_values(self, b, N, x, y):
+        partition = pte.generalized_partition(b, N, x, y)
+        for part in (partition, pte.cancel_common(partition)):
+            assert cli._class_texts(part) == [[str(v) for v in values] for values in part.expanded()]
 
     def test_show_invalid_certificate_exits_one(self, capsys):
         code, out, _ = invoke(
