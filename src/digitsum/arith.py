@@ -19,6 +19,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
+from .poly import rational
+
 __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
@@ -78,7 +80,7 @@ class CycloNum:
     __slots__ = ("b", "nums", "den")
 
     def __init__(self, b: int, coeffs: Iterable) -> None:
-        vec = [Fraction(c) for c in coeffs]
+        vec = list(map(rational, coeffs))
         phi = euler_phi(b)
         if len(vec) != phi:
             raise ValueError(
@@ -140,7 +142,7 @@ class CycloNum:
 
     @classmethod
     def from_rational(cls, b: int, value) -> CycloNum:
-        value = Fraction(value)
+        value = rational(value)
         nums = (value.numerator,) + (0,) * (euler_phi(b) - 1)
         return cls.from_integers(b, nums, value.denominator)
 

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import RationalPoly
+from .poly import RationalPoly, clear_denominators, integer_samples, rational
 
 __all__ = [
     "bernoulli_numbers",
@@ -48,17 +48,20 @@ def bernoulli_poly(p: int) -> RationalPoly:
 
 
 def faulhaber_sum(a, step, r: int, s: int, p: int) -> Fraction:
-    """Exact sum of (a + step*i)^p for i = r .. s-1 via Bernoulli polynomials."""
+    """Exact sum of (a + step*i)^p for i = r .. s-1 via Bernoulli polynomials:
+    step^p / (p+1) * (B_{p+1}(a/step + s) - B_{p+1}(a/step + r)), with both
+    samples taken on B_{p+1}'s integer form and divided once."""
     if p < 0:
         raise ValueError(f"power must be >= 0, got {p}")
-    step = Fraction(step)
+    step = rational(step)
     if not step:
         raise ValueError("step must be nonzero")
     if r > s:
         raise ValueError(f"empty-range bounds must satisfy r <= s, got {r} > {s}")
-    poly = bernoulli_poly(p + 1)
-    base = Fraction(a) / step
-    return step**p / (p + 1) * (poly(base + s) - poly(base + r))
+    base = rational(a) / step
+    g, scale, points = clear_denominators(bernoulli_poly(p + 1), base + s, base + r)
+    upper, lower = integer_samples(g, points)
+    return Fraction(step.numerator**p * (upper - lower), step.denominator**p * (p + 1) * scale)
 
 
 def delta_n_bernoulli(a, step, k: int, N: int) -> Fraction:
@@ -67,6 +70,6 @@ def delta_n_bernoulli(a, step, k: int, N: int) -> Fraction:
     (N+1)! step^N (a + k*step + (step*N - 1)/2)."""
     if N < 0:
         raise ValueError(f"order must be >= 0, got {N}")
-    a = Fraction(a)
-    step = Fraction(step)
+    a = rational(a)
+    step = rational(step)
     return math.factorial(N + 1) * step**N * (a + k * step + (step * N - 1) / 2)

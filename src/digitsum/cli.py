@@ -488,22 +488,29 @@ def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
 # as every command does, leaves it unloaded.
 
 
-def _class_texts(partition) -> list[list[str]]:
+def _class_texts(partition, texts: dict[int, str] | None = None) -> list[list[str]]:
     """``[[str(v) for v in values] for values in partition.expanded()]``,
     from the partition's integer counts: each value A / L is reduced once
-    and its text repeated, with no Fraction built."""
+    and its text repeated, with no Fraction built.  ``texts`` maps each
+    numerator A to its text; partitions with the same L, such as one and
+    its reduced copy, share it, so a value is rendered once for both."""
     L, counters = partition._integer
+    if texts is None:
+        texts = {}
     out = []
     for counter in counters:
-        texts: list[str] = []
+        row: list[str] = []
         for A, m in sorted(counter.items()):
-            texts += [str(A) if L == 1 else _ratio_text(A, L)] * m
-        out.append(texts)
+            text = texts.get(A)
+            if text is None:
+                text = texts[A] = str(A) if L == 1 else _ratio_text(A, L)
+            row += [text] * m
+        out.append(row)
     return out
 
 
-def _class_lines(label: str, partition) -> list[str]:
-    return [f"{label} {i}: " + ", ".join(texts) for i, texts in enumerate(_class_texts(partition))]
+def _class_lines(label: str, classes: list[list[str]]) -> list[str]:
+    return [f"{label} {i}: " + ", ".join(texts) for i, texts in enumerate(classes)]
 
 
 def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
@@ -519,6 +526,9 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
     reduced = cancel_common(partition)
     reduced_certificate = verify_power_sums(reduced, kmax)
     code = 0 if certificate.valid and reduced_certificate.valid else 1
+    # Cancelling keeps L, so the reduced copy reuses every text of the partition.
+    shared: dict[int, str] = {}
+    classes = _class_texts(partition, shared)
 
     if args.format == "json":
         return code, _json({
@@ -526,11 +536,11 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
             "N": partition.N,
             "x": scalar_to_json(partition.x),
             "y": scalar_to_json(partition.y),
-            "classes": _class_texts(partition),
+            "classes": classes,
             "power_sums": scalar_to_json(certificate.power_sums),
             "valid": certificate.valid,
             "reduced": {
-                "classes": _class_texts(reduced),
+                "classes": _class_texts(reduced, shared),
                 "size": reduced.size,
                 "power_sums": scalar_to_json(reduced_certificate.power_sums),
                 "valid": reduced_certificate.valid,
@@ -541,18 +551,18 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
             ["class", "values", "power_sums"],
             (
                 [i, " ".join(texts), " ".join(map(str, certificate.power_sums[i]))]
-                for i, texts in enumerate(_class_texts(partition))
+                for i, texts in enumerate(classes)
             ),
         )
     lines = [f"base={partition.b} order={partition.N} x={partition.x} y={partition.y}"]
-    lines += _class_lines("class", partition)
+    lines += _class_lines("class", classes)
     lines.append(f"power sums (k = 0..{kmax}):")
     for k in range(kmax + 1):
         row = " = ".join(str(certificate.power_sums[i][k]) for i in range(partition.b))
         lines.append(f"  k={k}: {row}")
     lines.append(f"certificate: {'VALID' if certificate.valid else 'INVALID'} (k <= {kmax})")
     lines.append(f"reduced partition (size {reduced.size}):")
-    lines += _class_lines("reduced class", reduced)
+    lines += _class_lines("reduced class", _class_texts(reduced, shared))
     return code, "\n".join(lines) + "\n"
 
 

@@ -9,14 +9,14 @@ Delta^N from their Newton difference table (sampled_differences).
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
 
 from .arith import CycloNum, combine_buckets
 from .cost import charge, walk_size
 from .digits import check_block, digit_weighted_sum
-from .poly import RationalPoly, clear_denominators, integer_samples
+from .poly import RationalPoly, clear_denominators, integer_samples, rational
 from .weights import beta_columns
 
 # forward_differences, sampled_differences and beta_weighted_sum are
@@ -104,14 +104,15 @@ def _closed_numerators(g: list[int], b: int, axes: Sequence, C: int, max_cost: i
     return [-v for v in buckets] if N % 2 else buckets
 
 
-def forward_diff_n(f: Callable, x, y, k: int, N: int):
+def forward_diff_n(f: RationalPoly, x, y, k: int, N: int) -> Fraction:
     """N-fold forward difference in the integer index k of f sampled at
-    x + (k+j) y, i.e. sum_j C(N,j) (-1)^(N-j) f(x + (k+j) y)."""
+    x + (k+j) y, i.e. sum_j C(N,j) (-1)^(N-j) f(x + (k+j) y).  The samples
+    and their differences are taken on f's integer form, divided once."""
     if N < 0:
         raise ValueError(f"order must be >= 0, got {N}")
-    x = Fraction(x)
-    y = Fraction(y)
-    return forward_differences([f(x + (k + j) * y) for j in range(N + 1)], N)[0]
+    g, scale, (X, Y) = clear_denominators(f, x, y)
+    samples = integer_samples(g, [X + (k + j) * Y for j in range(N + 1)])
+    return Fraction(forward_differences(samples, N)[0], scale)
 
 
 def lhs_sum(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = None) -> CycloNum:
@@ -135,4 +136,4 @@ def weighted_rhs(f: RationalPoly, x, y, b: int, N: int, max_cost: int | None = N
     order-(N-1) beta table charges that table, which costs more than the block.
     """
     check_block(b, N, 1)
-    return beta_weighted_sum(f, b, [(N, Fraction(y))], Fraction(x), max_cost)
+    return beta_weighted_sum(f, b, [(N, rational(y))], rational(x), max_cost)

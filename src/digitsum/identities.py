@@ -19,13 +19,14 @@ import time
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import CycloNum, a_constant, combine_buckets, xi, xi_power_table
 from .bernoulli import bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from .cost import bernoulli_steps, block_size, charge
 from .digits import check_block, digit_sums, digit_weighted_sum, power_rows
 from .findiff import beta_weighted_sum, forward_diff_n, forward_differences, lhs_sum, weighted_rhs
-from .poly import RationalPoly
+from .poly import RationalPoly, common_denominator, rational
 from .weights import (
     alpha_moment0,
     alpha_moment1,
@@ -147,8 +148,8 @@ def verify_difference_identity(
     """Digit-weighted sum of f versus its beta-weighted difference form."""
     check_block(b, N, 1)
     start = time.perf_counter()
-    x = Fraction(x)
-    y = Fraction(y)
+    x = rational(x)
+    y = rational(y)
     # The closed side goes first: its table charge exceeds the brute side's
     # block, so an oversized case is refused before any work is done.
     rhs = weighted_rhs(f, x, y, b, N, max_cost)
@@ -172,8 +173,8 @@ def verify_power_sum(
     check_block(b, N, 1)
     block_size(b, N, max_cost)  # refuses a huge N before the degree-N monomial is built
     start = time.perf_counter()
-    x = Fraction(x)
-    y = Fraction(y)
+    x = rational(x)
+    y = rational(y)
     p = N if which == "N" else N + 1
     lhs = lhs_sum(RationalPoly.monomial(p), x, y, b, N, max_cost)
     scale = math.factorial(N) * (-y) ** N
@@ -270,7 +271,7 @@ def _check_axes(b: int, N_list, x, y_list, x_list=None) -> tuple:
         raise ValueError("y_list length must match N_list")
     if x_list is not None and len(x_list) != len(N_list):
         raise ValueError("x_list length must match N_list")
-    return Fraction(x), list(map(Fraction, y_list)), x_list and list(map(Fraction, x_list))
+    return rational(x), list(map(rational, y_list)), x_list and list(map(rational, x_list))
 
 
 def verify_multisum(
@@ -324,9 +325,14 @@ def mixed_power_sum(b: int, N: int, l: int, x, y, max_cost: int | None = None) -
 def _mixed_closed_form(b: int, axes) -> CycloNum:
     """(b/(xi-1))^T T! prod_j prod_{i<N_j} (x_j + b^i y_j) over the axes
     (N_j, x_j, y_j), with T = sum N_j."""
+    # The product on integers: x_j = X / D and y_j = Y / D on each axis.
     total = sum(N for N, _, _ in axes)
-    prod = math.prod((xj + b**i * yj for N, xj, yj in axes for i in range(N)), start=Fraction(1))
-    return a_constant(b, 1) ** total * (math.factorial(total) * prod)
+    num, den = math.factorial(total), 1
+    for N, xj, yj in axes:
+        D, (X, Y) = common_denominator((xj, yj))
+        num *= math.prod(X + b**i * Y for i in range(N))
+        den *= D**N
+    return a_constant(b, 1) ** total * Fraction(num, den)
 
 
 def verify_mixed_vanishing(b: int, N: int, l: int, x, y, max_cost: int | None = None) -> IdentityReport:
@@ -335,8 +341,8 @@ def verify_mixed_vanishing(b: int, N: int, l: int, x, y, max_cost: int | None = 
     if not 0 <= l < N:
         raise ValueError(f"need 0 <= l < N, got l={l}, N={N}")
     start = time.perf_counter()
-    x = Fraction(x)
-    y = Fraction(y)
+    x = rational(x)
+    y = rational(y)
     lhs = mixed_power_sum(b, N, l, x, y, max_cost)
     rhs = CycloNum.zero(b)
     return _report("mixed-sum-vanishing", {"b": b, "N": N, "l": l, "x": x, "y": y}, lhs, rhs, start)
@@ -346,8 +352,8 @@ def verify_mixed_closed_form(b: int, N: int, x, y, max_cost: int | None = None) 
     """The critical mixed sum versus b^N N!/(xi-1)^N prod (x + b^l y)."""
     check_block(b, N, 1)
     start = time.perf_counter()
-    x = Fraction(x)
-    y = Fraction(y)
+    x = rational(x)
+    y = rational(y)
     lhs = mixed_power_sum(b, N, N, x, y, max_cost)
     rhs = _mixed_closed_form(b, [(N, x, y)])
     return _report("mixed-sum-closed-form", {"b": b, "N": N, "x": x, "y": y}, lhs, rhs, start)
@@ -362,8 +368,8 @@ def verify_mixed_recurrence(b: int, N: int, l: int, x, y, max_cost: int | None =
     # The order-N sum and the l order-(N-1) sums, b^N + l b^(N-1) summands of
     # degree up to l, charged once as summands x (l + 1) before the first.
     charge(block_size(b, N - 1, max_cost) * (b + l) * (l + 1), max_cost)
-    x = Fraction(x)
-    y = Fraction(y)
+    x = rational(x)
+    y = rational(y)
     lhs = digit_weighted_sum(RationalPoly.monomial(l), b, [(N, x, y)], 0, max_cost)
     shift = x + b ** (N - 1) * y
     rhs = CycloNum.zero(b)
@@ -402,15 +408,13 @@ def joint_weight_polynomial(
     check_block(b, N, 1)
     if p < 0:
         raise ValueError(f"power must be >= 0, got {p}")
-    xs = [Fraction(v) for v in x_list]
-    charge(block_size(b, m * N, max_cost) * (p + 1), max_cost)
-    size = b**N
-    sums = digit_sums(b, m * (size - 1) + 1)
     # With base = sum i_j x_j = B / den for an integer B, the coefficient of
     # t^q is C(p, q) sum xi^s(i_1+...+i_m) B^(p-q) / den^(p-q): class B by
     # residue, take each class's power sums, then combine once per power of t.
-    den = math.lcm(*(v.denominator for v in xs))
-    scales = [v.numerator * (den // v.denominator) for v in xs]
+    den, scales = common_denominator(x_list)
+    charge(block_size(b, m * N, max_cost) * (p + 1), max_cost)
+    size = b**N
+    sums = digit_sums(b, m * (size - 1) + 1)
     outer = [(0, 0)]
     for scale in scales[:-1]:
         outer = [(B + i * scale, total + i) for B, total in outer for i in range(size)]
@@ -441,17 +445,17 @@ def verify_joint_vanishing(N: int, p: int, m: int = 2, b: int = 2, max_cost: int
 
 def _power_diff_quotient(a: Fraction, c: Fraction, n: int) -> Fraction:
     # (a^n - c^n) / (a - c) written as the symmetric sum, so it stays exact
-    # even when a == c.
-    total = Fraction(0)
-    for i in range(n):
-        total += a**i * c ** (n - 1 - i)
-    return total
+    # even when a == c; summed on integers, with a = A / D and c = C / D.
+    if n < 1:
+        return Fraction(0)
+    D, (A, C) = common_denominator((a, c))
+    return Fraction(sum(A**i * C ** (n - 1 - i) for i in range(n)), D ** (n - 1))
 
 
 def joint_line_coeffs_base2(N: int, x1, x2) -> tuple[Fraction, Fraction]:
     """Slope and constant of the base-2 two-variable sum at power p = N."""
-    x1 = Fraction(x1)
-    x2 = Fraction(x2)
+    x1 = rational(x1)
+    x2 = rational(x2)
     lead = Fraction(math.factorial(N) * 2 ** (N * (N - 1) // 2))
     if N % 2:
         lead = -lead
@@ -466,9 +470,9 @@ def joint_line_coeffs_base2(N: int, x1, x2) -> tuple[Fraction, Fraction]:
 def verify_joint_line_base2(N: int, x1, x2, t, max_cost: int | None = None) -> IdentityReport:
     """Base-2 two-variable sum at p = N versus its explicit linear form."""
     check_block(2, N, 1)
-    x1 = Fraction(x1)
-    x2 = Fraction(x2)
-    t = Fraction(t)
+    x1 = rational(x1)
+    x2 = rational(x2)
+    t = rational(t)
     if x1 == x2:
         raise ValueError("x1 and x2 must differ (the closed form divides by x1 - x2)")
     start = time.perf_counter()
@@ -491,8 +495,8 @@ def verify_joint_line_general(b: int, N: int, x1, x2, max_cost: int | None = Non
     only on the engine's own derivation matching brute force.
     """
     check_block(b, N, 1)
-    x1 = Fraction(x1)
-    x2 = Fraction(x2)
+    x1 = rational(x1)
+    x2 = rational(x2)
     if x1 == x2:
         raise ValueError("x1 and x2 must differ (the closed form divides by x1 - x2)")
     start = time.perf_counter()
@@ -539,12 +543,14 @@ def verify_faulhaber(a, step, r: int, s: int, p: int, max_cost: int | None = Non
     """Faulhaber formula versus direct summation."""
     start = time.perf_counter()
     charge(bernoulli_steps(p + 1), max_cost)
-    a = Fraction(a)
-    step = Fraction(step)
+    a = rational(a)
+    step = rational(step)
     # The closed side checks the inputs before the s - r direct terms are charged.
     lhs = faulhaber_sum(a, step, r, s, p)
     charge(s - r, max_cost)
-    rhs = sum(((a + step * i) ** p for i in range(r, s)), start=Fraction(0))
+    # Every term summed directly, on integers: a = A / D and step = S / D.
+    D, (A, S) = common_denominator((a, step))
+    rhs = Fraction(sum((A + S * i) ** p for i in range(r, s)), D**p)
     params = {"a": a, "step": step, "r": r, "s": s, "p": p}
     return _report("faulhaber", params, lhs, rhs, start)
 
@@ -554,8 +560,8 @@ def verify_delta_bernoulli(a, step, k: int, N: int, max_cost: int | None = None)
     actually iterating the difference operator."""
     start = time.perf_counter()
     charge(bernoulli_steps(N + 1), max_cost)
-    a = Fraction(a)
-    step = Fraction(step)
+    a = rational(a)
+    step = rational(step)
     lhs = delta_n_bernoulli(a, step, k, N)
     rhs = forward_diff_n(bernoulli_poly(N + 1), a, step, k, N)
     params = {"a": a, "step": step, "k": k, "N": N}
@@ -571,8 +577,8 @@ def verify_generalized_pte(
     if f.degree >= N:
         raise ValueError(f"need deg f < N, got degree {f.degree}")
     start = time.perf_counter()
-    x = Fraction(x)
-    y = Fraction(y)
+    x = rational(x)
+    y = rational(y)
     lhs = digit_weighted_sum(f, b, [(N, x, y)], 0, max_cost)
     rhs = CycloNum.zero(b)
     params = {"b": b, "N": N, "x": x, "y": y, "f": list(f.coeffs)}
@@ -583,13 +589,22 @@ def verify_generalized_pte(
 # The identity table: one sampling schedule for the suite and single runs
 
 
+@lru_cache(maxsize=None)
+def _small_fractions() -> tuple[tuple[Fraction, ...], ...]:
+    # Every value random_fraction returns, built on the first draw, so a
+    # command that never draws never builds them: entry [num + 9][den - 1]
+    # is Fraction(num, den).  Fractions are immutable, so draws share them.
+    return tuple(tuple(Fraction(num, den) for den in range(1, 10)) for num in range(-9, 10))
+
+
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
     # Small-height rationals: numerator in [-9, 9], denominator in [1, 9].
+    small = _small_fractions()
     while True:
         num = rng.randint(-9, 9)
         if nonzero and num == 0:
             continue
-        return Fraction(num, rng.randint(1, 9))
+        return small[num + 9][rng.randint(1, 9) - 1]
 
 
 def random_poly(rng: random.Random, degree: int) -> RationalPoly:

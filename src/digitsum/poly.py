@@ -1,4 +1,12 @@
-"""Dense univariate polynomials with exact rational coefficients."""
+"""Dense univariate polynomials with exact rational coefficients.
+
+One rule for every rational in the package: an input is normalised by
+:func:`rational`, which passes a Fraction on as it is and builds one only
+from anything else, so no value is wrapped twice; and the package samples
+a polynomial at rational points on integers, by clearing denominators once
+(:func:`clear_denominators`) and running integer Horner
+(:func:`integer_samples`), never by a Fraction operation per term.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +15,12 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 __all__ = ["RationalPoly"]
+
+
+def rational(value) -> Fraction:
+    """``Fraction(value)``, built only when value is not a Fraction already.
+    Package-internal: every input-normalising site goes through here."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class RationalPoly:
@@ -19,7 +33,7 @@ class RationalPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()) -> None:
-        vec = [Fraction(c) for c in coeffs]
+        vec = list(map(rational, coeffs))
         while vec and not vec[-1]:
             vec.pop()
         self.coeffs = tuple(vec)
@@ -28,7 +42,7 @@ class RationalPoly:
     def monomial(cls, degree: int, coeff=1) -> RationalPoly:
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        return cls((0,) * degree + (coeff,))
+        return cls((_FRACTION_ZERO,) * degree + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -61,13 +75,20 @@ def clear_denominators(f: RationalPoly, *points) -> tuple[list[int], int, list[i
     f(A / den) = g(A) / scale for every integer A.  Package-internal: both
     sides of an identity clear denominators here once and then sample g.
     """
-    points = [Fraction(v) for v in points]
-    den = math.lcm(*(v.denominator for v in points))
+    den, scaled = common_denominator(points)
     coeffs = f.coeffs or (_FRACTION_ZERO,)
     d = len(coeffs) - 1
     lcm = math.lcm(*(a.denominator for a in coeffs))
     g = [a.numerator * (lcm // a.denominator) * den ** (d - k) for k, a in enumerate(coeffs)]
-    return g, lcm * den**d, [v.numerator * (den // v.denominator) for v in points]
+    return g, lcm * den**d, scaled
+
+
+def common_denominator(values: Iterable) -> tuple[int, list[int]]:
+    """(den, [v * den for v in values]) for den the lcm of the values'
+    denominators: every value is an integer over den.  Package-internal."""
+    values = list(map(rational, values))
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def integer_samples(g: list[int], args: Iterable[int]) -> list[int]:

@@ -27,6 +27,7 @@ from functools import cached_property, lru_cache
 
 from .cost import block_size, charge, walk_size
 from .digits import check_block, power_rows, residue_lists
+from .poly import common_denominator, rational
 
 __all__ = [
     "PtePartition",
@@ -176,11 +177,10 @@ def generalized_partition(b: int, N: int, x, y, max_cost: int | None = None) -> 
     as the kernel is, since its digit classes come from the same walk."""
     check_block(b, N, 1)
     charge(walk_size(b, N, max_cost), max_cost)
-    x = Fraction(x)
-    y = Fraction(y)
+    x = rational(x)
+    y = rational(y)
     # x = X / L and y = Y / L for L = lcm(den x, den y).
-    L = math.lcm(x.denominator, y.denominator)
-    X, Y = x.numerator * (L // x.denominator), y.numerator * (L // y.denominator)
+    L, (X, Y) = common_denominator((x, y))
     counters = [Counter(s * X + n * Y for s, n in pairs) for pairs in _digit_classes(b, N)]
     return PtePartition(b, N, x, y, _IntegerForm(L, counters))
 
@@ -228,8 +228,8 @@ def search_small_solutions(
     ``max_cost`` before the first point.
     """
     degree = N - 1 if k_max is None else k_max
-    xs = sorted({Fraction(v) for v in x_grid})
-    ys = sorted({Fraction(v) for v in y_grid})
+    xs = sorted(set(map(rational, x_grid)))
+    ys = sorted(set(map(rational, y_grid)))
     if not xs or not ys:
         raise ValueError("grids must be nonempty")
     check_block(b, N, 1)

@@ -145,6 +145,13 @@ def readme_cli_lines():
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("digitsum ")]
 
 
+def test_no_command_names_the_subcommand_argument(capsys):
+    code, out, err = invoke(capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: digitsum [-h] {verify,weights,pte-show,pte-search,bernoulli} ...\n")
+    assert err.endswith("error: the following arguments are required: subcommand\n")
+
+
 # `verify --all` is run by acceptance criterion 11.
 @pytest.mark.parametrize("argv", [a for a in readme_cli_lines() if "--all" not in a], ids=" ".join)
 def test_readme_cli_examples_exit_zero(capsys, argv):
@@ -858,6 +865,20 @@ class TestPteCommands:
         partition = pte.generalized_partition(b, N, x, y)
         for part in (partition, pte.cancel_common(partition)):
             assert cli._class_texts(part) == [[str(v) for v in values] for values in part.expanded()]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_show_renders_each_value_once(self, capsys, monkeypatch, fmt):
+        # Nothing cancels at x = 1/3, y = 1/7, so the reduced copy is the whole
+        # partition: its texts come from the partition's, not a second pass.
+        calls = []
+        ratio_text = cli._ratio_text
+        monkeypatch.setattr(cli, "_ratio_text", lambda n, den: calls.append(n) or ratio_text(n, den))
+        code, out, _ = invoke(
+            capsys, "pte-show", "--base", "3", "--order", "2",
+            "--x", "1/3", "--y", "1/7", "--format", fmt,
+        )
+        assert code == 0 and "reduced" in out
+        assert len(calls) == len(set(calls)) == 9
 
     def test_show_invalid_certificate_exits_one(self, capsys):
         code, out, _ = invoke(

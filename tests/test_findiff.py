@@ -54,6 +54,21 @@ class TestForwardDiff:
             x, y = random_fraction(rng), random_fraction(rng, nonzero=True)
             assert forward_diff_n(f, x, y, 0, N) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=7),
+        x=st.fractions(min_value=-10, max_value=10, max_denominator=30),
+        y=st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=30)),
+        k=st.integers(-6, 6),
+        N=st.integers(0, 8),
+    )
+    def test_is_the_difference_of_the_values(self, coeffs, x, y, k, N):
+        # It differences f's integer samples; the values of f say the same.
+        f = RationalPoly(coeffs)
+        got = forward_diff_n(f, x, y, k, N)
+        assert type(got) is Fraction
+        assert got == forward_differences([f(x + (k + j) * y) for j in range(N + 1)], N)[0]
+
     def test_composition(self):
         rng = random.Random(11)
         f = random_poly(rng, 6)

@@ -5,10 +5,14 @@ import inspect
 import json
 import math
 import operator
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -473,6 +477,98 @@ class TestSuite:
     def test_reports_sorted_by_identity(self):
         ids = [r.identity for r in run_suite(seed=5)]
         assert ids == sorted(ids)
+
+
+def _old_random_fraction(rng, nonzero=False):
+    # The draw as first written: a Fraction built from the two randint calls.
+    while True:
+        num = rng.randint(-9, 9)
+        if nonzero and num == 0:
+            continue
+        return Fraction(num, rng.randint(1, 9))
+
+
+class TestRationalsBuiltOnce:
+    @pytest.fixture
+    def rewraps(self, monkeypatch):
+        """Calls of Fraction() with one argument that is a Fraction already."""
+        calls = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            if type(args[0] if args else None) is Fraction and (len(args) == 1 or args[1] is None):
+                calls.append(args[0])
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        return calls
+
+    def test_the_suite_rebuilds_no_fraction(self, rewraps):
+        assert len(run_suite(42)) == 333
+        assert rewraps == []
+
+    @pytest.mark.parametrize("name", list(identities.FAMILY_OF))
+    def test_each_id_at_its_default_point_rebuilds_no_fraction(self, rewraps, name):
+        assert all(report.equal for report in identities.run_identity(name))
+        assert rewraps == []
+
+    def test_draws_match_the_built_fractions_draw_for_draw(self):
+        for seed in range(300):
+            new, old = random.Random(seed), random.Random(seed)
+            for nonzero in (False, True, False, True, True):
+                drawn = random_fraction(new, nonzero)
+                assert type(drawn) is Fraction
+                assert drawn == _old_random_fraction(old, nonzero)
+            degree = seed % 6
+            f = random_poly(new, degree)
+            coeffs = [_old_random_fraction(old) for _ in range(degree)]
+            coeffs.append(_old_random_fraction(old, nonzero=True))
+            assert f == RationalPoly(coeffs) and f.degree == degree
+            assert new.getstate() == old.getstate()
+
+    def test_the_draw_table_is_built_on_the_first_draw(self):
+        # Commands that never draw (weights, pte-*, bernoulli) import
+        # identities all the same, and pay nothing for the table.
+        script = "\n".join([
+            "import os, random",
+            "from digitsum import cli, identities",
+            "built = identities._small_fractions.cache_info",
+            "assert cli.run(['bernoulli', '--degree', '2', '--output', os.devnull]) == 0",
+            "assert built().misses == 0, built()",
+            "identities.random_fraction(random.Random(1))",
+            "assert built().misses == 1, built()",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(identities.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=30, env=env)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("a, step, r, s, p", [
+        (Fraction(1, 3), Fraction(-2, 5), -4, 6, 3),  # negative step
+        (Fraction(-7, 2), Fraction(-1, 9), 0, 5, 6),  # negative step
+        (Fraction(2, 3), Fraction(1, 4), -3, 5, 0),   # p = 0: s - r
+        (Fraction(2, 3), Fraction(1, 4), 2, 2, 4),    # r = s: empty
+        (Fraction(5, 6), 3, -2, -2, 0),              # both
+        (0, Fraction(-3, 7), -5, 0, 2),
+    ])
+    def test_faulhaber_direct_side_is_the_fraction_sum(self, a, step, r, s, p):
+        report = verify_faulhaber(a, step, r, s, p)
+        assert report.equal
+        expected = sum((Fraction(a + step * i) ** p for i in range(r, s)), start=Fraction(0))
+        assert type(report.rhs) is Fraction and report.rhs == expected
+
+    @pytest.mark.parametrize("a, c", [
+        (Fraction(1, 2), Fraction(-2, 3)),
+        (Fraction(3, 4), Fraction(3, 4)),  # a == c
+        (Fraction(-5), Fraction(1, 6)),
+        (Fraction(0), Fraction(0)),
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_power_diff_quotient_is_the_symmetric_sum(self, a, c, n):
+        got = identities._power_diff_quotient(a, c, n)
+        expected = sum((a**i * c ** (n - 1 - i) for i in range(n)), start=Fraction(0))
+        assert type(got) is Fraction and got == expected
+        # (a^n - c^n) / (a - c), and its limit n a^(n-1) when a == c.
+        assert got == ((a**n - c**n) / (a - c) if a != c else n * a ** (n - 1) if n else 0)
 
 
 class TestVerifierContract:
