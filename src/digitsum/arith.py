@@ -142,7 +142,8 @@ class CycloNum:
 
     @classmethod
     def from_rational(cls, b: int, value) -> CycloNum:
-        value = rational(value)
+        if type(value) is not int:
+            value = rational(value)
         nums = (value.numerator,) + (0,) * (euler_phi(b) - 1)
         return cls.from_integers(b, nums, value.denominator)
 

@@ -490,15 +490,16 @@ def _cmd_weights(args, max_cost: int) -> tuple[int, str]:
 
 def _class_texts(partition, texts: dict[int, str] | None = None) -> list[list[str]]:
     """``[[str(v) for v in values] for values in partition.expanded()]``,
-    from the partition's integer counts: each value A / L is reduced once
-    and its text repeated, with no Fraction built.  ``texts`` maps each
-    numerator A to its text; partitions with the same L, such as one and
-    its reduced copy, share it, so a value is rendered once for both."""
-    L, counters = partition._integer
+    from the partition's public ``L`` and ``counts``: each value A / L is
+    reduced once and its text repeated, with no Fraction built, so the
+    partition's ``classes`` are never read.  ``texts`` maps each numerator
+    A to its text; partitions with the same L, such as one and its reduced
+    copy, share it, so a value is rendered once for both."""
+    L = partition.L
     if texts is None:
         texts = {}
     out = []
-    for counter in counters:
+    for counter in partition.counts:
         row: list[str] = []
         for A, m in sorted(counter.items()):
             text = texts.get(A)

@@ -30,10 +30,7 @@ from .arith import CycloNum, combine_buckets
 from .cost import charge, walk_size
 from .poly import RationalPoly, clear_denominators, integer_samples
 
-__all__ = [
-    "digit_sum",
-    "digit_sums",
-]
+__all__ = ["digit_sums"]
 
 
 def check_block(b: int, N: int = 0, least: int = 0) -> None:
@@ -42,18 +39,6 @@ def check_block(b: int, N: int = 0, least: int = 0) -> None:
         raise ValueError(f"base must be >= 2, got {b}")
     if N < least:
         raise ValueError(f"order must be >= {least}, got {N}")
-
-
-def digit_sum(n: int, b: int) -> int:
-    """Sum of the base-b digits of n."""
-    check_block(b)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    total = 0
-    while n:
-        n, d = divmod(n, b)
-        total += d
-    return total
 
 
 def digit_sums(b: int, limit: int) -> list[int]:

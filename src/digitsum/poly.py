@@ -23,6 +23,10 @@ def rational(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+_FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
+
+
 class RationalPoly:
     """Polynomial over Q, coefficients indexed by degree (constant first).
 
@@ -39,7 +43,7 @@ class RationalPoly:
         self.coeffs = tuple(vec)
 
     @classmethod
-    def monomial(cls, degree: int, coeff=1) -> RationalPoly:
+    def monomial(cls, degree: int, coeff=_FRACTION_ONE) -> RationalPoly:
         if degree < 0:
             raise ValueError("degree must be >= 0")
         return cls((_FRACTION_ZERO,) * degree + (coeff,))
@@ -85,8 +89,9 @@ def clear_denominators(f: RationalPoly, *points) -> tuple[list[int], int, list[i
 
 def common_denominator(values: Iterable) -> tuple[int, list[int]]:
     """(den, [v * den for v in values]) for den the lcm of the values'
-    denominators: every value is an integer over den.  Package-internal."""
-    values = list(map(rational, values))
+    denominators: every value is an integer over den.  An int is read as it
+    is, as it has a numerator and a denominator.  Package-internal."""
+    values = [v if type(v) is int else rational(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
 
@@ -103,6 +108,3 @@ def integer_samples(g: list[int], args: Iterable[int]) -> list[int]:
             v = v * A + p
         out.append(v)
     return out
-
-
-_FRACTION_ZERO = Fraction(0)

@@ -6,21 +6,21 @@ k < N.  Values can repeat both inside a class and across classes; whatever
 appears in every class can be cancelled, which is how partitions smaller
 than the classical b^N arise.
 
-Everything runs on integers: each value is a numerator A over a common
-denominator L, counted in the brute-force kernel's residue lists.  A
-partition the package builds keeps those per-class counts and turns them
-into sorted Fraction multisets only when ``classes`` or ``expanded()`` is
-first read, so a search pays for class Fractions only on the results a
-caller prints.  A certificate decides ``valid`` on the integer power sums
-of ``digits.power_rows`` and builds their Fractions, in the same way, only
-when ``power_sums`` is first read.
+Everything runs on integers.  A partition stores one common denominator
+``L`` and, per class, ``counts``: each integer numerator A, counted in the
+brute-force kernel's residue lists, with its multiplicity, for the value
+A / L.  Its sorted Fraction ``classes`` are derived from those counts once,
+when first read, and ``expanded()`` writes them out, so a search pays for
+class Fractions only on the results a caller reads.  A certificate decides
+``valid`` on the integer power sums of ``digits.power_rows`` and builds
+their Fractions, in the same way, only when ``power_sums`` is first read.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
-from collections.abc import Iterable, Sequence
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -43,16 +43,6 @@ __all__ = [
 Multiset = tuple[tuple[Fraction, int], ...]
 
 
-class _IntegerForm(namedtuple("_IntegerForm", "L counters")):
-    """Per class, a dict from integer numerators A to multiplicities, with
-    one common denominator L > 0 for every class: the value is A / L.
-    Scaling by L keeps values in order and scales each k-th power sum by
-    L^k in every class alike, so integer comparisons decide the rational
-    ones."""
-
-    __slots__ = ()
-
-
 def _check_degree(max_degree: int) -> None:
     if max_degree < 0:
         raise ValueError(f"max degree must be >= 0, got {max_degree}")
@@ -65,19 +55,6 @@ def _digit_classes(b: int, N: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     in one order.  Every partition of a block shares this table of tuples."""
     sums, ns = residue_lists(b, [(N, 1, 0)]), residue_lists(b, [(N, 0, 1)])
     return tuple(tuple(zip(*cls)) for cls in zip(sums, ns))
-
-
-def _integer_classes(classes: Sequence[Multiset]) -> _IntegerForm:
-    """Clear the denominators of all classes at once."""
-    L = math.lcm(*(v.denominator for cls in classes for v, _ in cls))
-    counters = []
-    for cls in classes:
-        counter: dict[int, int] = {}
-        for value, mult in cls:
-            A = value.numerator * (L // value.denominator)
-            counter[A] = counter.get(A, 0) + mult
-        counters.append(counter)
-    return _IntegerForm(L, counters)
 
 
 def _cancel(counters: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -93,59 +70,37 @@ def _cancel(counters: list[dict[int, int]]) -> list[dict[int, int]]:
     return counters
 
 
-def _freeze(counter: dict[int, int], L: int) -> Multiset:
-    return tuple((Fraction(A, L), m) for A, m in sorted(counter.items()) if m)
-
-
-def _expand(multiset: Multiset) -> list[Fraction]:
-    out: list[Fraction] = []
-    for value, mult in multiset:
-        out.extend([value] * mult)
-    return out
-
-
-class _Classes:
-    """The ``classes`` field of :class:`PtePartition`.
-
-    Every partition keeps its counts under ``_integer``.  Given an
-    ``_IntegerForm`` it keeps just that and freezes the counts into
-    multisets the first time ``classes`` is read; given a tuple of
-    multisets it stores them and their counts.  Both land in the instance
-    ``__dict__``, so ``==``, ``hash``, ``repr``, copies, pickles and
-    ``dataclasses.replace`` see the same multisets either way.
-    """
-
-    def __get__(self, partition, owner=None):
-        if partition is None:
-            # Read on the class it raises, which dataclasses take as "no default".
-            raise AttributeError("classes")
-        state = partition.__dict__
-        if "classes" not in state:
-            L, counters = state["_integer"]
-            state["classes"] = tuple(_freeze(c, L) for c in counters)
-        return state["classes"]
-
-    def __set__(self, partition, value) -> None:
-        if not isinstance(value, _IntegerForm):
-            partition.__dict__["classes"] = value
-            value = _integer_classes(value)
-        partition.__dict__["_integer"] = value
-
-
 @dataclass(frozen=True)
 class PtePartition:
-    """The b digit-sum residue classes of the multiset {s(n) x + n y}."""
+    """The b digit-sum residue classes of the multiset {s(n) x + n y}.
+
+    ``counts[r]`` maps each integer numerator A in class r to its positive
+    multiplicity; the value is A / L, with one L > 0 for every class.
+    Scaling by L keeps values in order and scales each k-th power sum by
+    L^k in every class alike, so integer comparisons decide the rational
+    ones.  The counts are read, never changed, once the partition is built.
+    """
 
     b: int
     N: int
     x: Fraction
     y: Fraction
-    classes: tuple[Multiset, ...] = _Classes()
+    L: int
+    counts: tuple[dict[int, int], ...]
+
+    def __hash__(self) -> int:
+        return hash((self.b, self.N, self.x, self.y, self.L, *(frozenset(c.items()) for c in self.counts)))
+
+    @cached_property
+    def classes(self) -> tuple[Multiset, ...]:
+        """Per class, the sorted (A / L, multiplicity) pairs; built once."""
+        L = self.L
+        return tuple(tuple((Fraction(A, L), m) for A, m in sorted(c.items())) for c in self.counts)
 
     @cached_property
     def size(self) -> int:
         """The number of values, repeats counted; computed once."""
-        return sum(sum(counter.values()) for counter in self._integer.counters)
+        return sum(sum(counter.values()) for counter in self.counts)
 
     @property
     def reduced_size(self) -> int:
@@ -154,7 +109,7 @@ class PtePartition:
 
     def expanded(self) -> list[list[Fraction]]:
         """Classes as sorted value lists with repeats written out."""
-        return [_expand(cls) for cls in self.classes]
+        return [[value for value, mult in cls for _ in range(mult)] for cls in self.classes]
 
 
 @dataclass(frozen=True)
@@ -167,8 +122,8 @@ class PteCertificate:
 
     @cached_property
     def power_sums(self) -> tuple[tuple[Fraction, ...], ...]:
-        L, counters = self.partition._integer
-        rows = power_rows(counters, self.max_degree)
+        L = self.partition.L
+        rows = power_rows(self.partition.counts, self.max_degree)
         return tuple(tuple(Fraction(S, L**k) for k, S in enumerate(row)) for row in rows)
 
 
@@ -181,14 +136,15 @@ def generalized_partition(b: int, N: int, x, y, max_cost: int | None = None) -> 
     y = rational(y)
     # x = X / L and y = Y / L for L = lcm(den x, den y).
     L, (X, Y) = common_denominator((x, y))
-    counters = [Counter(s * X + n * Y for s, n in pairs) for pairs in _digit_classes(b, N)]
-    return PtePartition(b, N, x, y, _IntegerForm(L, counters))
+    # Plain dicts, like cancel_common's copies, so equal partitions print alike.
+    counts = tuple(dict(Counter(s * X + n * Y for s, n in pairs)) for pairs in _digit_classes(b, N))
+    return PtePartition(b, N, x, y, L, counts)
 
 
 def verify_power_sums(partition: PtePartition, max_degree: int) -> PteCertificate:
     """Exact per-class power sums up to max_degree; k = 0 counts multiplicity."""
     _check_degree(max_degree)
-    rows = power_rows(partition._integer.counters, max_degree)
+    rows = power_rows(partition.counts, max_degree)
     return PteCertificate(partition, max_degree, all(row == rows[0] for row in rows[1:]))
 
 
@@ -196,10 +152,9 @@ def cancel_common(partition: PtePartition) -> PtePartition:
     """Subtract from every class the minimum multiplicity each value attains
     across all classes.  Identical amounts leave every power sum difference
     unchanged, so validity is preserved."""
-    L, counters = partition._integer
     # _cancel works in place, and the partition's own counts must not change.
-    counters = _cancel([dict(counter) for counter in counters])
-    return PtePartition(partition.b, partition.N, partition.x, partition.y, _IntegerForm(L, counters))
+    counts = _cancel([dict(counter) for counter in partition.counts])
+    return PtePartition(partition.b, partition.N, partition.x, partition.y, partition.L, tuple(counts))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import digitsum
 from digitsum import digits, findiff, identities, weights
 from digitsum.arith import CycloNum, xi_power_table
-from digitsum.digits import combine_buckets, digit_sum, digit_weighted_sum
+from digitsum.digits import combine_buckets, digit_weighted_sum
 from digitsum.findiff import lhs_sum
 from digitsum.identities import (
     FAMILY_OF,
@@ -32,6 +32,7 @@ from digitsum.identities import (
     verify_multisum,
 )
 from digitsum.poly import RationalPoly
+from oracles import digit_sum
 
 # ---------------------------------------------------------------------------
 # Oracles: the per-term CycloNum loops.

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from digitsum import arith, identities
+from digitsum import arith, identities, poly
 from digitsum.arith import CycloNum, a_constant, euler_phi, xi
 from digitsum.bernoulli import bernoulli_numbers, bernoulli_poly, delta_n_bernoulli, faulhaber_sum
 from digitsum.cli import report_to_dict, scalar_to_json
@@ -354,8 +354,8 @@ class TestHFamily:
     def test_three_scales_brute_force(self):
         # m = 3 has no closed form; check the expansion against a direct
         # nested-loop evaluation at a point.
-        from digitsum.digits import digit_sum
         from digitsum.arith import xi_power_table
+        from oracles import digit_sum
 
         xs = (Fraction(1), Fraction(2), Fraction(1, 2))
         coeffs = joint_weight_polynomial(1, 2, xs, 2)
@@ -503,9 +503,46 @@ class TestRationalsBuiltOnce:
         monkeypatch.setattr(Fraction, "__new__", counting)
         return calls
 
+    @pytest.fixture
+    def int_builds(self, monkeypatch):
+        """Calls of Fraction() with one int argument made for a site that reads
+        only the value's numerator and denominator: ``common_denominator``,
+        ``CycloNum.from_rational`` and ``RationalPoly.monomial``."""
+        sites = {
+            poly.common_denominator.__code__,
+            CycloNum.from_rational.__func__.__code__,
+            RationalPoly.monomial.__func__.__code__,
+        }
+        calls = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            if type(args[0] if args else None) is int and (len(args) == 1 or args[1] is None):
+                # ``rational``, a comprehension and ``__init__`` can lie between.
+                frame = sys._getframe(1)
+                for _ in range(4):
+                    if frame is None:
+                        break
+                    if frame.f_code in sites:
+                        calls.append((frame.f_code.co_name, args[0]))
+                        break
+                    frame = frame.f_back
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        return calls
+
     def test_the_suite_rebuilds_no_fraction(self, rewraps):
         assert len(run_suite(42)) == 333
         assert rewraps == []
+
+    def test_the_suite_builds_no_fraction_for_an_int_it_only_reads(self, int_builds):
+        assert len(run_suite(42)) == 333
+        assert int_builds == []
+        # The count does see these sites: an int coefficient given to
+        # ``monomial`` is still made a Fraction, as a polynomial stores one.
+        RationalPoly.monomial(2, 5)
+        assert int_builds == [("monomial", 5)]
 
     @pytest.mark.parametrize("name", list(identities.FAMILY_OF))
     def test_each_id_at_its_default_point_rebuilds_no_fraction(self, rewraps, name):

@@ -14,18 +14,18 @@ from hypothesis import strategies as st
 from digitsum import pte
 from digitsum.arith import CycloNum, xi_power_table
 from digitsum.cost import CostCapExceeded
-from digitsum.digits import digit_sum, digit_weighted_sum
+from digitsum.digits import digit_weighted_sum
 from digitsum.identities import random_fraction
 from digitsum.poly import RationalPoly
 from digitsum.pte import (
     PteCertificate,
     PtePartition,
-    SearchResult,
     cancel_common,
     generalized_partition,
     search_small_solutions,
     verify_power_sums,
 )
+from oracles import digit_sum
 
 
 class TestClassicalPartition:
@@ -131,7 +131,7 @@ class TestCancellation:
         # class 1 keeps one copy of each instead of losing them.
         partition = generalized_partition(2, 4, -5, 1)
         reduced = cancel_common(partition)
-        assert reduced == oracle_cancel(partition)
+        assert reduced.classes == oracle_cancel(oracle_partition(2, 4, -5, 1))
         assert reduced.expanded() == [[-7, -5, -5, 0, 0, 2], [-8, -4, -3, -2, -1, 3]]
         assert (reduced.reduced_size, partition.size) == (12, 16)
         assert verify_power_sums(reduced, 3).valid
@@ -174,12 +174,17 @@ class TestSearch:
 
 
 # The search as it ran before it moved to integers: partition, cancel and
-# certify each grid point in Fraction arithmetic.  It is the oracle for the
-# integer core behind the public functions.
+# certify each grid point in Fraction arithmetic.  Each oracle works on class
+# multisets, sorted (value, multiplicity) pairs, and never builds a
+# PtePartition, so it shares no code with the integer core it checks.
 
 
 def _oracle_freeze(counter):
     return tuple(sorted((v, m) for v, m in counter.items() if m))
+
+
+def oracle_expand(classes):
+    return [[value for value, mult in cls for _ in range(mult)] for cls in classes]
 
 
 def oracle_partition(b, N, x, y):
@@ -191,25 +196,24 @@ def oracle_partition(b, N, x, y):
         value = s * x + n * y
         bucket = counters[s % b]
         bucket[value] = bucket.get(value, 0) + 1
-    return PtePartition(b, N, x, y, tuple(_oracle_freeze(c) for c in counters))
+    return tuple(_oracle_freeze(c) for c in counters)
 
 
-def oracle_power_sums(partition, max_degree):
-    """The certificate and, since its ``==`` does not compare them, its power sums."""
+def oracle_power_sums(classes, max_degree):
+    """Whether the per-class power sums agree, and the sums themselves."""
     sums = []
-    for cls in partition.classes:
+    for cls in classes:
         sums.append(
             tuple(
                 sum((mult * value**k for value, mult in cls), start=Fraction(0))
                 for k in range(max_degree + 1)
             )
         )
-    valid = all(row == sums[0] for row in sums[1:])
-    return PteCertificate(partition, max_degree, valid), tuple(sums)
+    return all(row == sums[0] for row in sums[1:]), tuple(sums)
 
 
-def oracle_cancel(partition):
-    counters = [dict(cls) for cls in partition.classes]
+def oracle_cancel(classes):
+    counters = [dict(cls) for cls in classes]
     shared = set(counters[0])
     for counter in counters[1:]:
         shared &= set(counter)
@@ -218,30 +222,30 @@ def oracle_cancel(partition):
         if low:
             for counter in counters:
                 counter[value] -= low
-    classes = tuple(_oracle_freeze(c) for c in counters)
-    return PtePartition(partition.b, partition.N, partition.x, partition.y, classes)
+    return tuple(_oracle_freeze(c) for c in counters)
 
 
 def oracle_search(b, N, x_grid, y_grid, k_max=None, min_size=0):
-    """The ranked results, each with its certificate's power sums."""
+    """The ranked results as (x, y, reduced classes, power sums)."""
     degree = N - 1 if k_max is None else k_max
     results = []
     for x in sorted({Fraction(v) for v in x_grid}):
         for y in sorted({Fraction(v) for v in y_grid}):
             reduced = oracle_cancel(oracle_partition(b, N, x, y))
-            certificate, sums = oracle_power_sums(reduced, degree)
-            if certificate.valid and reduced.reduced_size >= min_size:
-                results.append((SearchResult(x, y, reduced, certificate), sums))
+            size = sum(mult for cls in reduced for _, mult in cls)
+            valid, sums = oracle_power_sums(reduced, degree)
+            if valid and size >= min_size:
+                results.append((size, x, y, reduced, sums))
     results.sort(
-        key=lambda pair: (
-            pair[0].reduced.reduced_size,
-            math.lcm(pair[0].x.denominator, pair[0].y.denominator),
-            abs(pair[0].x) + abs(pair[0].y),
-            pair[0].x,
-            pair[0].y,
+        key=lambda res: (
+            res[0],
+            math.lcm(res[1].denominator, res[2].denominator),
+            abs(res[1]) + abs(res[2]),
+            res[1],
+            res[2],
         )
     )
-    return results
+    return [res[1:] for res in results]
 
 
 # Zero, small signed rationals, and values with a 10^15 denominator.
@@ -265,8 +269,14 @@ class TestAgainstFractionOracle:
         min_size = data.draw(st.sampled_from([0, 1, 5]))
         results = search_small_solutions(b, N, xs, ys, k_max, min_size)
         expected = oracle_search(b, N, xs, ys, k_max, min_size)
-        assert results == [res for res, _ in expected]
-        assert [res.certificate.power_sums for res in results] == [sums for _, sums in expected]
+        assert [
+            (res.x, res.y, res.reduced.classes, res.certificate.power_sums) for res in results
+        ] == expected
+        degree = N - 1 if k_max is None else k_max
+        for res in results:
+            assert (res.reduced.b, res.reduced.N, res.reduced.x, res.reduced.y) == (b, N, res.x, res.y)
+            assert res.certificate.partition is res.reduced
+            assert res.certificate.max_degree == degree and res.certificate.valid
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -274,26 +284,33 @@ class TestAgainstFractionOracle:
         b, N = data.draw(blocks)
         x, y = data.draw(grid_values), data.draw(grid_values)
         partition = generalized_partition(b, N, x, y)
-        assert partition == oracle_partition(b, N, x, y)
+        classes = oracle_partition(b, N, x, y)
+        assert (partition.b, partition.N, partition.x, partition.y) == (b, N, x, y)
+        assert partition.classes == classes
+        assert partition.expanded() == oracle_expand(classes)
         reduced = cancel_common(partition)
-        assert reduced == oracle_cancel(partition)
+        reduced_classes = oracle_cancel(classes)
+        assert reduced.classes == reduced_classes
+        assert reduced.expanded() == oracle_expand(reduced_classes)
+        assert reduced.size == sum(map(len, oracle_expand(reduced_classes)))
         for degree in (0, N - 1, N + 1):
-            for part in (partition, reduced):
+            for part, expected in ((partition, classes), (reduced, reduced_classes)):
                 certificate = verify_power_sums(part, degree)
-                assert (certificate, certificate.power_sums) == oracle_power_sums(part, degree)
+                assert (certificate.valid, certificate.power_sums) == oracle_power_sums(expected, degree)
 
     @pytest.mark.parametrize("b,N", [(2, 3), (3, 2), (4, 2)])
     def test_collapsed_partition_matches_oracle(self, b, N):
         reduced = cancel_common(generalized_partition(b, N, 0, 0))
         assert reduced.reduced_size == 0
+        classes = oracle_cancel(oracle_partition(b, N, 0, 0))
+        assert reduced.classes == classes == ((),) * b
         for degree in (0, N - 1, N + 1):
             certificate = verify_power_sums(reduced, degree)
-            assert (certificate, certificate.power_sums) == oracle_power_sums(reduced, degree)
+            assert (certificate.valid, certificate.power_sums) == oracle_power_sums(classes, degree)
             assert certificate.valid
 
 
-# Ways to get a second partition from a package-built one whose classes have
-# not been read yet.
+# Ways to get a second partition from a package-built one.
 TWINS = {
     "self": lambda partition: partition,
     "copy": copy.copy,
@@ -303,54 +320,69 @@ TWINS = {
 }
 
 
-class TestLazyClasses:
-    """Package-built partitions keep integer counts and build their Fraction
-    classes on first read; nothing outside may tell them from eager ones."""
+class TestDerivedClasses:
+    """A partition stores ``L`` and integer ``counts``; its Fraction
+    ``classes`` are derived from them on first read, and copies, pickles and
+    ``dataclasses.replace`` keep ``==``, ``hash`` and ``classes``."""
 
     @settings(max_examples=25, deadline=None)
-    @given(block=blocks, x=grid_values, y=grid_values, twin=st.sampled_from(sorted(TWINS)))
-    def test_behaves_like_an_eager_partition(self, block, x, y, twin):
+    @given(
+        block=blocks,
+        x=grid_values,
+        y=grid_values,
+        twin=st.sampled_from(sorted(TWINS)),
+        read_first=st.booleans(),
+    )
+    def test_twins_keep_equality_hash_and_classes(self, block, x, y, twin, read_first):
         b, N = block
-        eager = oracle_partition(b, N, x, y)
-        eager_reduced = oracle_cancel(eager)
-        built = TWINS[twin](generalized_partition(b, N, x, y))
-        reduced = TWINS[twin](cancel_common(generalized_partition(b, N, x, y)))
-        for lazy, oracle in ((built, eager), (reduced, eager_reduced)):
-            assert repr(lazy) == repr(oracle)
-            assert lazy == oracle and oracle == lazy
-            assert hash(lazy) == hash(oracle)
-            assert lazy.expanded() == oracle.expanded()
-        assert built.size == eager.size
-        assert isinstance(reduced, PtePartition) and reduced.size == reduced.reduced_size
+        classes = oracle_partition(b, N, x, y)
+        for original, expected in (
+            (generalized_partition(b, N, x, y), classes),
+            (cancel_common(generalized_partition(b, N, x, y)), oracle_cancel(classes)),
+        ):
+            if read_first:
+                assert original.classes == expected
+            copied = TWINS[twin](original)
+            assert isinstance(copied, PtePartition)
+            assert copied == original and original == copied
+            assert hash(copied) == hash(original)
+            assert copied.classes == expected
+            assert copied.expanded() == oracle_expand(expected)
+            assert copied.size == copied.reduced_size == sum(map(len, oracle_expand(expected)))
+            assert (copied.L, copied.counts) == (original.L, original.counts)
+
+    def test_equal_counts_hash_alike(self):
+        # Nothing cancels from disjoint classes, so the reduced copy equals
+        # its input even though its counts are copies.
+        partition = generalized_partition(3, 2, 0, 1)
+        reduced = cancel_common(partition)
+        assert reduced == partition and hash(reduced) == hash(partition)
+        assert repr(reduced) == repr(partition)
+        assert [field.name for field in dataclasses.fields(PtePartition)] == ["b", "N", "x", "y", "L", "counts"]
+        assert len({partition, reduced, generalized_partition(3, 2, 1, 1)}) == 2
 
     @settings(max_examples=25, deadline=None)
     @given(block=blocks, x=grid_values, y=grid_values)
-    def test_cancel_leaves_its_input_alone(self, block, x, y):
+    def test_cancel_leaves_its_input_counts_alone(self, block, x, y):
         b, N = block
         partition = generalized_partition(b, N, x, y)
+        before = [dict(counter) for counter in partition.counts]
         first = cancel_common(partition)
-        assert partition.classes == oracle_partition(b, N, x, y).classes
+        assert [dict(counter) for counter in partition.counts] == before
+        assert partition.classes == oracle_partition(b, N, x, y)
         assert cancel_common(partition) == first
         assert cancel_common(first) == first
 
-    def test_search_builds_fractions_only_when_read(self, monkeypatch):
-        calls = []
-        freeze = pte._freeze
-
-        def counted(counter, L):
-            calls.append(L)
-            return freeze(counter, L)
-
-        monkeypatch.setattr(pte, "_freeze", counted)
+    def test_search_leaves_classes_unread(self):
         results = search_small_solutions(3, 3, range(4), range(1, 5))
         assert len(results) == 16
         assert all(res.certificate.valid for res in results)
         assert all(res.reduced.reduced_size <= 3**3 for res in results)
-        assert calls == []
-        results[0].reduced.expanded()
-        assert len(calls) == 3
-        results[0].reduced.expanded()
-        assert len(calls) == 3
+        assert all("classes" not in vars(res.reduced) for res in results)
+        reduced = results[0].reduced
+        classes = reduced.classes
+        assert "classes" in vars(reduced) and reduced.classes is classes
+        assert reduced.expanded() == oracle_expand(classes)
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -400,7 +432,7 @@ class TestLazyPowerSums:
         certificate = results[0].certificate
         sums = certificate.power_sums
         assert certificate.power_sums is sums and calls == [2]
-        assert oracle_power_sums(certificate.partition, 2) == (certificate, sums)
+        assert oracle_power_sums(certificate.partition.classes, 2) == (certificate.valid, sums)
         assert [field.name for field in dataclasses.fields(PteCertificate)] == [
             "partition", "max_degree", "valid"
         ]
