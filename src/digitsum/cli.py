@@ -3,8 +3,8 @@
 Subcommands: ``verify`` (identity certificates), ``weights`` (table dumps),
 ``pte-show`` / ``pte-search`` (partitions), ``bernoulli`` (polynomial
 coefficients).  Exit codes: 0 success, 1 identity/certificate mismatch,
-2 usage error, 3 cost-cap refusal.  Rationals are always serialized as
-"p/q" strings, never floats.
+2 usage error, 3 cost-cap refusal or a run out of memory.  Rationals are
+always serialized as "p/q" strings, never floats.
 
 Each ``_cmd_*`` takes the parsed arguments and the resolved cost cap and
 returns ``(exit_code, text)``; :func:`run` is the one place that writes the
@@ -72,9 +72,14 @@ def _max_cost(flag: str | None) -> int:
 
 
 def parse_seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {value}")
+    """``--seed``: an integer from 0 to 2^64 - 1; a malformed value is a usage
+    error that names the flag and its text, as ``--max-cost`` errors do."""
+    try:
+        value = int(text)
+        if not 0 <= value < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {value}")
+    except ValueError as exc:
+        raise ValueError(f"--seed {text!r}: {exc}") from None
     return value
 
 
@@ -237,71 +242,97 @@ def _emit(text: str, output_path: str | None) -> None:
             handle.write(text)
 
 
-def _json(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    in one pass.  Before 3.13 the stdlib indents only in pure Python, about
-    twice as slow as this writer; one writer keeps every Python on the same
-    code.  Payloads are dicts with str keys, lists, tuples, str,
-    int, bool, None and finite floats; anything else is a TypeError, and a
-    NaN or infinity is a ValueError, as under ``allow_nan=False``."""
-    parts: list[str] = []
-    append = parts.append
-    escape = json.encoder.encode_basestring_ascii
-    # seps[d] = (newline and indent of an item at depth d + 1, the same after
-    # a comma, newline and indent of the closing bracket at depth d).
-    seps: list[tuple[str, str, str]] = []
+def _ratio_text(n: int, den: int) -> str:
+    """``str(Fraction(n, den))`` for den > 0, without the Fraction."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
-    def write(o, depth: int) -> None:
-        kind = type(o)
-        if kind is str:
-            append(escape(o))
-        elif kind is dict or kind is list or kind is tuple:
-            if not o:
-                append("{}" if kind is dict else "[]")
-                return
-            if depth == len(seps):
-                inner = "\n" + "  " * (depth + 1)
-                seps.append((inner, "," + inner, "\n" + "  " * depth))
-            first, sep, close = seps[depth]
-            depth += 1
-            if kind is dict:
-                append("{")
-                for key in sorted(o):
-                    append(first)
-                    first = sep
-                    append(escape(key))  # a TypeError for a key that is not a str
-                    append(": ")
-                    write(o[key], depth)
-                append(close)
-                append("}")
-            else:
-                append("[")
-                for item in o:
-                    append(first)
-                    first = sep
-                    write(item, depth)
-                append(close)
-                append("]")
-        elif kind is int:
-            append(int.__repr__(o))
-        elif kind is bool:
-            append("true" if o else "false")
-        elif o is None:
-            append("null")
-        elif kind is float:
-            if not math.isfinite(o):
-                raise ValueError(f"out of range float value: {o!r}")
-            append(float.__repr__(o))
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+class _Seps(dict):
+    """``_SEPS[d]``: the newline and indent before the first item of a
+    container at depth d, the same after a comma, and the newline and indent
+    before its closing bracket; each depth's are built on first use."""
+
+    def __missing__(self, depth: int) -> tuple[str, str, str]:
+        inner = "\n" + "  " * (depth + 1)
+        seps = self[depth] = (inner, "," + inner, "\n" + "  " * depth)
+        return seps
+
+
+_SEPS = _Seps()
+
+
+def _write(o, depth: int, append) -> None:
+    """Append the JSON text of ``o``, a value at ``depth``, as
+    ``json.dumps(indent=2, sort_keys=True)`` writes it.  The domain is dicts
+    with str keys, lists, tuples, str, int, bool, None and finite floats,
+    plus two exact leaves written as :func:`scalar_to_json` gives them: a
+    Fraction is its ``"p/q"`` string and a CycloNum its ``{"b", "coeffs"}``
+    block.  Anything else is a TypeError, and a NaN or infinity is a
+    ValueError, as under ``allow_nan=False``."""
+    kind = type(o)
+    if kind is str:
+        append(_escape(o))
+    elif kind is Fraction:
+        append(f'"{o}"')  # str(Fraction) is digits, '-' and '/' only
+    elif kind is int:
+        append(int.__repr__(o))
+    elif kind is dict or kind is list or kind is tuple:
+        if not o:
+            append("{}" if kind is dict else "[]")
+            return
+        first, sep, close = _SEPS[depth]
+        depth += 1
+        if kind is dict:
+            append("{")
+            for key in sorted(o):
+                append(first)
+                first = sep
+                append(_escape(key))  # a TypeError for a key that is not a str
+                append(": ")
+                _write(o[key], depth, append)
+            append(close)
+            append("}")
         else:
-            raise TypeError(f"object of type {kind.__name__} is not JSON serializable")
+            append("[")
+            for item in o:
+                append(first)
+                first = sep
+                _write(item, depth, append)
+            append(close)
+            append("]")
+    elif kind is CycloNum:
+        # phi(b) >= 1 coordinates, each a string; written in one step.
+        first, sep, close = _SEPS[depth]
+        item, item_sep, item_close = _SEPS[depth + 1]
+        den = o.den
+        coeffs = map(str, o.nums) if den == 1 else [_ratio_text(n, den) for n in o.nums]
+        listed = f'[{item}"' + f'"{item_sep}"'.join(coeffs) + f'"{item_close}]'
+        append(f'{{{first}"b": {int.__repr__(o.b)}{sep}"coeffs": {listed}{close}}}')
+    elif kind is bool:
+        append("true" if o else "false")
+    elif o is None:
+        append("null")
+    elif kind is float:
+        if not math.isfinite(o):
+            raise ValueError(f"out of range float value: {o!r}")
+        append(float.__repr__(o))
+    else:
+        raise TypeError(f"object of type {kind.__name__} is not JSON serializable")
 
-    try:
-        write(payload, 0)
-    finally:
-        # write holds itself through its closure cell; emptying the cell frees
-        # parts when this call returns, not at the next cyclic collection.
-        del write
-    append("\n")
+
+def _json(payload) -> str:
+    """The JSON text of ``payload`` and a newline, in one pass: for plain
+    JSON values, ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``
+    byte for byte.  Before 3.13 the stdlib indents only in pure Python,
+    about twice as slow as :func:`_write`; one writer keeps every Python on
+    the same code."""
+    parts: list[str] = []
+    _write(payload, 0, parts.append)
+    parts.append("\n")
     return "".join(parts)
 
 
@@ -313,12 +344,6 @@ def _csv(header: list, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
-
-
-def _ratio_text(n: int, den: int) -> str:
-    """``str(Fraction(n, den))`` for den > 0, without the Fraction."""
-    g = math.gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def scalar_to_json(value):
@@ -357,69 +382,26 @@ def report_to_dict(report: IdentityReport, include_timing: bool = False) -> dict
     return out
 
 
-_escape = json.encoder.encode_basestring_ascii
-# _BREAKS[d]: a newline and the indent of a JSON item at depth d.
-_BREAKS = tuple("\n" + "  " * depth for depth in range(16))
-
-
-def _break(depth: int) -> str:
-    return _BREAKS[depth] if depth < len(_BREAKS) else "\n" + "  " * depth
-
-
-def _value_json(value, depth: int) -> str:
-    """``scalar_to_json(value)`` as ``_json`` writes it at ``depth``, in one
-    step: no intermediate dicts or lists."""
-    kind = type(value)
-    if kind is Fraction:
-        return f'"{value}"'  # str(Fraction) is digits, '-' and '/' only
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if kind is CycloNum:
-        # {"b": b, "coeffs": [...]}; phi(b) >= 1 coordinates, each a string.
-        den, inner, coord = value.den, _break(depth + 1), _break(depth + 2)
-        coeffs = map(str, value.nums) if den == 1 else [_ratio_text(n, den) for n in value.nums]
-        listed = f'[{coord}"' + f'",{coord}"'.join(coeffs) + f'"{inner}]'
-        return f'{{{inner}"b": {int.__repr__(value.b)},{inner}"coeffs": {listed}{_break(depth)}}}'
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = _break(depth + 1)
-        return "[" + inner + ("," + inner).join([_value_json(v, depth + 1) for v in value]) + _break(depth) + "]"
-    return _escape(str(value))
-
-
-def _mapping_json(mapping: dict, depth: int) -> str:
-    if not mapping:
-        return "{}"
-    inner = _break(depth + 1)
-    items = [_escape(key) + ": " + _value_json(mapping[key], depth + 1) for key in sorted(mapping)]
-    return "{" + inner + ("," + inner).join(items) + _break(depth) + "}"
-
-
-def _report_json(report: IdentityReport, timings: bool) -> str:
-    """``_json`` of ``report_to_dict(report, timings)`` as an item of the
-    top-level list, keys in sorted order, without building the dict."""
-    elapsed = _json(report.elapsed_ms)[:-1] if timings else "null"  # _json's errors for a bad timing
-    extras = f'\n    "extras": {_mapping_json(report.extras, 2)},' if report.extras else ""
-    return (
-        f'{{\n    "elapsed_ms": {elapsed},\n    "equal": {_value_json(report.equal, 2)},{extras}'
-        f'\n    "identity": {_escape(report.identity)},'
-        f'\n    "lhs": {_value_json(report.lhs, 2)},'
-        f'\n    "params": {_mapping_json(report.params, 2)},'
-        f'\n    "rhs": {_value_json(report.rhs, 2)}\n  }}'
-    )
-
-
 def _format_reports(reports: list[IdentityReport], fmt: str, timings: bool) -> str:
     if fmt == "json":
-        # Each report renders straight from its fields; the texts join once.
-        if not reports:
-            return "[]\n"
-        return "[\n  " + ",\n  ".join([_report_json(rep, timings) for rep in reports]) + "\n]\n"
+        # Each report is written from a short-lived dict of its own fields, as
+        # an item of the top-level list; the texts join once.
+        texts = []
+        for rep in reports:
+            fields = {
+                "identity": rep.identity,
+                "params": rep.params,
+                "lhs": rep.lhs,
+                "rhs": rep.rhs,
+                "equal": rep.equal,
+                "elapsed_ms": rep.elapsed_ms if timings else None,
+            }
+            if rep.extras:
+                fields["extras"] = rep.extras
+            parts: list[str] = []
+            _write(fields, 1, parts.append)
+            texts.append("".join(parts))
+        return "[\n  " + ",\n  ".join(texts) + "\n]\n" if texts else "[]\n"
     rows = [report_to_dict(rep, include_timing=timings) for rep in reports]
     if fmt == "csv":
         # The elapsed_ms column exists only under --timings, so default bytes hold.
@@ -535,15 +517,15 @@ def _cmd_pte_show(args, max_cost: int) -> tuple[int, str]:
         return code, _json({
             "b": partition.b,
             "N": partition.N,
-            "x": scalar_to_json(partition.x),
-            "y": scalar_to_json(partition.y),
+            "x": partition.x,
+            "y": partition.y,
             "classes": classes,
-            "power_sums": scalar_to_json(certificate.power_sums),
+            "power_sums": certificate.power_sums,
             "valid": certificate.valid,
             "reduced": {
                 "classes": _class_texts(reduced, shared),
                 "size": reduced.size,
-                "power_sums": scalar_to_json(reduced_certificate.power_sums),
+                "power_sums": reduced_certificate.power_sums,
                 "valid": reduced_certificate.valid,
             },
         })
@@ -589,11 +571,11 @@ def _cmd_pte_search(args, max_cost: int) -> tuple[int, str]:
             "N": args.order,
             "solutions": [
                 {
-                    "x": scalar_to_json(res.x),
-                    "y": scalar_to_json(res.y),
+                    "x": res.x,
+                    "y": res.y,
                     "classes": _class_texts(res.reduced),
                     "reduced_size": res.reduced.size,
-                    "power_sums": scalar_to_json(res.certificate.power_sums),
+                    "power_sums": res.certificate.power_sums,
                 }
                 for res in results
             ],
@@ -623,7 +605,7 @@ def _cmd_bernoulli(args, max_cost: int) -> tuple[int, str]:
     charge(bernoulli_steps(d), max_cost)
     coeffs = list(bernoulli_poly(d).coeffs) or [Fraction(0)]
     if args.format == "json":
-        return 0, _json({"degree": d, "coeffs": scalar_to_json(coeffs)})
+        return 0, _json({"degree": d, "coeffs": coeffs})
     if args.format == "csv":
         return 0, _csv(["power", "coefficient"], enumerate(coeffs))
     terms = ", ".join(f"x^{i}: {c}" for i, c in enumerate(coeffs))
@@ -652,7 +634,8 @@ def run(argv: list[str] | None = None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        code, text = _COMMANDS[args.subcommand](args, _max_cost(args.max_cost))
+        max_cost = _max_cost(args.max_cost)
+        code, text = _COMMANDS[args.subcommand](args, max_cost)
         _emit(text, args.output)
         return code
     except CostCapExceeded as exc:
@@ -661,9 +644,15 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # OSError: an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once the traceback and what its frames hold are freed
     finally:
         if lift:
             sys.set_int_max_str_digits(limit)
+    # The cap counts summands and table entries, not bytes, so a run it allows
+    # can still outgrow the memory it is given.
+    print(f"error: {args.subcommand} ran out of memory under a cost cap of {max_cost}", file=sys.stderr)
+    return 3
 
 
 def main() -> None:

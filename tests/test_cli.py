@@ -61,8 +61,8 @@ IDENTITY_SEED42_SHA256 = {
 
 # sha256 of `digitsum verify --all --seed 42 --format <fmt>` stdout; the json
 # digest is tests/test_acceptance.py's SUITE_SEED42_SHA256.  The csv and text
-# formats are built from report_to_dict rows; json is written straight from
-# each report, byte for byte what _json writes for those rows.
+# formats are built from report_to_dict rows; json goes through the CLI's one
+# writer, whose domain is JSON values plus Fraction and CycloNum leaves.
 SUITE_SEED42_SHA256 = {
     "csv": "6447e2da001285a2c4c1b7d090cbdd243ada6b041ff46bd555a89ee3fb13b6e0",
     "text": "a998cf592b4b52ef60a21b6b6910e8ff25d4980484fe0801fd49191a3ad66b88",
@@ -304,6 +304,24 @@ json_trees = st.recursive(
 )
 
 
+# CycloNums with integer and rational coordinates of either sign.
+cyclo_nums = st.integers(2, 12).flatmap(
+    lambda b: st.lists(
+        st.integers(-(10**30), 10**30) | st.fractions(max_denominator=60),
+        min_size=euler_phi(b), max_size=euler_phi(b),
+    ).map(lambda coeffs: CycloNum(b, coeffs))
+)
+# Every kind of value a verifier puts in a report field: exact numbers, flags,
+# text, and lists or tuples of them.
+report_values = st.recursive(
+    st.integers(-(2**100), 2**100) | st.booleans() | st.none() | st.fractions() | cyclo_nums
+    | json_text,
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple),
+    max_leaves=12,
+)
+report_fields = st.dictionaries(json_text, report_values, max_size=4)
+
+
 class _Opaque:
     """A value the JSON writer cannot encode, with a repr free of its address."""
 
@@ -323,8 +341,23 @@ class TestJsonWriter:
     def test_empty_and_nested_containers(self, payload):
         assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
+    # Fraction and CycloNum leaves write as the stdlib writes their
+    # scalar_to_json form.
+    @settings(max_examples=100, deadline=None)
+    @given(report_values)
+    def test_value_matches_scalar_to_json(self, value):
+        expected = json.dumps(cli.scalar_to_json(value), indent=2, sort_keys=True) + "\n"
+        assert cli._json(value) == expected
+
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 2), Fraction(-7), [Fraction(3, 4), (Fraction(0),)],
+        CycloNum(2, [5]), CycloNum(3, [Fraction(1, 2), -1]), [CycloNum(12, [1, 0, Fraction(-2, 3), 4])],
+    ], ids=repr)
+    def test_exact_leaf_examples(self, value):
+        assert cli._json(value) == json.dumps(cli.scalar_to_json(value), indent=2) + "\n"
+
     @pytest.mark.parametrize("payload", [
-        {1: "a"}, {"a": {None: 1}}, [Fraction(1, 2)], {"a": {1, 2}}, b"bytes", [_Opaque()],
+        {1: "a"}, {"a": {None: 1}}, {"a": {1, 2}}, b"bytes", [_Opaque()],
     ], ids=repr)
     def test_unsupported_input_is_a_type_error(self, payload):
         with pytest.raises(TypeError):
@@ -347,22 +380,6 @@ class TestJsonWriter:
             gc.enable()
 
 
-# CycloNums with integer and rational coordinates of either sign.
-cyclo_nums = st.integers(2, 12).flatmap(
-    lambda b: st.lists(
-        st.integers(-(10**30), 10**30) | st.fractions(max_denominator=60),
-        min_size=euler_phi(b), max_size=euler_phi(b),
-    ).map(lambda coeffs: CycloNum(b, coeffs))
-)
-# Every kind of value a report field may hold; floats, text and other objects
-# fall back to their str.
-report_values = st.recursive(
-    st.integers(-(2**100), 2**100) | st.booleans() | st.none() | st.fractions() | cyclo_nums
-    | st.floats() | json_text | st.just(_Opaque()),
-    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple),
-    max_leaves=12,
-)
-report_fields = st.dictionaries(json_text, report_values, max_size=4)
 synthetic_reports = st.builds(
     IdentityReport,
     identity=json_text,
@@ -376,13 +393,26 @@ synthetic_reports = st.builds(
 
 
 def rows_json(reports, timings):
-    """What the json format wrote when it went through report_to_dict."""
-    return cli._json([report_to_dict(rep, include_timing=timings) for rep in reports])
+    """The stdlib's text for the reports' report_to_dict rows."""
+    rows = [report_to_dict(rep, include_timing=timings) for rep in reports]
+    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+def exact_value(value) -> bool:
+    """A value a report may hold: exact numbers, flags, text, and lists or
+    tuples of them; a float would print but would not be exact."""
+    if type(value) in (list, tuple):
+        return all(map(exact_value, value))
+    return value is None or type(value) in (str, int, bool, Fraction, CycloNum)
+
+
+def exact_fields(fields) -> bool:
+    return type(fields) is dict and all(type(k) is str and exact_value(v) for k, v in fields.items())
 
 
 class TestReportJson:
-    """The json format renders each report straight from its fields, byte for
-    byte what _json writes for its report_to_dict rows."""
+    """The json format writes each report's fields through the one writer,
+    byte for byte what the stdlib writes for its report_to_dict rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -400,6 +430,31 @@ class TestReportJson:
 
     def test_no_reports(self):
         assert cli._format_reports([], "json", True) == "[]\n" == rows_json([], True)
+
+    @pytest.mark.parametrize("name", [None, *sorted(FAMILY_OF)])
+    def test_verifiers_report_only_exact_values(self, name):
+        # None is the seed-42 suite; each id runs its CLI default of 3 draws.
+        reports = identities.run_suite(42) if name is None else run_identity(name, None, 3, 42)
+        for rep in reports:
+            assert type(rep.identity) is str and type(rep.equal) is bool, rep
+            assert exact_value(rep.lhs) and exact_value(rep.rhs), rep
+            assert exact_fields(rep.params) and (rep.extras is None or exact_fields(rep.extras)), rep
+
+    @pytest.mark.parametrize("fields", [
+        {"params": {"x": _Opaque()}}, {"lhs": _Opaque()}, {"extras": {"x": [1, _Opaque()]}},
+    ], ids=repr)
+    def test_opaque_field_is_a_type_error(self, fields):
+        report = IdentityReport(**{"identity": "moment0", "params": {}, "lhs": 1, "rhs": 1, "equal": True, **fields})
+        with pytest.raises(TypeError):
+            cli._format_reports([report], "json", False)
+
+    def test_finite_float_field_is_a_number(self):
+        report = IdentityReport("moment0", {"t": 0.25}, 1.5, -0.0, True, elapsed_ms=3.75)
+        out = cli._format_reports([report], "json", True)
+        assert json.loads(out)[0] == {
+            "identity": "moment0", "params": {"t": 0.25}, "lhs": 1.5, "rhs": -0.0,
+            "equal": True, "elapsed_ms": 3.75,
+        }
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_timing_is_a_value_error(self, value):
@@ -1085,10 +1140,29 @@ class TestSeedFlag:
         code, out, err = invoke(capsys, *argv.split(), "--seed", "3")
         assert code == 2 and out == "" and "unrecognized arguments: --seed 3" in err
 
-    def test_verify_rejects_a_negative_seed(self, capsys):
-        code, out, err = invoke(capsys, "verify", "--identity", "moment0", "--seed", "-1")
+    @pytest.mark.parametrize("text", ["abc", "-1", str(2**64)])
+    def test_bad_seed_names_the_flag(self, capsys, text):
+        code, out, err = invoke(capsys, "verify", "--all", f"--seed={text}")
         assert code == 2 and out == ""
-        assert err == "error: seed must be a 64-bit unsigned integer, got -1\n"
+        assert err.startswith(f"error: --seed {text!r}: ") and err.count("\n") == 1
+
+
+class TestOutOfMemory:
+    def test_exits_3_with_one_error_line(self):
+        # The child caps its own address space at 300 MB; at b = 2, N = 21
+        # the closed side alone would need more, well inside a 2^40 cost cap.
+        pytest.importorskip("resource")
+        script = (
+            "import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+            "import digitsum.cli\nsys.exit(digitsum.cli.run(['verify', '--identity', 'difference-identity',"
+            " '--base', '2', '--order', '21', '--max-cost', '2^40']))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(digitsum.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == f"error: verify ran out of memory under a cost cap of {2**40}\n"
 
 
 class TestIntStringLimit:
