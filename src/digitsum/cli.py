@@ -127,13 +127,9 @@ def parse_grid(spec: str, max_cost: int | None = None) -> tuple[Fraction, ...]:
         step = parse_fraction("/".join(parts[cut:])) if len(parts) >= 2 else Fraction(1)
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
-        charge(max(0, (hi - lo) // step + 1), max_cost)
-        values = []
-        current = lo
-        while current <= hi:
-            values.append(current)
-            current += step
-        return tuple(values)
+        count = max(0, (hi - lo) // step + 1)
+        charge(count, max_cost)
+        return tuple(lo + i * step for i in range(count))
     return parse_fraction_list(spec)
 
 
@@ -269,10 +265,11 @@ def _write(o, depth: int, append) -> None:
     """Append the JSON text of ``o``, a value at ``depth``, as
     ``json.dumps(indent=2, sort_keys=True)`` writes it.  The domain is dicts
     with str keys, lists, tuples, str, int, bool, None and finite floats,
-    plus two exact leaves written as :func:`scalar_to_json` gives them: a
-    Fraction is its ``"p/q"`` string and a CycloNum its ``{"b", "coeffs"}``
-    block.  Anything else is a TypeError, and a NaN or infinity is a
-    ValueError, as under ``allow_nan=False``."""
+    plus two exact leaves: a Fraction is its ``"p/q"`` string and a CycloNum
+    its ``{"b", "coeffs"}`` block.  Anything else is a TypeError, and a NaN
+    or infinity is a ValueError, as under ``allow_nan=False``.
+    :func:`scalar_to_json` maps the same domain to plain values, for the
+    csv and text rows, and raises the same errors outside it."""
     kind = type(o)
     if kind is str:
         append(_escape(o))
@@ -347,59 +344,67 @@ def _csv(header: list, rows) -> str:
 
 
 def scalar_to_json(value):
-    """JSON-ready form: rationals as 'p/q' strings, CycloNums as coefficient
-    lists with their root order, sequences elementwise, anything else as its
-    str."""
+    """The plain JSON value :func:`_write` writes for ``value``, over its
+    exact domain: a Fraction is its 'p/q' string, a CycloNum its coefficient
+    list with its root order, lists, tuples and str-keyed dicts map their
+    items, and str, int, bool, None and finite floats stay.  Anything else
+    is a TypeError, and a NaN or infinity a ValueError, as in :func:`_write`."""
     kind = type(value)
     if kind is Fraction:
         return str(value)
-    if kind is int or kind is bool or value is None:
+    if kind is int or kind is bool or kind is str or value is None:
         return value
     if kind is CycloNum:
         return {"b": value.b, "coeffs": [_ratio_text(n, value.den) for n in value.nums]}
     if kind is list or kind is tuple:
         return [scalar_to_json(v) for v in value]
-    return str(value)
+    if kind is dict:
+        out = {}
+        for key, item in value.items():  # checks each key with no generator per dict
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out[key] = scalar_to_json(item)
+        return out
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"out of range float value: {value!r}")
+        return value
+    raise TypeError(f"object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def report_to_dict(report: IdentityReport, include_timing: bool = False) -> dict:
-    """Plain-dict form of a report; timing is null unless requested so that
-    identical runs serialize to identical bytes."""
-    out = {
+def _fields(report: IdentityReport, timings: bool) -> dict:
+    """A report's fields as every format prints them: timing is null unless
+    requested, so identical runs give identical bytes; extras only if any."""
+    fields = {
         "identity": report.identity,
-        "params": {k: scalar_to_json(v) for k, v in report.params.items()},
-        "lhs": scalar_to_json(report.lhs),
-        "rhs": scalar_to_json(report.rhs),
+        "params": report.params,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
         "equal": report.equal,
-        "elapsed_ms": report.elapsed_ms if include_timing else None,
+        "elapsed_ms": report.elapsed_ms if timings else None,
     }
     if report.extras:
-        out["extras"] = {k: scalar_to_json(v) for k, v in report.extras.items()}
-    return out
+        fields["extras"] = report.extras
+    return fields
+
+
+def report_to_dict(report: IdentityReport, include_timing: bool = False) -> dict:
+    """Plain-dict row that the csv and text formats print; a field outside
+    the JSON writer's domain raises here as it does in the json format."""
+    return scalar_to_json(_fields(report, include_timing))
 
 
 def _format_reports(reports: list[IdentityReport], fmt: str, timings: bool) -> str:
     if fmt == "json":
-        # Each report is written from a short-lived dict of its own fields, as
-        # an item of the top-level list; the texts join once.
+        # Each report is written as an item of the top-level list; the texts join once.
         texts = []
         for rep in reports:
-            fields = {
-                "identity": rep.identity,
-                "params": rep.params,
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "equal": rep.equal,
-                "elapsed_ms": rep.elapsed_ms if timings else None,
-            }
-            if rep.extras:
-                fields["extras"] = rep.extras
             parts: list[str] = []
-            _write(fields, 1, parts.append)
+            _write(_fields(rep, timings), 1, parts.append)
             texts.append("".join(parts))
         return "[\n  " + ",\n  ".join(texts) + "\n]\n" if texts else "[]\n"
     rows = [report_to_dict(rep, include_timing=timings) for rep in reports]

@@ -75,51 +75,27 @@ __all__ = [
 DEFAULT_SEED = 42
 
 
-class IdentityReport:
-    """Outcome of one exact identity check.
+class IdentityReport(namedtuple("IdentityReport", "identity params lhs rhs equal elapsed_ms extras")):
+    """Outcome of one exact identity check, as a read-only named tuple;
+    ``elapsed_ms`` defaults to None and ``extras`` to a fresh ``{}``.  It
+    equals another report when every field but ``elapsed_ms`` does, never a
+    plain tuple, and is unhashable.  Not a dataclass, so that importing the
+    verifiers does not load ``dataclasses`` and ``inspect``."""
 
-    Read-only, and equal to another report when every field but
-    ``elapsed_ms`` is.  A slotted class rather than a dataclass, so that
-    importing the verifiers does not load ``dataclasses`` and ``inspect``.
-    """
+    __slots__ = ()
 
-    __slots__ = ("identity", "params", "lhs", "rhs", "equal", "elapsed_ms", "extras")
-
-    def __init__(
-        self, identity: str, params: dict, lhs, rhs, equal: bool,
-        elapsed_ms: float | None = None, extras: dict | None = None,
-    ) -> None:
-        init = object.__setattr__
-        init(self, "identity", identity)
-        init(self, "params", params)
-        init(self, "lhs", lhs)
-        init(self, "rhs", rhs)
-        init(self, "equal", equal)
-        init(self, "elapsed_ms", elapsed_ms)
-        init(self, "extras", {} if extras is None else extras)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a read-only IdentityReport")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a read-only IdentityReport")
-
-    def _compared(self) -> tuple:
-        # Every field but elapsed_ms: a timing never decides equality.
-        return (self.identity, self.params, self.lhs, self.rhs, self.equal, self.extras)
+    def __new__(cls, identity: str, params: dict, lhs, rhs, equal: bool, elapsed_ms=None, extras=None):
+        extras = {} if extras is None else extras
+        return tuple.__new__(cls, (identity, params, lhs, rhs, equal, elapsed_ms, extras))
 
     def __eq__(self, other):
-        if type(other) is not IdentityReport:
-            return NotImplemented
-        return self._compared() == other._compared()
+        # Every field but elapsed_ms (index 5): a timing never decides equality.
+        return isinstance(other, IdentityReport) and self[:5] == other[:5] and self[6] == other[6]
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"IdentityReport({fields})"
+    def __ne__(self, other):  # tuple's own would compare the timing too
+        return not self == other
 
-    def __reduce__(self):
-        # Copies and unpickling go through __init__, since __setattr__ refuses.
-        return IdentityReport, tuple(getattr(self, name) for name in self.__slots__)
+    __hash__ = None
 
 
 def _report(
@@ -127,15 +103,9 @@ def _report(
 ) -> IdentityReport:
     """The one place a verdict is decided: the two sides are literally equal
     (lists element by element) and the identity's extra condition holds."""
-    return IdentityReport(
-        identity=identity,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        equal=(lhs == rhs) and also,
-        elapsed_ms=(time.perf_counter() - start) * 1e3,
-        extras=extras,
-    )
+    equal = (lhs == rhs) and also
+    elapsed_ms = (time.perf_counter() - start) * 1e3  # the comparison's time included
+    return IdentityReport(identity, params, lhs, rhs, equal, elapsed_ms, extras)
 
 
 # ---------------------------------------------------------------------------

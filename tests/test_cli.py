@@ -60,9 +60,10 @@ IDENTITY_SEED42_SHA256 = {
 }
 
 # sha256 of `digitsum verify --all --seed 42 --format <fmt>` stdout; the json
-# digest is tests/test_acceptance.py's SUITE_SEED42_SHA256.  The csv and text
-# formats are built from report_to_dict rows; json goes through the CLI's one
-# writer, whose domain is JSON values plus Fraction and CycloNum leaves.
+# digest is tests/test_acceptance.py's SUITE_SEED42_SHA256.  All three formats
+# print the same report fields in one domain, JSON values plus Fraction and
+# CycloNum leaves: json through the CLI's one writer, csv and text from
+# report_to_dict rows.
 SUITE_SEED42_SHA256 = {
     "csv": "6447e2da001285a2c4c1b7d090cbdd243ada6b041ff46bd555a89ee3fb13b6e0",
     "text": "a998cf592b4b52ef60a21b6b6910e8ff25d4980484fe0801fd49191a3ad66b88",
@@ -274,6 +275,20 @@ class TestParsers:
         assert parse_grid("0..1/1/2") == (0, Fraction(1, 2), 1)
         assert parse_grid("0..3/2/1/2") == (0, Fraction(1, 2), 1, Fraction(3, 2))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.fractions(-5, 5, max_denominator=6),
+        hi=st.fractions(-5, 5, max_denominator=6),
+        step=st.fractions(Fraction(1, 6), 3, max_denominator=6),
+    )
+    def test_grid_range_matches_repeated_addition(self, lo, hi, step):
+        expected, current = [], lo
+        while current <= hi:  # empty when hi < lo
+            expected.append(current)
+            current += step
+        grid = parse_grid(f"{lo}..{hi.numerator}/{hi.denominator}/{step.numerator}/{step.denominator}")
+        assert grid == tuple(expected) and all(type(value) is Fraction for value in grid)
+
     def test_grid_rejects_too_many_or_empty_tokens(self):
         with pytest.raises(ValueError, match="cannot parse grid range"):
             parse_grid("0..1/2/3/4/5")
@@ -440,13 +455,16 @@ class TestReportJson:
             assert exact_value(rep.lhs) and exact_value(rep.rhs), rep
             assert exact_fields(rep.params) and (rep.extras is None or exact_fields(rep.extras)), rep
 
+    # Every format prints from the same fields in the same domain, so each
+    # refuses what the json writer refuses.
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     @pytest.mark.parametrize("fields", [
         {"params": {"x": _Opaque()}}, {"lhs": _Opaque()}, {"extras": {"x": [1, _Opaque()]}},
     ], ids=repr)
-    def test_opaque_field_is_a_type_error(self, fields):
+    def test_opaque_field_is_a_type_error(self, fields, fmt):
         report = IdentityReport(**{"identity": "moment0", "params": {}, "lhs": 1, "rhs": 1, "equal": True, **fields})
         with pytest.raises(TypeError):
-            cli._format_reports([report], "json", False)
+            cli._format_reports([report], fmt, False)
 
     def test_finite_float_field_is_a_number(self):
         report = IdentityReport("moment0", {"t": 0.25}, 1.5, -0.0, True, elapsed_ms=3.75)

@@ -672,6 +672,52 @@ class TestVerifierContract:
         assert time.perf_counter() - start < 0.5
 
 
+def sweep_beyond_the_suite():
+    """Every id that takes a base, at the bases 7 and 8 the suite never
+    reaches: the reports, and each refused run as (id, b, N, seed, error)."""
+    reports, refused = [], set()
+    for name, family in identities.FAMILY_OF.items():
+        if "b" not in family.defaults[name]:
+            continue
+        for b in (7, 8):
+            for N in (1, 2, 3):
+                for seed in (0, 1):
+                    try:
+                        reports += identities.run_identity(name, {"b": b, "N_list": (N,)}, 1, seed, 2**16)
+                    except (ValueError, CostCapExceeded) as exc:
+                        refused.add((name, b, N, seed, type(exc)))
+    return reports, refused
+
+
+class TestBasesBeyondTheSuite:
+    def test_every_id_holds_at_bases_7_and_8(self):
+        reports, refused = sweep_beyond_the_suite()
+        assert len(reports) == 180 and all(report.equal for report in reports)
+        # joint-vanishing needs order >= 2; at N = 3 the two joint grids
+        # cost more than the cap.
+        only = [("joint-vanishing", 1, ValueError), ("joint-vanishing", 3, CostCapExceeded),
+                ("joint-line-general", 3, CostCapExceeded)]
+        assert refused == {(name, b, N, seed, error) for name, N, error in only for b in (7, 8) for seed in (0, 1)}
+
+    def test_sweep_catches_a_product_wrong_only_at_large_bases(self, monkeypatch):
+        # The seed-42 suite stays all-equal under this mutant: it never goes
+        # above b = 6.
+        exact = arith._mul_coords
+
+        def off_by_one(b, a, c):
+            out = exact(b, a, c)
+            if b >= 7:
+                out[0] += 1
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(arith, "_mul_coords", off_by_one)
+            reports, _ = sweep_beyond_the_suite()
+            assert len(reports) == 180 and not all(report.equal for report in reports)
+        # Nothing the mutant computed outlives it in a cache.
+        assert all(report.equal for report in sweep_beyond_the_suite()[0])
+
+
 class TestIdentityReport:
     def test_equality_ignores_only_the_timing(self):
         timed = IdentityReport("x", {"b": 2}, Fraction(1, 2), Fraction(1, 2), True, 1.5, {"k": 1})
@@ -697,6 +743,16 @@ class TestIdentityReport:
         with pytest.raises(AttributeError):
             del report.equal
         assert report.equal is True
+
+    def test_never_equal_to_a_plain_tuple(self):
+        report = IdentityReport("x", {"b": 2}, 1, 1, True)
+        assert report != tuple(report) and tuple(report) != report
+        assert not report == tuple(report) and not tuple(report) == report
+        assert len(report) == 7
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(IdentityReport("x", {}, 0, 0, True))
 
     def test_repr_names_every_field(self):
         assert repr(IdentityReport("x", {"b": 2}, 1, 1, True)) == (
@@ -748,9 +804,21 @@ class TestSerialization:
         # json.dumps tells True from 1, which == does not.
         assert json.dumps(scalar_to_json(value)) == json.dumps(reference(value))
 
-    @pytest.mark.parametrize("value", [RationalPoly([1, Fraction(-1, 2)]), "N", 1.5, {"a": 1}], ids=repr)
-    def test_other_values_print_as_str(self, value):
-        assert scalar_to_json(value) == str(value)
+    # The JSON writer's domain exactly: no value prints as its str.
+    @pytest.mark.parametrize("value", [RationalPoly([1, Fraction(-1, 2)]), object(), {1: "a"}, [{"a": {2}}]],
+                             ids=["poly", "opaque", "int-key", "nested-set"])
+    def test_values_outside_the_domain_are_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            scalar_to_json(value)
+
+    @pytest.mark.parametrize("value", ["N", 1.5, -0.0, {"a": 1}, {"a": [None, {"b": "c"}]}], ids=repr)
+    def test_plain_json_values_map_to_themselves(self, value):
+        assert scalar_to_json(value) == value
+
+    @pytest.mark.parametrize("value", [float("nan"), [float("inf")], {"a": -float("inf")}], ids=repr)
+    def test_non_finite_float_is_a_value_error(self, value):
+        with pytest.raises(ValueError):
+            scalar_to_json(value)
 
     def test_timing_suppressed_by_default(self):
         report = verify_power_sum(2, 1, 0, 1, "N")
