@@ -9,6 +9,9 @@ import ast
 import inspect
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,6 +131,7 @@ large_fractions = st.builds(
     Fraction, st.integers(-(10**15), 10**15), st.integers(1, 10**15)
 )
 fractions = st.one_of(st.just(Fraction(0)), small_fractions, large_fractions)
+nonzero_fractions = st.one_of(small_fractions, large_fractions).filter(bool)
 polys = st.lists(fractions, max_size=5).map(RationalPoly)  # includes the zero polynomial
 bases = st.integers(2, 7)
 
@@ -232,6 +236,92 @@ def test_deep_folds_match_oracle(data, block, x, y):
     l = data.draw(st.integers(0, N))
     assert digit_weighted_sum(f, b, [(N, x, y)]) == oracle_generalized_pte_lhs(b, N, f, x, y)
     assert mixed_power_sum(b, N, l, x, y) == oracle_mixed_power_sum(b, N, l, x, y)
+
+
+def oracle_kernel(f, b, axes, c):
+    # The kernel's own sum, term by term over the grid: Fraction buckets by
+    # digit-sum residue, weighted by the power table once at the end.
+    sizes = [b**N for N, _, _ in axes]
+    sums = [[digit_sum(n, b) for n in range(size)] for size in sizes]
+    buckets = [Fraction(0)] * b
+    for tup in itertools.product(*(range(size) for size in sizes)):
+        arg = Fraction(c)
+        s = 0
+        for n, ds, (_, x, y) in zip(tup, sums, axes):
+            arg += ds[n] * x + n * y
+            s += ds[n]
+        buckets[s % b] += f(arg)
+    total = CycloNum.zero(b)
+    for power, bucket in zip(xi_power_table(b), buckets):
+        total = total + power * bucket
+    return total
+
+
+def streamed_blocks():
+    """(b, N_list) in bases 2, 3 and 5 whose grid is one digit position
+    below, at, or above the kernel's low block, and at b = 2 two above, so
+    the high digit sums wrap; over two or three axes, the low block ends
+    inside an axis or where one ends."""
+    blocks = []
+    for b in (2, 3, 5):
+        low = digits.low_positions(b)
+        blocks += [(b, [low - 1]), (b, [low]), (b, [low + 1])]
+        blocks += [(b, [low - 2, 3]), (b, [low, 1]), (b, [0, low - 1, 1, 1])]
+    return blocks + [(2, [digits.low_positions(2) + 2])]
+
+
+@pytest.mark.parametrize("b,N_list", streamed_blocks())
+@settings(max_examples=3, deadline=None)
+@given(st.data(), st.sampled_from(["general", "monomial", "zero"]), small_fractions)
+def test_streamed_kernel_matches_oracle(b, N_list, data, kind, c):
+    # Grids past the low block stream their high digit positions as shifts
+    # of the low block's lists; grids within it are summed whole.  Below
+    # degree sum(N_list) the sum vanishes whatever the high digits add, so
+    # f's degree is at least that, and no x or y is zero.
+    axes = [(N, data.draw(nonzero_fractions), data.draw(nonzero_fractions)) for N in N_list]
+    degree = sum(N_list) + data.draw(st.integers(0, 1))
+    if kind == "zero":
+        f = RationalPoly()
+    elif kind == "monomial":
+        f = RationalPoly.monomial(degree, data.draw(nonzero_fractions))
+    else:
+        f = RationalPoly(data.draw(st.lists(fractions, min_size=degree + 1, max_size=degree + 1)))
+    assert digit_weighted_sum(f, b, axes, c) == oracle_kernel(f, b, axes, c)
+
+
+def test_low_block_keeps_64_values_per_list():
+    # The low block fills LOW_BLOCK, but a large base keeps at least 64
+    # values per residue list: power-sum-n at b = 1000, N = 2 streamed in
+    # one-value lists ran about 4x slower than whole.
+    for b in range(2, 1100):
+        low = digits.low_positions(b)
+        assert b ** (low - 1) >= 64
+        assert b**low <= max(digits.LOW_BLOCK, 64 * b**2)
+        assert b ** (low + 1) > digits.LOW_BLOCK
+    assert digits.low_positions(2) == 10 and digits.low_positions(1000) == 2
+
+
+def test_streamed_kernel_peak_memory():
+    # 2^16 summands streamed past a 2^10-value low block trace well under
+    # 0.1 MB here; the whole residue lists of 2^16 values traced 4 MB.  The
+    # two-axis grid holds the low block to 2^10 values across the axes, not
+    # per axis.
+    script = (
+        "import tracemalloc\nfrom fractions import Fraction\n"
+        "from digitsum.digits import digit_weighted_sum\n"
+        "from digitsum.identities import mixed_power_sum\n"
+        "from digitsum.poly import RationalPoly\n"
+        "x, y = Fraction(-7, 3), Fraction(10**12 + 1, 9)\ntracemalloc.start()\n"
+        "mixed_power_sum(2, 16, 2, x, y, max_cost=2**24)\n"
+        "digit_weighted_sum(RationalPoly.monomial(16), 2, [(8, x, y), (8, y, x)], 0, 2**24)\n"
+        "print(tracemalloc.get_traced_memory()[1])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(digitsum.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 1e6
 
 
 def test_kernel_edge_cases():
