@@ -4,13 +4,14 @@ integer residue-bucket kernel behind every brute-force digit-weighted sum.
 By s(qb + d) = s(q) + d, s(n) x + n y = sum_k d_k (x + b^k y) over the
 base-b digits d_k of n, so :func:`residue_lists` builds the values one digit
 position at a time, in b lists by digit sum mod b, and reads no digit-sum
-table.  The kernel (:func:`digit_weighted_sum`) builds those lists only for
-its low block: its lowest :func:`low_positions` digit positions, counted
-units first across the axes.  Each combination of the remaining high digits
-is one constant shift H and one digit-sum offset sigma, so the sum of f over
-low list r shifted by H adds into bucket (r + sigma) mod b; the shifted
-arguments are fed lazily, so memory stays at the low block however large the
-block.  A block that fits the low block is summed whole.  f is summed by
+table.  The kernel (:func:`digit_weighted_sum`) sums f over those lists
+whole when the block has at most LOW_BLOCK values or two digit positions.
+Any other block it splits meet-in-the-middle: the lowest half of its digit
+positions, counted units first across the axes, and the rest, each half in
+its own b lists.  By the binomial theorem the sum of f over every pair of a
+low and a high value is a dot product of the two lists' power sums (taken in
+:func:`power_rows`), so the kernel enumerates about 2 b^(N/2) values, and
+holds them, where the block has b^N.  Whole lists are summed by
 ``poly.integer_samples`` (the integer Horner the closed side uses) for any f
 but a monomial, and the buckets end in ``arith.combine_buckets``, the one
 place residue buckets become coordinates; the kernel never touches weight
@@ -21,7 +22,7 @@ package-internal.  One brute-force sum is not the kernel's:
 ``identities.joint_weight_polynomial`` classes its arguments over
 :func:`digit_sums`, as its weight xi^s(i_1+...+i_m) is no product of
 per-axis weights, and sums their powers in :func:`power_rows`, the per-class
-power-sum loop of the PTE certificates.
+power-sum loop of the split kernel and the PTE certificates.
 
 :func:`check_block` is the one place the block rule, b >= 2 and N >= a least
 order, is written; every entry point calls it before it charges the cap.
@@ -30,8 +31,10 @@ order, is written; every entry point calls it before it charges the cap.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import product, repeat
+from itertools import repeat
+from math import comb
 
 from .arith import CycloNum, combine_buckets
 from .cost import charge, walk_size
@@ -39,8 +42,8 @@ from .poly import RationalPoly, clear_denominators, integer_samples
 
 __all__ = ["digit_sums"]
 
-# The kernel's low block holds at most this many values, unless a large base
-# needs more for 64 values per residue list (see low_positions).
+# The kernel sums a block of at most this many values whole.  A block of two
+# positions stays whole too: split, a large base would join b^2 list pairs.
 LOW_BLOCK = 2**10
 
 
@@ -95,17 +98,6 @@ def residue_lists(b: int, axes: Iterable[tuple[int, int, int]], C: int = 0) -> l
     return lists
 
 
-def low_positions(b: int) -> int:
-    """Digit positions the kernel keeps whole in base b: the most whose b^L
-    values fit LOW_BLOCK, but at least enough for 64 values per residue
-    list, as a call per list over a few values costs more than the values.
-    Package-internal."""
-    L = 1
-    while b ** (L + 1) <= LOW_BLOCK or b ** (L - 1) < 64:
-        L += 1
-    return L
-
-
 def digit_weighted_sum(
     f: RationalPoly, b: int, axes: Sequence[tuple[int, object, object]], c=0, max_cost: int | None = None
 ) -> CycloNum:
@@ -113,33 +105,41 @@ def digit_weighted_sum(
     n_j < b^N_j, one (N_j, x_j, y_j) per axis; s is the base-b digit sum.
 
     Charged ``cost.walk_size`` first.  With denominators cleared once, f's
-    integer form is summed over each of the b :func:`residue_lists` of the
-    low block, once per combination of the high digits, shifted by that
-    combination's step total H into the bucket its digit sum moves the list
-    to; the b sums become one CycloNum: exactly the sum of ``xi^s * f(arg)``.
+    integer form g is summed over each of the b :func:`residue_lists` of a
+    block of at most LOW_BLOCK values or two digit positions.  Any other
+    block is split into a low and a high half of its digit positions: the
+    sum of g(a + h) over low list r and high list s is sum_j P_r[j] W_s[j]
+    by the binomial theorem, with P and Q the halves' power sums and
+    W_s[j] = sum_i g_i C(i, j) Q_s[i - j], and lands in bucket (r + s) mod b.
+    The b sums become one CycloNum: exactly the sum of ``xi^s * f(arg)``.
     """
-    charge(walk_size(b, sum(N for N, _, _ in axes), max_cost), max_cost)
+    total = sum(N for N, _, _ in axes)
+    # Past two digit positions the price is the block b^total itself.
+    block = walk_size(b, total, max_cost)
+    charge(block, max_cost)
     g, scale, (C, *scaled) = clear_denominators(f, c, *(v for _, x, y in axes for v in (x, y)))
-    low, high, room = [], [], low_positions(b)
-    for N, X, Y in zip([N for N, _, _ in axes], scaled[::2], scaled[1::2]):
+    scaled_axes = zip([N for N, _, _ in axes], scaled[::2], scaled[1::2])
+    if total <= 2 or block <= LOW_BLOCK:
+        lists = residue_lists(b, scaled_axes, C)
+        if any(g[:-1]):
+            return combine_buckets(b, [sum(integer_samples(g, args)) for args in lists], scale)
+        return combine_buckets(b, [g[-1] * sum(map(pow, args, repeat(len(g) - 1))) for args in lists], scale)
+    # The low half is the lowest ceil(total / 2) positions, units first across
+    # the axes; each axis's high positions are an axis of their own, scaled
+    # by b^k past its k low ones.
+    low, high, room = [], [], (total + 1) // 2
+    for N, X, Y in scaled_axes:
         k = min(N, room)
         room -= k
         low.append((k, X, Y))
-        high += [X + b**i * Y for i in range(k, N)]
-    lists = residue_lists(b, low, C)
-    if not high:
-        return combine_buckets(b, [_sample_sum(g, args) for args in lists], scale)
+        high.append((N - k, X, b**k * Y))
+    d = len(g) - 1
+    P = power_rows(map(Counter, residue_lists(b, low, C)), d)
+    Q = power_rows(map(Counter, residue_lists(b, high)), d)
+    binomial = [[g[i] * comb(i, j) for i in range(j, d + 1)] for j in range(d + 1)]
+    W = [[sum(map(operator.mul, row, q)) for row in binomial] for q in Q]
     buckets = [0] * b
-    for ds in product(range(b), repeat=len(high)):
-        H, sigma = sum(map(operator.mul, ds, high)), sum(ds)
-        for r, args in enumerate(lists):
-            buckets[(r + sigma) % b] += _sample_sum(g, map(operator.add, args, repeat(H)))
+    for r, p in enumerate(P):
+        for s, w in enumerate(W):
+            buckets[(r + s) % b] += sum(map(operator.mul, p, w))
     return combine_buckets(b, buckets, scale)
-
-
-def _sample_sum(g: list[int], args: Iterable[int]) -> int:
-    """Sum of g(A) over args: a monomial's powers by ``pow``, any other g
-    by integer Horner."""
-    if any(g[:-1]):
-        return sum(integer_samples(g, args))
-    return g[-1] * sum(map(pow, args, repeat(len(g) - 1)))

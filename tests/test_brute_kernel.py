@@ -29,7 +29,9 @@ from digitsum.identities import (
     joint_weight_polynomial,
     mixed_power_sum,
     run_identity,
+    verify_difference_identity,
     verify_generalized_pte,
+    verify_mixed_closed_form,
     verify_multi_mixed_sum,
     verify_multi_power_sum,
     verify_multisum,
@@ -258,27 +260,30 @@ def oracle_kernel(f, b, axes, c):
 
 
 def streamed_blocks():
-    """(b, N_list) in bases 2, 3 and 5 whose grid is one digit position
-    below, at, or above the kernel's low block, and at b = 2 two above, so
-    the high digit sums wrap; over two or three axes, the low block ends
-    inside an axis or where one ends."""
-    blocks = []
-    for b in (2, 3, 5):
-        low = digits.low_positions(b)
-        blocks += [(b, [low - 1]), (b, [low]), (b, [low + 1])]
-        blocks += [(b, [low - 2, 3]), (b, [low, 1]), (b, [0, low - 1, 1, 1])]
-    return blocks + [(2, [digits.low_positions(2) + 2])]
+    """(b, N_list) in bases 2, 3 and 5 at the largest block summed whole and
+    one or two digit positions above it, and at b = 11 three positions past
+    LOW_BLOCK: odd and even totals, a low half that ends inside an axis or
+    where one ends, and order-0 axes first, between and last."""
+    return [
+        (2, [10]), (2, [11]), (2, [12]), (2, [5, 6]), (2, [6, 6]), (2, [0, 4, 1, 6]), (2, [3, 3, 0, 5]),
+        (3, [6]), (3, [7]), (3, [2, 5]), (3, [4, 3, 0]),
+        (5, [4]), (5, [5]), (5, [2, 3]), (5, [3, 0, 2]),
+        (11, [3]), (11, [1, 2]), (11, [0, 2, 1]),
+    ]
 
 
 @pytest.mark.parametrize("b,N_list", streamed_blocks())
-@settings(max_examples=3, deadline=None)
-@given(st.data(), st.sampled_from(["general", "monomial", "zero"]), small_fractions)
-def test_streamed_kernel_matches_oracle(b, N_list, data, kind, c):
-    # Grids past the low block stream their high digit positions as shifts
-    # of the low block's lists; grids within it are summed whole.  Below
-    # degree sum(N_list) the sum vanishes whatever the high digits add, so
-    # f's degree is at least that, and no x or y is zero.
-    axes = [(N, data.draw(nonzero_fractions), data.draw(nonzero_fractions)) for N in N_list]
+@pytest.mark.parametrize("kind", ["general", "monomial", "zero", "x=-y"])
+@settings(max_examples=1, deadline=None)
+@given(st.data(), small_fractions)
+def test_streamed_kernel_matches_oracle(b, N_list, kind, data, c):
+    # Blocks past LOW_BLOCK join the power sums of a low and a high half of
+    # their digit positions; blocks within it are summed whole.  Below degree
+    # sum(N_list) the sum vanishes whatever the halves add, so f's degree is
+    # at least that, and no x or y is zero but where x = -y on every axis.
+    ys = [data.draw(nonzero_fractions) for _ in N_list]
+    xs = [-y for y in ys] if kind == "x=-y" else [data.draw(nonzero_fractions) for _ in N_list]
+    axes = list(zip(N_list, xs, ys))
     degree = sum(N_list) + data.draw(st.integers(0, 1))
     if kind == "zero":
         f = RationalPoly()
@@ -289,16 +294,25 @@ def test_streamed_kernel_matches_oracle(b, N_list, data, kind, c):
     assert digit_weighted_sum(f, b, axes, c) == oracle_kernel(f, b, axes, c)
 
 
-def test_low_block_keeps_64_values_per_list():
-    # The low block fills LOW_BLOCK, but a large base keeps at least 64
-    # values per residue list: power-sum-n at b = 1000, N = 2 streamed in
-    # one-value lists ran about 4x slower than whole.
-    for b in range(2, 1100):
-        low = digits.low_positions(b)
-        assert b ** (low - 1) >= 64
-        assert b**low <= max(digits.LOW_BLOCK, 64 * b**2)
-        assert b ** (low + 1) > digits.LOW_BLOCK
-    assert digits.low_positions(2) == 10 and digits.low_positions(1000) == 2
+def test_whole_blocks_never_reach_the_power_sums(monkeypatch):
+    # A block of two digit positions stays whole at any base: split, b = 1000
+    # joins 10^6 pairs of one-value lists, and power-sum-n there ran about
+    # twice as long as whole.  A block of at most LOW_BLOCK values stays whole
+    # at any order.
+    def refuse(counters, degree):
+        raise AssertionError("a whole block reached power_rows")
+
+    monkeypatch.setattr(digits, "power_rows", refuse)
+    # Below degree sum(N_list) every such sum vanishes.
+    x, y = Fraction(-7, 3), Fraction(5, 2)
+    for b, N_list in ((1000, [2]), (1000, [1, 1]), (33, [2]), (33, [0, 1, 1])):
+        assert b ** sum(N_list) > digits.LOW_BLOCK
+        f = RationalPoly.monomial(sum(N_list) - 1)
+        assert digit_weighted_sum(f, b, [(N, x, y) for N in N_list]).is_zero()
+    for b, N_list in ((2, [10]), (2, [4, 0, 6]), (3, [6]), (4, [5]), (5, [4]), (32, [2]), (1024, [1])):
+        assert b ** sum(N_list) <= digits.LOW_BLOCK
+        f = RationalPoly(range(1, sum(N_list) + 1))
+        assert digit_weighted_sum(f, b, [(N, x, y) for N in N_list]).is_zero()
 
 
 def test_streamed_kernel_peak_memory():
@@ -322,6 +336,55 @@ def test_streamed_kernel_peak_memory():
     )
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) < 1e6
+
+
+def test_split_kernel_feeds_two_half_blocks_to_the_power_sums(monkeypatch):
+    # mixed_power_sum(2, 24, 23, x, y) vanishes, as 23 < 24; its 2^24
+    # arguments reach the power sums as two halves of 2^12 values.
+    fed = []
+    power_rows = digits.power_rows
+
+    def counted(counters, degree):
+        counters = list(counters)
+        fed.append(sum(sum(counter.values()) for counter in counters))
+        return power_rows(counters, degree)
+
+    monkeypatch.setattr(digits, "power_rows", counted)
+    x, y = Fraction(-7, 3), Fraction(10**12 + 1, 9)
+    assert mixed_power_sum(2, 24, 23, x, y, max_cost=2**26).is_zero()
+    assert 0 < sum(fed) <= 2 * 2**12, fed
+
+
+def split_reports():
+    """Reports whose brute side the kernel splits; the seed-42 suite sums
+    every block whole, so its digest cannot see the split."""
+    x, y = Fraction(-7, 3), Fraction(5, 11)
+    f = RationalPoly([1, Fraction(-2, 5), 3, 0, 7, Fraction(1, 9), -4])
+    return [
+        verify_generalized_pte(2, 12, RationalPoly(range(1, 12)), x, y),
+        verify_generalized_pte(5, 5, RationalPoly([Fraction(1, 3), -2, 0, 5, 7]), x, y),
+        verify_mixed_closed_form(3, 8, x, y),
+        verify_difference_identity(7, 4, f, x, y),
+        verify_multi_mixed_sum(2, [6, 6], [x, y], [y, -x]),
+    ]
+
+
+def test_split_reports_catch_kernel_mutants(monkeypatch):
+    assert all(report.equal for report in split_reports())
+    # Power sums one power up turn every report unequal.
+    power_rows = digits.power_rows
+    monkeypatch.setattr(
+        digits, "power_rows", lambda counters, degree: [row[1:] for row in power_rows(counters, degree + 1)]
+    )
+    assert not any(report.equal for report in split_reports())
+    monkeypatch.undo()
+    # The term g_i C(i, j) P_r[j] Q_s[i - j] adds nothing unless j and i - j
+    # reach the low and the high half's positions, as sum_r xi^r P_r[j] and
+    # sum_s xi^s Q_s[m] vanish below them.  So a wrong binomial shows only in
+    # a degree >= N term: never at i - j = 1, and never in generalized-pte,
+    # whose f has degree < N.
+    monkeypatch.setattr(digits, "comb", lambda n, k: math.comb(n, k) + (0 < k < n))
+    assert [report.equal for report in split_reports()] == [True, True, False, False, False]
 
 
 def test_kernel_edge_cases():
